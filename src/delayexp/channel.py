@@ -239,6 +239,33 @@ def _alternating_maximization(p: np.ndarray, tol: float = CAPACITY_REL_TOL,
     return CapacityResult(max(value, 0.0), q, converged, iterations)
 
 
+def _ba_step(q: np.ndarray, p: np.ndarray, support: np.ndarray,
+             logp: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One alternating-maximization step for a stack of channels.
+
+    Returns the value I(q) of each row, the largest per-input divergence
+    max_x D(p_x || q p) (an upper bound on the row's capacity), and the
+    updated input laws.
+    """
+    m = np.einsum("nk,nkm->nm", q, p)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logm = np.where(m > 0, np.log(np.maximum(m, 1e-300)), 0.0)
+    d = np.where(support, p * (logp - logm[:, None, :]), 0.0).sum(axis=2)
+    value = np.einsum("nk,nk->n", q, d)
+    d_max = d.max(axis=1)
+    w = q * np.exp(d - d_max[:, None])
+    return value, d_max, w / w.sum(axis=1, keepdims=True)
+
+
+def _ba_start(mats) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Channel stack, its support mask, its logs and the uniform start laws."""
+    p = np.asarray(mats, dtype=float)
+    n, k, _ = p.shape
+    support = p > 0
+    logp = np.where(support, np.log(np.where(support, p, 1.0)), 0.0)
+    return p, support, logp, np.full((n, k), 1.0 / k)
+
+
 def capacity_batch(mats: np.ndarray, tol: float = CAPACITY_REL_TOL,
                    max_iter: int = CAPACITY_MAX_ITER) -> np.ndarray:
     """Capacities of a stack of channels ``mats[i]``, all with one shape.
@@ -246,25 +273,50 @@ def capacity_batch(mats: np.ndarray, tol: float = CAPACITY_REL_TOL,
     Same algorithm and tolerances as :func:`capacity`, vectorized over the
     leading axis so grid searches over channel space stay affordable.
     """
-    p = np.asarray(mats, dtype=float)
-    n, k, _ = p.shape
-    q = np.full((n, k), 1.0 / k)
-    support = p > 0
-    logp = np.where(support, np.log(np.where(support, p, 1.0)), 0.0)
-    value = np.zeros(n)
-    previous = np.full(n, -1.0)
+    p, support, logp, q = _ba_start(mats)
+    value = np.zeros(p.shape[0])
+    previous = np.full(p.shape[0], -1.0)
     for _ in range(max_iter):
-        m = np.einsum("nk,nkm->nm", q, p)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logm = np.where(m > 0, np.log(np.maximum(m, 1e-300)), 0.0)
-        d = np.where(support, p * (logp - logm[:, None, :]), 0.0).sum(axis=2)
-        value = np.einsum("nk,nk->n", q, d)
+        value, _, q_next = _ba_step(q, p, support, logp)
         if np.all(np.abs(value - previous) <= tol * np.maximum(1.0, np.abs(value))):
             break
-        previous = value
-        w = q * np.exp(d - d.max(axis=1, keepdims=True))
-        q = w / w.sum(axis=1, keepdims=True)
+        previous, q = value, q_next
     return np.maximum(value, 0.0)
+
+
+def capacity_below(mats: np.ndarray, rate: float) -> np.ndarray:
+    """Boolean mask of the channels in the stack ``mats`` with capacity below ``rate``.
+
+    Runs the iteration of :func:`capacity_batch`, but every step brackets
+    each capacity, I(q_t) <= C <= max_x D(p_x || q_t p), so a row is
+    decided as soon as ``rate`` falls outside its bracket; only undecided
+    rows keep iterating. A row that no bound decides is judged by its value
+    once it meets the convergence test of :func:`capacity_batch`, so row
+    ``i`` of the mask is ``capacity_batch(mats[i:i + 1]) < rate``. The
+    stacked ``capacity_batch(mats)`` iterates every row until the slowest
+    one converges; compared with ``rate`` it gives the same mask except
+    possibly for rows whose capacity lies within the convergence tolerance
+    of ``rate``.
+    """
+    p, support, logp, q = _ba_start(mats)
+    below = np.zeros(p.shape[0], dtype=bool)
+    live = np.arange(p.shape[0])
+    previous = np.full(p.shape[0], -1.0)
+    for _ in range(CAPACITY_MAX_ITER):
+        if not len(live):
+            return below
+        value, d_max, q = _ba_step(q, p, support, logp)
+        settled = np.abs(value - previous) <= CAPACITY_REL_TOL * np.maximum(1.0, np.abs(value))
+        feasible = d_max < rate
+        done = feasible | (value >= rate) | settled
+        if np.any(done):
+            below[live[done]] = feasible[done] | (np.maximum(value[done], 0.0) < rate)
+            keep = ~done
+            live, q, p, support, logp = live[keep], q[keep], p[keep], support[keep], logp[keep]
+            value = value[keep]
+        previous = value
+    below[live] = np.maximum(value, 0.0) < rate
+    return below
 
 
 def is_symmetric(ch: Channel) -> bool:

@@ -24,12 +24,13 @@ import argparse
 import json
 import math
 import os
+import shlex
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
-from .channel import Channel, capacity, load_channel, make_bec, make_bsc
+from .channel import Channel, capacity, is_symmetric, load_channel, make_bec, make_bsc
 from .curves import convert, crossover_rate, emit_csv, emit_plot_script, sweep
 from .errors import BadInputError, DomainError
 from .exponents import (
@@ -199,8 +200,8 @@ def cmd_figure(args, command_line: str) -> int:
         print("crossover_rate none")
     else:
         print(f"crossover_rate {crossing:.9f} {args.unit}")
-    slopes = capacity_slopes(ch)
-    if FLAG_FLAT_CURVATURE in slopes.flags:
+    # The slopes at capacity are defined for symmetric channels only.
+    if is_symmetric(ch) and FLAG_FLAT_CURVATURE in capacity_slopes(ch).flags:
         print("flag flat_curvature: curve slopes at capacity diverge")
 
     manifest_path = _write_manifest(outdir, command_line, (), (csv_path, gp_path))
@@ -322,7 +323,7 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = build_parser().parse_args(argv)
-    command_line = "delayexp " + " ".join(argv)
+    command_line = shlex.join(["delayexp", *argv])
     try:
         if args.command == "exponent":
             return cmd_exponent(args)

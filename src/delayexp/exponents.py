@@ -30,7 +30,7 @@ from .channel import (
     Channel,
     as_input_dist,
     capacity,
-    capacity_batch,
+    capacity_below,
     is_symmetric,
     OutOfRangeError,
 )
@@ -380,7 +380,7 @@ def _oracle_pass(p: np.ndarray, rate: float, rows0: np.ndarray,
         mats = np.empty((len(flat), 2, p.shape[1]))
         mats[:, 0, :] = rows0[i0]
         mats[:, 1, :] = rows1[i1]
-        feasible = capacity_batch(mats) < rate
+        feasible = capacity_below(mats, rate)
         if not np.any(feasible):
             continue
         obj = _max_over_r_grid(d0[i0[feasible]], d1[i1[feasible]], steps)
@@ -400,7 +400,10 @@ def haroutunian_oracle(ch: Channel, rate: float, grid_steps: int = 100) -> float
     D(G || P | r). A second pass refines the grid in a window of two coarse
     cells around the first incumbent. Binary input alphabets with at most
     three outputs only; this is a deliberately direct oracle for
-    cross-checking the parametric sphere-packing route, not a fast bound.
+    cross-checking the parametric sphere-packing route. Feasibility
+    (C(G) < rate) comes from :func:`capacity_below`, which settles most
+    candidates from the capacity bounds of a few alternating-maximization
+    steps and runs the full iteration only near the boundary.
     """
     if ch.inputs != 2 or ch.outputs > 3:
         raise UnsupportedAlphabetError(
@@ -464,14 +467,19 @@ def _focusing_surrogate(ch: Channel, rate: float) -> ExponentValue:
     return ExponentValue(-neg, lam, None, (FLAG_SURROGATE,))
 
 
+def _require_finite_positive_rho(rho: float) -> None:
+    # Written so that NaN fails the test as well.
+    if not 0.0 < rho < math.inf:
+        raise DomainError(f"rho must be finite and > 0, got {rho}")
+
+
 def overhead_fraction(ch: Channel, rho: float) -> float:
     """Fraction of uses a confirm/deny strategy devotes to confirmations.
 
     At curve parameter rho this is E0(rho) / (E0(1) + E0(rho)), which
     balances the error contributions of the data and confirmation phases.
     """
-    if rho <= 0:
-        raise DomainError(f"rho must be > 0, got {rho}")
+    _require_finite_positive_rho(rho)
     e0_one = e0_max(ch, 1.0).value
     if e0_one < 1e-15:
         raise DegenerateChannelError("E0(1) is numerically zero")
@@ -485,8 +493,7 @@ def achieved_exponent(ch: Channel, rho: float) -> ParametricPoint:
     The exponent at parameter rho is the harmonic combination
     1 / (1/E0(rho) + 1/E0(1)) and sits at rate exponent / rho.
     """
-    if rho <= 0:
-        raise DomainError(f"rho must be > 0, got {rho}")
+    _require_finite_positive_rho(rho)
     e0_one = e0_max(ch, 1.0).value
     if e0_one < 1e-15:
         raise DegenerateChannelError("E0(1) is numerically zero")

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from delayexp import channel as ch
 from delayexp.errors import BadInputError
+from delayexp.exponents import _simplex_grid
 
 LN2 = math.log(2.0)
 
@@ -132,6 +133,47 @@ class TestCapacity:
         singles = [ch.capacity(ch.make_dmc(m)) for m in mats]
         batched = ch.capacity_batch(mats)
         assert np.allclose(batched, singles, rtol=1e-9, atol=1e-12)
+
+
+def pair_stack(outputs, steps):
+    """Every pair of rows of the oracle's simplex grid, as 2-input channels."""
+    rows = _simplex_grid(outputs, steps)
+    i0, i1 = np.divmod(np.arange(len(rows) ** 2), len(rows))
+    return np.stack([rows[i0], rows[i1]], axis=1)
+
+
+class TestCapacityBelow:
+    @pytest.mark.parametrize("channel, steps", [
+        (ch.make_bsc(0.1), 30),
+        (ch.make_bsc(0.4), 30),
+        (ch.make_bec(0.4), 10),
+    ], ids=["bsc0.1", "bsc0.4", "bec0.4"])
+    def test_matches_full_solve_on_oracle_grid(self, channel, steps):
+        mats = pair_stack(channel.outputs, steps)
+        reference = ch.capacity_batch(mats)
+        for frac in (0.3, 0.6, 0.9):
+            rate = frac * ch.capacity(channel)
+            assert np.array_equal(ch.capacity_below(mats, rate), reference < rate)
+
+    def test_rows_left_to_the_settled_value(self):
+        # A C = 0 row, a noiseless row (C = ln 2) and two noisy rows. At a rate
+        # equal to a row's capacity no bound settles that row, so the value
+        # it reaches at its own convergence decides it.
+        mats = np.array([[[0.3, 0.7], [0.3, 0.7]], np.eye(2),
+                         [[0.95, 0.05], [0.2, 0.8]], [[0.6, 0.4], [0.1, 0.9]]])
+        alone = np.array([ch.capacity_batch(m[None])[0] for m in mats])
+        stacked = ch.capacity_batch(mats)
+        assert alone[0] == pytest.approx(0.0, abs=1e-12)
+        assert alone[1] == pytest.approx(LN2, rel=1e-12)
+        for rate in (*alone, *stacked, LN2, 1e-3):
+            assert np.array_equal(ch.capacity_below(mats, rate), alone < rate)
+        # The last row is the slowest, so it ends the stacked solve too and
+        # the stacked reference decides the tie at its value the same way.
+        assert stacked[3] == alone[3]
+        assert np.array_equal(ch.capacity_below(mats, stacked[3]), stacked < stacked[3])
+
+    def test_empty_stack(self):
+        assert ch.capacity_below(np.empty((0, 2, 2)), 0.1).shape == (0,)
 
 
 class TestMeasures:

@@ -1,5 +1,6 @@
 import json
 import math
+import shlex
 
 import pytest
 
@@ -8,6 +9,7 @@ from delayexp.cli import main
 LN2 = math.log(2.0)
 
 IDENTITY_MATRIX = {"matrix": [[1.0, 0.0], [0.0, 1.0]]}
+Z_MATRIX = {"matrix": [[1.0, 0.0], [0.3, 0.7]]}
 
 
 def run(capsys, argv):
@@ -105,6 +107,14 @@ class TestExponentCommand:
         assert code == 3
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("rho", ["nan", "inf", "0", "-1"])
+    def test_non_finite_or_nonpositive_rho_is_domain_error(self, capsys, rho):
+        code, out, err = run(capsys, ["exponent", "--bsc", "0.4", "--bound", "achieved",
+                                      "--rho", rho])
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
     def test_unknown_bound_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["exponent", "--bsc", "0.4", "--bound", "bogus", "--rate-bits", "0.1"])
@@ -160,6 +170,26 @@ class TestFigureCommand:
         assert code == 0
         assert "flag flat_curvature" in out
         assert "crossover_rate none" in out
+
+    def test_asymmetric_channel_finishes_with_manifest(self, capsys, tmp_path):
+        path = tmp_path / "z.json"
+        path.write_text(json.dumps(Z_MATRIX))
+        out_dir = tmp_path / "fig"
+        code, out, _ = run(capsys, ["figure", "--matrix", str(path), "--points", "2",
+                                    "--outdir", str(out_dir)])
+        assert code == 0
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert manifest["artifacts"] == [str(out_dir / name) for name in
+                                         ("curves.csv", "curves.gp", "manifest.json")]
+        assert "crossover_rate " in out
+
+    def test_manifest_command_line_round_trips_through_shlex(self, capsys, tmp_path):
+        out_dir = tmp_path / "with space"
+        argv = ["figure", "--bsc", "0.4", "--points", "8", "--outdir", str(out_dir)]
+        code, _, _ = run(capsys, argv)
+        assert code == 0
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert shlex.split(manifest["command_line"]) == ["delayexp", *argv]
 
     def test_outdir_env_default_and_flag_override(self, capsys, tmp_path, monkeypatch):
         env_dir = tmp_path / "from_env"
