@@ -5,10 +5,12 @@ Three subcommands:
 * ``exponent``: evaluate one bound at one rate (or the achieved curve at
   one parameter value) and print the value with its achieving parameter.
 * ``figure``: sweep sphere-packing, focusing, and achieved bounds over a
-  rate grid; write a CSV, a gnuplot script, and a run manifest; report
-  the crossover rate where the achieved curve passes sphere packing.
+  rate grid; write a CSV, a gnuplot script, a run record, and a run
+  manifest; report the crossover rate where the achieved curve passes
+  sphere packing.
 * ``simulate``: run one of the closed-loop schemes and write its
-  delay/error table with a fitted decay slope.
+  delay/error table with a fitted decay slope; the two block schemes also
+  write a run record of their failure counters.
 
 Exit codes: 0 success, 2 malformed input, 3 domain violation, 4 when the
 printed result carries a numerical flag. Rates are accepted in bits
@@ -64,6 +66,10 @@ EXIT_INPUT = 2
 EXIT_DOMAIN = 3
 EXIT_FLAGGED = 4
 
+RECORD_NAME = "run_record.json"
+SCHEME_COUNTERS = ("blocks_confirmed", "punctuation_chunk_errors", "data_block_errors",
+                   "spurious_confirms", "wrong_bit_weight", "missed_bit_weight")
+
 
 @dataclass(frozen=True)
 class RunManifest:
@@ -96,11 +102,32 @@ def _write_manifest(outdir: Path, command_line: str, seeds, artifact_paths) -> P
     return path
 
 
-def _resolve_outdir(flag_value: str | None) -> Path:
-    raw = flag_value or os.environ.get("DELAYEXP_OUTDIR") or "."
-    path = Path(raw)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+def _write_artifacts(flag_value: str | None, command_line: str, seeds,
+                     files: dict[str, str]) -> list[Path]:
+    """Write ``files`` (name to text) in order, then the manifest listing them.
+
+    The output directory is ``--outdir``, else $DELAYEXP_OUTDIR, else the
+    current directory. Returns the written paths, the manifest last.
+    """
+    outdir = Path(flag_value or os.environ.get("DELAYEXP_OUTDIR") or ".")
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        paths = []
+        for name, text in files.items():
+            path = outdir / name
+            path.write_text(text, encoding="utf-8")
+            paths.append(path)
+        return paths + [_write_manifest(outdir, command_line, seeds, paths)]
+    except OSError as exc:
+        raise BadInputError(f"cannot write artifacts to {outdir}: {exc}") from exc
+
+
+def _record_json(record: dict) -> str:
+    return json.dumps(record, indent=2) + "\n"
+
+
+def _finite_or_none(value: float) -> float | None:
+    return value if math.isfinite(value) else None
 
 
 def _build_channel(args) -> Channel:
@@ -182,29 +209,35 @@ def cmd_exponent(args) -> int:
 
 def cmd_figure(args, command_line: str) -> int:
     ch = _build_channel(args)
-    outdir = _resolve_outdir(args.outdir)
     cap = capacity(ch)
     table = sweep(ch, FIGURE_RATE_LO * cap, FIGURE_RATE_HI * cap, args.points,
                   FIGURE_BOUNDS)
     table = convert(table, args.unit)
-
-    csv_path = outdir / "curves.csv"
-    csv_path.write_text(emit_csv(table), encoding="utf-8")
-    print(f"wrote {csv_path}")
-    gp_path = outdir / "curves.gp"
-    gp_path.write_text(emit_plot_script(table, csv_path.name), encoding="utf-8")
-    print(f"wrote {gp_path}")
-
     crossing = crossover_rate(table)
+    # The slopes at capacity are defined for symmetric channels only.
+    slopes = capacity_slopes(ch) if is_symmetric(ch) else None
+    record = {
+        "capacity": table.capacity,
+        "crossover_fraction": None if crossing is None else crossing / table.capacity,
+        "capacity_slopes": None if slopes is None else {
+            "focusing": _finite_or_none(slopes.focusing_slope),
+            "achieved": _finite_or_none(slopes.achieved_slope),
+            "flags": list(slopes.flags)},
+    }
+    csv_path, gp_path, _, manifest_path = _write_artifacts(
+        args.outdir, command_line, (),
+        {"curves.csv": emit_csv(table),
+         "curves.gp": emit_plot_script(table, "curves.csv"),
+         RECORD_NAME: _record_json(record)})
+
+    print(f"wrote {csv_path}")
+    print(f"wrote {gp_path}")
     if crossing is None:
         print("crossover_rate none")
     else:
         print(f"crossover_rate {crossing:.9f} {args.unit}")
-    # The slopes at capacity are defined for symmetric channels only.
-    if is_symmetric(ch) and FLAG_FLAT_CURVATURE in capacity_slopes(ch).flags:
+    if slopes is not None and FLAG_FLAT_CURVATURE in slopes.flags:
         print("flag flat_curvature: curve slopes at capacity diverge")
-
-    manifest_path = _write_manifest(outdir, command_line, (), (csv_path, gp_path))
     print(f"wrote {manifest_path}")
     return EXIT_OK
 
@@ -221,21 +254,14 @@ def _print_fit(table) -> None:
     print(f"r_squared {fit.r_squared:.6f}")
 
 
-def _emit_table(table, outdir: Path) -> Path:
-    path = outdir / "table.csv"
-    path.write_text(table.to_csv(), encoding="utf-8")
-    print(f"wrote {path}")
-    return path
-
-
 def cmd_simulate_bec_queue(args, command_line: str) -> int:
-    outdir = _resolve_outdir(args.outdir)
     table = simulate_bec_feedback(args.delta, args.horizon,
                                   _parse_delays(args.delays), args.seed)
-    csv_path = _emit_table(table, outdir)
+    csv_path, manifest_path = _write_artifacts(args.outdir, command_line, (args.seed,),
+                                               {"table.csv": table.to_csv()})
+    print(f"wrote {csv_path}")
     _print_fit(table)
     print(f"reference {bec_feedback_exponent(args.delta):.9f} nats_per_use")
-    manifest_path = _write_manifest(outdir, command_line, (args.seed,), (csv_path,))
     print(f"wrote {manifest_path}")
     return EXIT_OK
 
@@ -245,18 +271,19 @@ def cmd_simulate_scheme(args, command_line: str) -> int:
         raise BadInputError(f"scheme {args.scheme!r} requires --config")
     cfg = SchemeConfig.from_json(args.config)
     ch = _build_channel(args)
-    outdir = _resolve_outdir(args.outdir)
     delays = _parse_delays(args.delays)
     if args.scheme == "fortified":
         table = fortified_run(cfg, ch, args.horizon, delays, args.seed)
     else:
         table = synthesized_run(cfg, ch, args.horizon, delays, args.seed,
                                 noiseless_flow=args.ideal_flow)
-    csv_path = _emit_table(table, outdir)
+    record = {name: getattr(table, name) for name in SCHEME_COUNTERS}
+    csv_path, _, manifest_path = _write_artifacts(
+        args.outdir, command_line, (cfg.seed, args.seed),
+        {"table.csv": table.to_csv(), RECORD_NAME: _record_json(record)})
+    print(f"wrote {csv_path}")
     _print_fit(table)
     print(f"blocks_confirmed {table.blocks_confirmed}")
-    manifest_path = _write_manifest(outdir, command_line, (cfg.seed, args.seed),
-                                    (csv_path,))
     print(f"wrote {manifest_path}")
     return EXIT_OK
 
@@ -325,6 +352,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     command_line = shlex.join(["delayexp", *argv])
     try:
+        if args.command == "simulate" and args.seed < 0:
+            raise BadInputError(f"--seed must be >= 0, got {args.seed}")
         if args.command == "exponent":
             return cmd_exponent(args)
         if args.command == "figure":

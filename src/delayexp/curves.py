@@ -10,12 +10,11 @@ and become empty fields (not zeros) in the CSV.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import Channel, capacity, is_symmetric
+from .channel import Channel, capacity
 from .errors import DelayexpError, DomainError
 from . import exponents as ex
 
@@ -100,13 +99,11 @@ def _evaluate_cell(ch: Channel, bound: str, rate: float) -> CurveCell:
 
 
 def sweep(ch: Channel, rate_min: float, rate_max: float, points: int,
-          bounds, workers: int | None = None) -> CurveTable:
+          bounds) -> CurveTable:
     """Evaluate ``bounds`` on a uniform rate grid, in nats.
 
     ``bounds`` is a collection drawn from {"sp", "er", "list:<n>",
-    "focusing", "achieved"}. With ``workers`` > 1 cells are evaluated on a
-    thread pool; results are ordered by grid index either way, so output
-    is independent of the schedule.
+    "focusing", "achieved"}.
     """
     order = _canonical_bounds(bounds)
     if not points >= 2:
@@ -118,15 +115,8 @@ def sweep(ch: Channel, rate_min: float, rate_max: float, points: int,
         raise ex.DegenerateChannelError(f"channel capacity {cap!r} is numerically zero")
     if rate_max > cap * (1.0 + 1e-12):
         raise DomainError(f"rate_max {rate_max} exceeds capacity {cap}")
-    is_symmetric(ch)  # warm the per-channel caches before any threading
     rates = [float(r) for r in np.linspace(rate_min, rate_max, points)]
-    tasks = [(b, r) for b in order for r in rates]
-    if workers is not None and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            cells = list(pool.map(lambda task: _evaluate_cell(ch, *task), tasks))
-    else:
-        cells = [_evaluate_cell(ch, b, r) for b, r in tasks]
-    columns = {b: tuple(cells[i * points:(i + 1) * points]) for i, b in enumerate(order)}
+    columns = {b: tuple(_evaluate_cell(ch, b, r) for r in rates) for b in order}
     return CurveTable(ch.describe(), "nats", cap, order, tuple(rates), columns)
 
 

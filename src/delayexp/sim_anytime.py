@@ -33,12 +33,7 @@ import numpy as np
 from .channel import Channel, is_symmetric
 from .errors import BadInputError, DomainError
 from .exponents import e0_max
-from .sim_queue import (
-    DelayErrorTable,
-    HorizonTooShortError,
-    MISS_WEIGHT,
-    Z95,
-)
+from .sim_queue import DeadlineGrid, DelayErrorTable, HorizonTooShortError, MISS_WEIGHT
 
 IDLE_LETTER = 0
 PAYLOAD_BITS_MAX = 14
@@ -86,18 +81,30 @@ class SchemeConfig:
     redecode_window: int = 4
 
     def __post_init__(self):
+        # bool is a subclass of int: without its own check `true` would pass as 1.
+        for name in ("n", "c", "l", "theta", "seed", "redecode_window"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise BadInputError(f"scheme config {name} must be an integer, got {value!r}")
+        if isinstance(self.rate_bits, bool) or not isinstance(self.rate_bits, (int, float)):
+            raise BadInputError(f"scheme config rate_bits must be a number, got {self.rate_bits!r}")
+        if self.seed < 0:
+            raise BadInputError(f"scheme config seed must be >= 0, got {self.seed}")
         if self.c < 1:
             raise DomainError(f"chunk length must be >= 1, got {self.c}")
         if not self.n > self.l >= 0:
             raise DomainError(f"need n > l >= 0, got n={self.n}, l={self.l}")
         if not 0 <= self.theta < self.c:
             raise DomainError(f"need 0 <= theta < c, got theta={self.theta}, c={self.c}")
-        if not self.rate_bits > 0:
-            raise DomainError(f"rate_bits must be > 0, got {self.rate_bits}")
+        if not 0 < self.rate_bits < math.inf:
+            raise DomainError(f"rate_bits must be positive and finite, got {self.rate_bits}")
         if self.redecode_window < 1:
             raise DomainError(f"redecode_window must be >= 1, got {self.redecode_window}")
-        raw = self.n * self.c * self.rate_bits
-        if abs(raw - round(raw)) > 1e-6 or round(raw) < 1:
+        try:
+            raw = float(self.n * self.c * self.rate_bits)
+        except OverflowError:  # an integer field too large for a float
+            raw = math.inf
+        if not math.isfinite(raw) or abs(raw - round(raw)) > 1e-6 or round(raw) < 1:
             raise DomainError(
                 f"block payload n*c*rate_bits = {raw} must be a whole number of bits >= 1")
 
@@ -417,9 +424,6 @@ class FlowCode:
         self._root = blake2b(_FLOW_SALT + (int(seed) & (2 ** 64 - 1)).to_bytes(8, "little"),
                              digest_size=16).digest()
 
-    def root_digest(self) -> bytes:
-        return self._root
-
     def extend(self, digest: bytes, message: FlowMessage) -> bytes:
         return blake2b(digest + message.token(), digest_size=16).digest()
 
@@ -555,32 +559,44 @@ class _ParseState:
         twin.spurious = self.spurious
         return twin
 
+    def open_block(self, cfg: SchemeConfig, chunk_index: int) -> None:
+        """Start the next block if all its bits arrived by the chunk's first use."""
+        if not self.active and (_arrival_count(chunk_index * cfg.c + 1, cfg.rate_bits)
+                                >= (self.next_block + 1) * cfg.payload_bits):
+            self.active = True
+            self.pos = 0
+            self.scores = np.zeros(len(self.scores))
+
+    def score(self, codebook: BlockCodebook, letters: np.ndarray, outputs) -> None:
+        """Add one chunk's data-use log-likelihoods to every candidate's score."""
+        self.scores += codebook.logp[letters, outputs].sum(axis=1)
+        self.pos += letters.shape[1]
+
+    def apply(self, message: FlowMessage, list_len: int) -> None:
+        """On a confirm, close the block in flight as the list entry it names."""
+        if not message.confirm:
+            return
+        if not self.active:
+            # A confirm with no block in flight is impossible under this
+            # parse; ignore it and remember that the estimate disagreed.
+            self.spurious += 1
+            return
+        order = _ranked(self.scores, list_len)
+        self.values.append(int(order[min(message.index, len(order) - 1)]))
+        self.active = False
+        self.next_block += 1
+
 
 def _walk_chunk(state: _ParseState, cfg: SchemeConfig, codebook: BlockCodebook,
                 chunk_index: int, message: FlowMessage, data_outputs: np.ndarray,
                 list_len: int) -> None:
     """Advance a parse by one chunk under one (estimated) flow message."""
-    start_use = chunk_index * cfg.c + 1
-    if not state.active and (_arrival_count(start_use, cfg.rate_bits)
-                             >= (state.next_block + 1) * cfg.payload_bits):
-        state.active = True
-        state.pos = 0
-        state.scores = np.zeros(codebook.n_candidates)
+    state.open_block(cfg, chunk_index)
     span = cfg.data_uses_per_chunk
     if state.active and span > 0:
-        letters = codebook.candidates_range(state.next_block, state.pos, span)
-        state.scores += codebook.logp[letters, data_outputs].sum(axis=1)
-        state.pos += span
-    if message.confirm:
-        if not state.active:
-            # A confirm with no block in flight is impossible under this
-            # parse; ignore it and remember that the estimate disagreed.
-            state.spurious += 1
-            return
-        order = _ranked(state.scores, list_len)
-        state.values.append(int(order[min(message.index, len(order) - 1)]))
-        state.active = False
-        state.next_block += 1
+        state.score(codebook, codebook.candidates_range(state.next_block, state.pos, span),
+                    data_outputs)
+    state.apply(message, list_len)
 
 
 def parse_history(cfg: SchemeConfig, codebook: BlockCodebook, messages,
@@ -702,24 +718,6 @@ def _serve_blocks(cfg: SchemeConfig, codebook: BlockCodebook, values: np.ndarray
     return deliveries
 
 
-def _delay_grid(delays) -> tuple[int, ...]:
-    grid = tuple(sorted(set(int(d) for d in delays)))
-    if not grid:
-        raise DomainError("need at least one delay")
-    if grid[0] < 0:
-        raise DomainError("delays must be nonnegative")
-    return grid
-
-
-def _assemble_table(dgrid, weights, trials):
-    errors, half_widths = [], []
-    for d in dgrid:
-        p = weights[d] / trials
-        errors.append(p)
-        half_widths.append(Z95 * math.sqrt(max(p * (1.0 - p), 0.0) / trials))
-    return tuple(errors), (trials,) * len(dgrid), tuple(half_widths)
-
-
 def fortified_run(cfg: SchemeConfig, ch: Channel, horizon: int, delays,
                   seed: int) -> SchemeRunResult:
     """Closed-loop run of the scheme with an ideal flow link.
@@ -730,15 +728,12 @@ def fortified_run(cfg: SchemeConfig, ch: Channel, horizon: int, delays,
     """
     if cfg.theta != 0:
         raise DomainError("fortified mode requires theta == 0")
-    dgrid = _delay_grid(delays)
-    horizon = int(horizon)
-    dmax = dgrid[-1]
-    if horizon < 10 * max(dmax, 1):
-        raise HorizonTooShortError(
-            f"horizon {horizon} too short for max delay {dmax}; need >= {10 * max(dmax, 1)}")
+    grid = DeadlineGrid(delays, horizon)
+    horizon = grid.horizon
+    # The codebook caps the payload before any per-bit array is sized.
+    codebook = BlockCodebook(ch, cfg.payload_bits, cfg.seed, q=_code_input_dist(ch))
     n_bits = _arrival_count(horizon, cfg.rate_bits)
     n_blocks = n_bits // cfg.payload_bits + 1
-    codebook = BlockCodebook(ch, cfg.payload_bits, cfg.seed, q=_code_input_dist(ch))
     values = _block_values(cfg, n_blocks)
     noise = _NoiseSource(ch, horizon, seed)
     delivery_uses = _serve_blocks(cfg, codebook, values, noise, horizon)
@@ -748,18 +743,10 @@ def fortified_run(cfg: SchemeConfig, ch: Channel, horizon: int, delays,
     bit_index = np.arange(1, n_bits + 1)
     arrivals = np.ceil(bit_index / cfg.rate_bits - _ARRIVAL_EPS).astype(np.int64)
     delivered_at = deliveries[(bit_index - 1) // cfg.payload_bits]
-    eligible = (arrivals > dmax) & (arrivals <= horizon - dmax)
-    trials = int(np.count_nonzero(eligible))
-    if trials == 0:
-        raise HorizonTooShortError("no bits survive the burn-in exclusion")
-    arr = arrivals[eligible]
-    dlv = delivered_at[eligible]
-    weights = {d: MISS_WEIGHT * float(np.count_nonzero(dlv > arr + d)) for d in dgrid}
-    errors, trials_t, half_widths = _assemble_table(dgrid, weights, trials)
-    missed = sum(weights.values())
-    return SchemeRunResult(dgrid, errors, trials_t, half_widths,
-                           blocks_confirmed=len(delivery_uses),
-                           missed_bit_weight=missed)
+    weights, trials = grid.miss_weights(arrivals, delivered_at)
+    return grid.table(weights, trials, SchemeRunResult,
+                      blocks_confirmed=len(delivery_uses),
+                      missed_bit_weight=sum(weights))
 
 
 # -- the synthesized scheme --------------------------------------------------
@@ -775,29 +762,32 @@ def synthesized_run(cfg: SchemeConfig, ch: Channel, horizon: int, delays,
     boundary not after it (unresolved bits count 1/2, wrongly decoded bits
     count 1).
 
-    With ``noiseless_flow`` the reserved flow slots are pointless, and the
-    idealized scheme is exactly the fortified one on the same config with
-    theta = 0; the call delegates accordingly.
+    With ``noiseless_flow`` the reserved flow slots are pointless: with an
+    error-free flow link they carry no risk and no information the
+    fortified model does not already deliver, so the idealized scheme is
+    exactly the fortified one on the same config with theta returned to the
+    data stream, and the call delegates accordingly.
     """
     if noiseless_flow:
-        return synthesized_noiseless_reference(cfg, ch, horizon, delays, seed)
+        return fortified_run(replace(cfg, theta=0), ch, horizon, delays, seed)
     if cfg.theta < 1:
         raise DomainError("synthesized mode requires theta >= 1")
-    dgrid = _delay_grid(delays)
-    dmax = dgrid[-1]
     chunks = int(horizon) // cfg.c
     span = chunks * cfg.c
-    if span < 10 * max(dmax, 1) or chunks < cfg.redecode_window + 1:
+    grid = DeadlineGrid(delays, span)
+    if chunks < cfg.redecode_window + 1:
         raise HorizonTooShortError(
-            f"horizon {horizon} too short for max delay {dmax} at chunk length {cfg.c}")
+            f"horizon {horizon} holds {chunks} chunks of {cfg.c} uses; the flow "
+            f"window needs {cfg.redecode_window + 1}")
 
     payload = cfg.payload_bits
-    list_len = min(1 << cfg.l, 1 << payload)
+    q = _code_input_dist(ch)
+    # The codebook caps the payload before any per-bit array is sized.
+    codebook = BlockCodebook(ch, payload, cfg.seed, q=q)
+    list_len = min(1 << cfg.l, codebook.n_candidates)
     n_bits = _arrival_count(span, cfg.rate_bits)
     n_blocks = n_bits // payload + 1
     data_len = cfg.data_uses_per_chunk
-    q = _code_input_dist(ch)
-    codebook = BlockCodebook(ch, payload, cfg.seed, q=q)
     values = _block_values(cfg, n_blocks)
     # Memory equal to the window keeps every window hypothesis pair fully
     # separated while letting a rare settled error age out of the hash
@@ -818,41 +808,32 @@ def synthesized_run(cfg: SchemeConfig, ch: Channel, horizon: int, delays,
     blocks_of_bits = (bit_index - 1) // payload
     offsets = (bit_index - 1) % payload
     truth_bits = (values[blocks_of_bits] >> (payload - 1 - offsets)) & 1
-    eligible = (arrivals > dmax) & (arrivals <= span - dmax)
+    eligible = grid.eligible(arrivals)
     trials = int(np.count_nonzero(eligible))
-    if trials == 0:
-        raise HorizonTooShortError("no bits survive the burn-in exclusion")
-    wrong_weight = {d: 0.0 for d in dgrid}
-    miss_weight = {d: 0.0 for d in dgrid}
+    wrong_weight = {d: 0.0 for d in grid.delays}
+    miss_weight = {d: 0.0 for d in grid.delays}
 
     data_rows = np.empty((chunks, data_len), dtype=np.int64)
 
     for k in range(chunks):
         base = k * cfg.c
-        # Data portion: advance the encoder's (true) parse state manually so
-        # we can transmit the active block's codeword letter by letter.
-        start_use = base + 1
-        if not encoder.active and (_arrival_count(start_use, cfg.rate_bits)
-                                   >= (encoder.next_block + 1) * payload):
-            encoder.active = True
-            encoder.pos = 0
-            encoder.scores = np.zeros(codebook.n_candidates)
+        # Data portion: the encoder walks the true parse with the decoder's
+        # steps, transmitting the active block's codeword on the way.
+        encoder.open_block(cfg, k)
         value = int(values[encoder.next_block])
         if encoder.active and data_len > 0:
             letters = codebook.candidates_range(encoder.next_block, encoder.pos, data_len)
             row = noise.emit_batch(letters[value], base + 1)
-            encoder.scores += codebook.logp[letters, row].sum(axis=1)
-            encoder.pos += data_len
+            encoder.score(codebook, letters, row)
         else:
             row = noise.emit_batch(np.full(data_len, IDLE_LETTER, dtype=np.int64), base + 1)
         data_rows[k] = row
         if encoder.active and _confirmable(encoder.scores, value, list_len):
+            # The list index puts the true block at the confirmed position.
             message = FlowMessage(True, _list_index(encoder.scores, value))
-            encoder.values.append(value)
-            encoder.active = False
-            encoder.next_block += 1
         else:
             message = FlowMessage(False)
+        encoder.apply(message, list_len)
         true_messages.append(message)
         # Flow portion, tree-coded over the recent true message history.
         flow_letters = flow_code.letters(flow_code.context_digest(true_messages), k)
@@ -879,7 +860,7 @@ def synthesized_run(cfg: SchemeConfig, ch: Channel, horizon: int, delays,
         # Emit every (bit, delay) whose last boundary at or before its
         # deadline is this one.
         boundary = (k + 1) * cfg.c
-        for d in dgrid:
+        for d in grid.delays:
             lo = np.searchsorted(arrivals, boundary - d, side="left")
             hi = np.searchsorted(arrivals, boundary + cfg.c - d, side="left")
             for i in range(lo, hi):
@@ -891,24 +872,11 @@ def synthesized_run(cfg: SchemeConfig, ch: Channel, horizon: int, delays,
                 elif (decoded[b] >> (payload - 1 - offsets[i])) & 1 != truth_bits[i]:
                     wrong_weight[d] += 1.0
 
-    totals = {d: wrong_weight[d] + miss_weight[d] for d in dgrid}
-    errors, trials_t, half_widths = _assemble_table(dgrid, totals, trials)
-    return SchemeRunResult(dgrid, errors, trials_t, half_widths,
-                           blocks_confirmed=len(encoder.values),
-                           punctuation_chunk_errors=punctuation_errors,
-                           data_block_errors=data_block_errors,
-                           spurious_confirms=settled.spurious,
-                           wrong_bit_weight=sum(wrong_weight.values()),
-                           missed_bit_weight=sum(miss_weight.values()))
-
-
-def synthesized_noiseless_reference(cfg: SchemeConfig, ch: Channel, horizon: int,
-                                    delays, seed: int) -> SchemeRunResult:
-    """The noiseless-flow idealization of a synthesized config.
-
-    With an error-free flow link the theta reserved slots carry no risk
-    and no information the fortified model does not already deliver, so
-    the reference behavior is the fortified run of the same config with
-    theta returned to the data stream.
-    """
-    return fortified_run(replace(cfg, theta=0), ch, horizon, delays, seed)
+    totals = [wrong_weight[d] + miss_weight[d] for d in grid.delays]
+    return grid.table(totals, trials, SchemeRunResult,
+                      blocks_confirmed=len(encoder.values),
+                      punctuation_chunk_errors=punctuation_errors,
+                      data_block_errors=data_block_errors,
+                      spurious_confirms=settled.spurious,
+                      wrong_bit_weight=sum(wrong_weight.values()),
+                      missed_bit_weight=sum(miss_weight.values()))

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -78,6 +77,61 @@ class DelayErrorTable:
         return "\n".join(lines) + "\n"
 
 
+def _error_columns(weights, trials):
+    """(errors, trials, half_widths) from per-delay error weights and trial counts."""
+    errors = tuple(w / n for w, n in zip(weights, trials))
+    half_widths = tuple(Z95 * math.sqrt(p * (1.0 - p) / n) for p, n in zip(errors, trials))
+    return errors, tuple(trials), half_widths
+
+
+class DeadlineGrid:
+    """The delays a run is judged at, and which of its bits count as trials.
+
+    Every simulator's delay/error table follows the same rules: the delays
+    form a nonempty grid of nonnegative integers, the run spans at least ten
+    times the largest delay, and only bits arriving more than max(delays)
+    uses from either end of the run count, so estimates reflect the
+    stationary regime rather than the start-up and the cut-off.
+    """
+
+    def __init__(self, delays, horizon: int):
+        self.delays = tuple(sorted(set(int(d) for d in delays)))
+        if not self.delays:
+            raise DomainError("need at least one delay")
+        if self.delays[0] < 0:
+            raise DomainError("delays must be nonnegative")
+        self.dmax = self.delays[-1]
+        self.horizon = int(horizon)
+        need = 10 * max(self.dmax, 1)
+        if self.horizon < need:
+            raise HorizonTooShortError(
+                f"horizon {self.horizon} is too short for max delay {self.dmax}; need >= {need}")
+
+    def eligible(self, arrivals: np.ndarray) -> np.ndarray:
+        """Mask of the bits arriving clear of the burn-in at both ends."""
+        mask = (arrivals > self.dmax) & (arrivals <= self.horizon - self.dmax)
+        if not mask.any():
+            raise HorizonTooShortError("no bits survive the burn-in exclusion")
+        return mask
+
+    def miss_weights(self, arrivals: np.ndarray, deliveries: np.ndarray):
+        """Per-delay error weights of bits undelivered by their deadline, and the trials.
+
+        A bit misses delay d when it is still undelivered at its arrival
+        time plus d; the decoder then guesses, so it counts with weight 1/2.
+        """
+        eligible = self.eligible(arrivals)
+        arr, dlv = arrivals[eligible], deliveries[eligible]
+        weights = tuple(MISS_WEIGHT * float(np.count_nonzero(dlv > arr + d))
+                        for d in self.delays)
+        return weights, int(arr.size)
+
+    def table(self, weights, trials: int, kind=DelayErrorTable, **fields) -> DelayErrorTable:
+        """The ``kind`` table of per-delay error weights over ``trials`` bits."""
+        return kind(self.delays, *_error_columns(weights, (trials,) * len(self.delays)),
+                    **fields)
+
+
 @dataclass(frozen=True)
 class FitResult:
     """Least-squares decay rate of -ln(error) against delay."""
@@ -138,29 +192,9 @@ def simulate_bec_feedback(delta: float, horizon: int, delays, seed: int) -> Dela
     """
     if not 0.0 < delta < 0.5:
         raise OutOfRangeError(f"erasure probability must lie in (0, 1/2), got {delta}")
-    dgrid = tuple(sorted(set(int(d) for d in delays)))
-    if not dgrid:
-        raise DomainError("need at least one delay")
-    if any(d < 0 for d in dgrid):
-        raise DomainError("delays must be nonnegative")
-    horizon = int(horizon)
-    dmax = dgrid[-1]
-    if horizon < 10 * max(dmax, 1):
-        raise HorizonTooShortError(
-            f"horizon {horizon} is too short for max delay {dmax}; need >= {10 * max(dmax, 1)}")
-    arrivals, delivery = _service_times(delta, horizon, seed)
-    eligible = (arrivals > dmax) & (arrivals <= horizon - dmax)
-    arr = arrivals[eligible]
-    dlv = delivery[eligible]
-    trials = int(arr.size)
-    if trials == 0:
-        raise HorizonTooShortError("no bits survive the burn-in exclusion")
-    errors, half_widths = [], []
-    for d in dgrid:
-        p = MISS_WEIGHT * float(np.count_nonzero(dlv > arr + d)) / trials
-        errors.append(p)
-        half_widths.append(Z95 * math.sqrt(p * (1.0 - p) / trials))
-    return DelayErrorTable(dgrid, tuple(errors), (trials,) * len(dgrid), tuple(half_widths))
+    grid = DeadlineGrid(delays, horizon)
+    arrivals, delivery = _service_times(delta, grid.horizon, seed)
+    return grid.table(*grid.miss_weights(arrivals, delivery))
 
 
 def queue_level_frequencies(delta: float, horizon: int, seed: int, max_level: int = 12) -> np.ndarray:
@@ -189,29 +223,19 @@ def merge_tables(tables) -> DelayErrorTable:
     dgrid = tables[0].delays
     if any(t.delays != dgrid for t in tables):
         raise DomainError("replica tables disagree on the delay grid")
-    errors, trials, half_widths = [], [], []
-    for j in range(len(dgrid)):
-        n = sum(t.trials[j] for t in tables)
-        p = sum(t.errors[j] * t.trials[j] for t in tables) / n
-        errors.append(p)
-        trials.append(n)
-        half_widths.append(Z95 * math.sqrt(p * (1.0 - p) / n))
-    return DelayErrorTable(dgrid, tuple(errors), tuple(trials), tuple(half_widths))
+    rows = range(len(dgrid))
+    weights = [sum(t.errors[j] * t.trials[j] for t in tables) for j in rows]
+    trials = [sum(t.trials[j] for t in tables) for j in rows]
+    return DelayErrorTable(dgrid, *_error_columns(weights, trials))
 
 
-def run_replicas(delta: float, horizon: int, delays, seed: int, replicas: int,
-                 workers: int | None = None) -> DelayErrorTable:
+def run_replicas(delta: float, horizon: int, delays, seed: int,
+                 replicas: int) -> DelayErrorTable:
     """Merged estimate over ``replicas`` independent runs with derived seeds."""
     if replicas < 1:
         raise DomainError(f"replicas must be >= 1, got {replicas}")
-    seeds = replica_seeds(seed, replicas)
-    if workers is not None and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            tables = list(pool.map(
-                lambda s: simulate_bec_feedback(delta, horizon, delays, s), seeds))
-    else:
-        tables = [simulate_bec_feedback(delta, horizon, delays, s) for s in seeds]
-    return merge_tables(tables)
+    return merge_tables(simulate_bec_feedback(delta, horizon, delays, s)
+                        for s in replica_seeds(seed, replicas))
 
 
 def fit_exponent(table: DelayErrorTable) -> FitResult:

@@ -1,15 +1,26 @@
+import contextlib
+import io
 import json
 import math
 import shlex
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from delayexp.cli import main
+from delayexp.channel import make_bsc
+from delayexp.cli import SCHEME_COUNTERS, main
+from delayexp.sim_anytime import SchemeConfig, synthesized_run
 
 LN2 = math.log(2.0)
 
 IDENTITY_MATRIX = {"matrix": [[1.0, 0.0], [0.0, 1.0]]}
 Z_MATRIX = {"matrix": [[1.0, 0.0], [0.3, 0.7]]}
+FORTIFIED_CFG = {"n": 1, "c": 2, "l": 0, "rate_bits": 0.5, "seed": 0}
+SYNTHESIZED_CFG = {"n": 1, "c": 8, "l": 0, "theta": 4, "rate_bits": 0.125, "seed": 3,
+                   "redecode_window": 4}
 
 
 def run(capsys, argv):
@@ -129,15 +140,17 @@ class TestFigureCommand:
         assert code == 0
         csv_path = out_dir / "curves.csv"
         gp_path = out_dir / "curves.gp"
+        record_path = out_dir / "run_record.json"
         manifest_path = out_dir / "manifest.json"
-        for p in (csv_path, gp_path, manifest_path):
+        for p in (csv_path, gp_path, record_path, manifest_path):
             assert p.exists()
         header = csv_path.read_text().splitlines()[0]
         assert header == "rate,sp,focusing,achieved"
         manifest = json.loads(manifest_path.read_text())
         assert manifest["tool_version"]
         assert manifest["seeds"] == []
-        assert manifest["artifacts"] == [str(csv_path), str(gp_path), str(manifest_path)]
+        assert manifest["artifacts"] == [str(csv_path), str(gp_path), str(record_path),
+                                         str(manifest_path)]
         assert "crossover_rate " in out
         assert "flat_curvature" not in out
 
@@ -145,8 +158,21 @@ class TestFigureCommand:
         a, b = tmp_path / "a", tmp_path / "b"
         run(capsys, ["figure", "--bsc", "0.4", "--points", "16", "--outdir", str(a)])
         run(capsys, ["figure", "--bsc", "0.4", "--points", "16", "--outdir", str(b)])
-        assert (a / "curves.csv").read_bytes() == (b / "curves.csv").read_bytes()
-        assert (a / "curves.gp").read_bytes() == (b / "curves.gp").read_bytes()
+        for name in ("curves.csv", "curves.gp", "run_record.json"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_record_holds_crossover_fraction_and_slopes(self, capsys, tmp_path):
+        code, out, _ = run(capsys, ["figure", "--bsc", "0.1", "--points", "16",
+                                    "--outdir", str(tmp_path)])
+        assert code == 0
+        record = json.loads((tmp_path / "run_record.json").read_text())
+        crossing = next(fields(line)[0] for line in out.splitlines()
+                        if line.startswith("crossover_rate "))
+        assert record["crossover_fraction"] == pytest.approx(
+            crossing / record["capacity"], abs=1e-8)
+        slopes = record["capacity_slopes"]
+        assert slopes["focusing"] > slopes["achieved"] > 0
+        assert slopes["flags"] == []
 
     def test_unit_conversion_scales_every_csv_field(self, capsys, tmp_path):
         a, b = tmp_path / "nats", tmp_path / "bits"
@@ -180,8 +206,11 @@ class TestFigureCommand:
         assert code == 0
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert manifest["artifacts"] == [str(out_dir / name) for name in
-                                         ("curves.csv", "curves.gp", "manifest.json")]
+                                         ("curves.csv", "curves.gp", "run_record.json",
+                                          "manifest.json")]
         assert "crossover_rate " in out
+        record = json.loads((out_dir / "run_record.json").read_text())
+        assert record["capacity_slopes"] is None
 
     def test_manifest_command_line_round_trips_through_shlex(self, capsys, tmp_path):
         out_dir = tmp_path / "with space"
@@ -266,6 +295,48 @@ class TestSimulateCommand:
         assert code == 2
         assert "window" in err
 
+    def test_record_counters_match_the_library_run(self, capsys, tmp_path):
+        cfg = {"n": 2, "c": 24, "l": 1, "theta": 12, "rate_bits": 1 / 6, "seed": 0,
+               "redecode_window": 4}
+        path = tmp_path / "syn.json"
+        path.write_text(json.dumps(cfg))
+        code, _, _ = run(capsys, ["simulate", "synthesized", "--config", str(path),
+                                  "--bsc", "0.05", "--horizon", "4800", "--delays", "24,48",
+                                  "--seed", "2", "--outdir", str(tmp_path / "out")])
+        assert code == 0
+        record = json.loads((tmp_path / "out" / "run_record.json").read_text())
+        table = synthesized_run(SchemeConfig(**cfg), make_bsc(0.05), 4800, (24, 48), 2)
+        assert record == {name: getattr(table, name) for name in SCHEME_COUNTERS}
+        assert record["missed_bit_weight"] > 0
+
+    @pytest.mark.parametrize("scheme, override, seed", [
+        ("fortified", {"seed": -1}, "0"),
+        ("fortified", {"n": 1.5, "c": 4}, "0"),
+        ("fortified", {"seed": 0.5}, "0"),
+        ("fortified", {"n": True}, "0"),
+        ("synthesized", {"redecode_window": "4"}, "0"),
+        ("fortified", {}, "-3"),
+        ("synthesized", {}, "-3"),
+        ("bec-queue", {}, "-3"),
+    ])
+    def test_bad_config_fields_and_seeds_are_input_errors(self, capsys, tmp_path, scheme,
+                                                          override, seed):
+        out_dir = tmp_path / "out"
+        code, out, err = run(capsys, _simulate_argv(tmp_path, scheme, override, seed, out_dir))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert not out_dir.exists()
+
+    def test_outdir_under_a_regular_file_is_input_error(self, capsys, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code, out, err = run(capsys, _simulate_argv(tmp_path, "bec-queue", {}, "0",
+                                                    blocker / "sub"))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
     def test_bad_delays_are_input_error(self, capsys, tmp_path):
         code, _, err = run(capsys, ["simulate", "bec-queue", "--delta", "0.4",
                                     "--horizon", "100000", "--delays", "4;8",
@@ -308,6 +379,48 @@ class TestSimulateCommand:
                    for line in out.splitlines())
         run(capsys, argv + ["--outdir", str(b)])
         assert (a / "table.csv").read_bytes() == (b / "table.csv").read_bytes()
+
+
+def _simulate_argv(tmp_path, scheme, override, seed, out_dir):
+    """A small run of one simulate mode, with config fields overridden."""
+    if scheme == "bec-queue":
+        head = ["bec-queue", "--delta", "0.4", "--delays", "2,4"]
+    else:
+        base = FORTIFIED_CFG if scheme == "fortified" else SYNTHESIZED_CFG
+        cfg = Path(tmp_path) / "cfg.json"
+        cfg.write_text(json.dumps({**base, **override}))
+        head = [scheme, "--bsc", "0.05", "--config", str(cfg), "--delays", "16,24"]
+    return ["simulate", *head, "--horizon", "2000", "--seed", seed, "--outdir", str(out_dir)]
+
+
+FUZZ_VALUES = (math.nan, math.inf, -math.inf, -1, 0, 10 ** 18, 10 ** 400, 1e300, 1.5, 1e-300,
+               True, "4", None)
+
+
+@given(scheme=st.sampled_from(["fortified", "synthesized"]),
+       field=st.sampled_from(sorted(SYNTHESIZED_CFG)),
+       value=st.sampled_from(FUZZ_VALUES),
+       seed=st.sampled_from(["0", "-1", str(10 ** 18)]),
+       blocked=st.booleans())
+@settings(max_examples=30, deadline=None)
+def test_simulate_fuzz_exits_cleanly(scheme, field, value, seed, blocked):
+    # Any config value, seed or output directory ends in a documented exit
+    # code with no traceback, and leaves a manifest or no files at all.
+    with tempfile.TemporaryDirectory() as tmp:
+        out_dir = Path(tmp) / "out"
+        if blocked:
+            (Path(tmp) / "file").write_text("")
+            out_dir = Path(tmp) / "file" / "sub"
+        argv = _simulate_argv(tmp, scheme, {field: value}, seed, out_dir)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 2, 3, 4)
+        assert "Traceback" not in err.getvalue()
+        if code != 0:
+            assert err.getvalue().startswith("error:")
+        written = list(out_dir.iterdir()) if out_dir.is_dir() else []
+        assert not written or (out_dir / "manifest.json").is_file()
 
 
 def test_version_flag(capsys):

@@ -72,13 +72,6 @@ class TestSweep:
         with pytest.raises(ex.DegenerateChannelError):
             curves.sweep(chan.make_dmc([[0.5, 0.5], [0.5, 0.5]]), 0.01, 0.02, 4, {"sp"})
 
-    def test_parallel_matches_sequential(self, bsc04):
-        cap = chan.capacity(bsc04)
-        seq = curves.sweep(bsc04, 0.05 * cap, 0.95 * cap, 24, {"sp", "er", "focusing", "achieved"})
-        par = curves.sweep(bsc04, 0.05 * cap, 0.95 * cap, 24, {"sp", "er", "focusing", "achieved"},
-                           workers=4)
-        assert curves.emit_csv(seq) == curves.emit_csv(par)
-
     def test_extreme_list_size_still_sweeps(self, bsc04):
         cap = chan.capacity(bsc04)
         t = curves.sweep(bsc04, 0.2 * cap, 0.5 * cap, 3, {"list:1000000"})

@@ -526,6 +526,14 @@ class TestFortifiedScheme:
         assert a == b
         assert a != c
 
+    def test_table_text_is_pinned(self):
+        table = fortified_run(self.BSC_CFG, make_bsc(0.05), 30_000, (6, 10, 14), 4)
+        assert table.to_csv() == (
+            "delay,error,trials,half_width\n"
+            "6,1.8576767362e-01,6422,9.5121822422e-03\n"
+            "10,3.6125817502e-02,6422,4.5639401067e-03\n"
+            "14,1.4014325755e-03,6422,9.1496081340e-04\n")
+
     def test_requires_no_flow_uses(self):
         cfg = SchemeConfig(n=1, c=8, l=0, theta=4, rate_bits=0.125)
         with pytest.raises(DomainError):
@@ -586,6 +594,15 @@ class TestSynthesizedScheme:
         assert table.data_block_errors == 0
         assert table.spurious_confirms == 0
         assert table.blocks_confirmed == 1999
+
+    def test_table_text_is_pinned(self):
+        table = synthesized_run(self.CFG, make_bsc(0.05), 9_600, (24, 48), 2)
+        assert table.to_csv() == (
+            "delay,error,trials,half_width\n"
+            "24,4.5012626263e-01,1584,2.4500624139e-02\n"
+            "48,2.3832070707e-01,1584,2.0981930617e-02\n")
+        assert table.blocks_confirmed == 199
+        assert table.missed_bit_weight == 1090.5
 
     def test_requires_flow_uses(self):
         with pytest.raises(DomainError):
