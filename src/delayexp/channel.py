@@ -108,7 +108,10 @@ def make_dmc(matrix, label: str = "") -> Channel:
     Rows must be nonnegative and sum to one within ``ROW_SUM_SLACK``;
     rows passing that check are renormalized exactly.
     """
-    p = np.asarray(matrix, dtype=float)
+    try:
+        p = np.asarray(matrix, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise BadInputError(f"transition matrix is not a numeric 2-D array: {exc}") from exc
     if p.ndim != 2:
         raise DimensionMismatchError(f"transition matrix must be 2-D, got shape {p.shape}")
     if p.shape[0] < 2 or p.shape[1] < 2:
@@ -156,7 +159,14 @@ def load_channel(path) -> Channel:
     label = payload.get("label", "")
     if not isinstance(label, str):
         raise BadInputError("channel label must be a string")
-    return make_dmc(payload["matrix"], label=label)
+    matrix = payload["matrix"]
+    # JSON true/false load as bool, a subclass of int; numeric strings would
+    # pass np.asarray, so both are rejected here.
+    if not (isinstance(matrix, list) and all(isinstance(row, list) for row in matrix)
+            and all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                    for row in matrix for x in row)):
+        raise BadInputError(f"channel file {path}: 'matrix' must be a list of lists of numbers")
+    return make_dmc(matrix, label=label)
 
 
 def as_input_dist(r, n: int) -> np.ndarray:

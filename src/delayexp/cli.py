@@ -12,12 +12,12 @@ Three subcommands:
   delay/error table with a fitted decay slope; the two block schemes also
   write a run record of their failure counters.
 
-Exit codes: 0 success, 2 malformed input, 3 domain violation, 4 when the
-printed result carries a numerical flag. Rates are accepted in bits
-(``--rate-bits``); ``--unit`` rescales displayed rates and exponents by
-exactly ln 2 and leaves dimensionless fields untouched. All file outputs
-are deterministic functions of the full flag set, and the manifest is
-always the last file written.
+Exit codes: 0 success, 2 malformed input, 3 domain violation or a request
+too large for memory, 4 when the printed result carries a numerical flag.
+Rates are accepted in bits (``--rate-bits``); ``--unit`` rescales
+displayed rates and exponents by exactly ln 2 and leaves dimensionless
+fields untouched. All file outputs are deterministic functions of the full
+flag set, and the manifest is always the last file written.
 """
 
 from __future__ import annotations
@@ -366,6 +366,10 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
+    except MemoryError as exc:
+        # Every command computes before it writes, so no files are left behind.
+        print(f"error: out of memory: {exc or 'allocation refused'}", file=sys.stderr)
         return EXIT_DOMAIN
 
 

@@ -20,6 +20,7 @@ The exponent functions come in two families:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from numbers import Integral
@@ -49,6 +50,11 @@ CURVATURE_STEP = 1e-4
 # magnitude (even BSC(1e-6) is near 2e-4).
 FLAT_CURVATURE_TOL = 1e-6
 ORACLE_MAX_GRID = 200
+# Entries of the e0_max memo, shared by all channels. Sweeps revisit rho
+# values close together in time, so a small LRU keeps nearly all the reuse
+# of an unbounded memo; a dense figure would otherwise hold tens of
+# thousands of entries.
+E0_MAX_CACHE_SIZE = 256
 _ORACLE_CHUNK = 1 << 18
 _BIG = 1e300
 
@@ -160,11 +166,19 @@ def _bisect_root(f, lo: float, hi: float, xtol: float = BISECT_XTOL,
 
 # -- the Gallager function ---------------------------------------------------
 
+def _powers(p: np.ndarray, rho: float) -> np.ndarray:
+    """p ** (1 / (1 + rho)), the q-independent part of E0(rho, q)."""
+    return np.power(p, 1.0 / (1.0 + rho))
+
+
+def _e0_from_powers(pa: np.ndarray, rho: float, q: np.ndarray) -> float:
+    inner = q @ pa
+    return -math.log(float(np.sum(np.power(inner, 1.0 + rho))))
+
+
 def _e0_raw(p: np.ndarray, rho: float, q: np.ndarray) -> float:
     # Valid for any rho > -1; callers police the public domain rho >= 0.
-    a = 1.0 / (1.0 + rho)
-    inner = q @ np.power(p, a)
-    return -math.log(float(np.sum(np.power(inner, 1.0 + rho))))
+    return _e0_from_powers(_powers(p, rho), rho, q)
 
 
 def gallager_e0(ch: Channel, rho: float, q=None) -> float:
@@ -186,9 +200,10 @@ def _ascend_q(p: np.ndarray, rho: float, q0: np.ndarray,
     golden-section line search; E0 is concave in q, so this converges to
     the maximizer from any interior start.
     """
+    pa = _powers(p, rho)
     q = np.array(q0, dtype=float)
     k = len(q)
-    best = _e0_raw(p, rho, q)
+    best = _e0_from_powers(pa, rho, q)
     for _ in range(max_sweeps):
         gain = 0.0
         for i in range(k):
@@ -200,7 +215,7 @@ def _ascend_q(p: np.ndarray, rho: float, q0: np.ndarray,
                 def split(t, _i=i, _j=j, _m=mass):
                     trial = q.copy()
                     trial[_i], trial[_j] = t * _m, (1.0 - t) * _m
-                    return _e0_raw(p, rho, trial)
+                    return _e0_from_powers(pa, rho, trial)
 
                 t, val = _golden_max(split, 0.0, 1.0)
                 if val > best:
@@ -223,10 +238,11 @@ def _grid_q(p: np.ndarray, rho: float, points: int = 33):
         cands = [(a, b, 1.0 - a - b) for a in axis for b in axis if a + b <= 1.0 + 1e-12]
     else:
         return None
+    pa = _powers(p, rho)
     for cand in cands:
         q = np.clip(np.asarray(cand), 0.0, None)
         q /= q.sum()
-        val = _e0_raw(p, rho, q)
+        val = _e0_from_powers(pa, rho, q)
         if val > best:
             best_q, best = q, val
     return best_q, best
@@ -237,22 +253,32 @@ def e0_max(ch: Channel, rho: float) -> ExponentValue:
 
     Symmetric channels take the uniform shortcut; otherwise coordinate
     ascent runs from the uniform start, cross-checked (and reseeded when
-    beaten) by a coarse simplex grid on small input alphabets.
+    beaten) by a coarse simplex grid on small input alphabets. Results are
+    memoised by (channel, rho) in an LRU of ``E0_MAX_CACHE_SIZE`` entries,
+    so the returned ``q`` is read-only.
     """
     if rho < 0:
         raise DomainError(f"rho must be >= 0, got {rho}")
+    return _e0_max(ch, float(rho))
+
+
+@functools.lru_cache(maxsize=E0_MAX_CACHE_SIZE)
+def _e0_max(ch: Channel, rho: float) -> ExponentValue:
+    # Channel compares by identity, so each channel object has its own keys;
+    # the memo keeps a channel alive until its last entry is evicted.
     p = ch.p
+    q = np.full(ch.inputs, 1.0 / ch.inputs)
     if is_symmetric(ch):
-        q = np.full(ch.inputs, 1.0 / ch.inputs)
-        return ExponentValue(_e0_raw(p, rho, q), None, q)
-    q0 = np.full(ch.inputs, 1.0 / ch.inputs)
-    q, val = _ascend_q(p, rho, q0)
-    grid = _grid_q(p, rho)
-    if grid is not None and grid[1] > val + 1e-12:
-        q, val = _ascend_q(p, rho, grid[0])
-        if grid[1] > val:
-            q, val = grid
-    return ExponentValue(val, None, np.asarray(q))
+        val = _e0_raw(p, rho, q)
+    else:
+        q, val = _ascend_q(p, rho, q)
+        grid = _grid_q(p, rho)
+        if grid is not None and grid[1] > val + 1e-12:
+            q, val = _ascend_q(p, rho, grid[0])
+            if grid[1] > val:
+                q, val = grid
+    q.flags.writeable = False
+    return ExponentValue(val, None, q)
 
 
 # -- fixed-blocklength bounds ------------------------------------------------
@@ -460,10 +486,11 @@ def _focusing_surrogate(ch: Channel, rate: float) -> ExponentValue:
 
     lo, hi = 1e-6, 1.0 - 1e-6
     probes = np.linspace(lo, hi, 33)
-    finite = [x for x in probes if math.isfinite(stretched(x))]
-    if not finite:
+    # Only the first probe with a finite value is needed: it opens the bracket.
+    start = next((x for x in probes if math.isfinite(stretched(x))), None)
+    if start is None:
         return ExponentValue(math.inf, None, None, (FLAG_SURROGATE, FLAG_UNBOUNDED))
-    lam, neg = _golden_max(lambda x: -stretched(x), finite[0], hi)
+    lam, neg = _golden_max(lambda x: -stretched(x), start, hi)
     return ExponentValue(-neg, lam, None, (FLAG_SURROGATE,))
 
 

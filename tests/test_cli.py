@@ -126,6 +126,25 @@ class TestExponentCommand:
         assert out == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("matrix", [
+        [[1, 0], [0.3]],
+        "x",
+        {"a": 1},
+        [["1", "0"], ["0.3", "0.7"]],
+        [[True, False], [0.3, 0.7]],
+        [[1, 0], [0.3, None]],
+        [[10 ** 400, 0], [0.3, 0.7]],
+        [1, 0],
+    ])
+    def test_malformed_matrix_file_is_input_error(self, capsys, tmp_path, matrix):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"matrix": matrix}))
+        code, out, err = run(capsys, ["exponent", "--bound", "sp", "--matrix", str(path),
+                                      "--rate-bits", "0.3"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
     def test_unknown_bound_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["exponent", "--bsc", "0.4", "--bound", "bogus", "--rate-bits", "0.1"])
@@ -211,6 +230,20 @@ class TestFigureCommand:
         assert "crossover_rate " in out
         record = json.loads((out_dir / "run_record.json").read_text())
         assert record["capacity_slopes"] is None
+        assert (out_dir / "curves.csv").read_text() == (
+            "rate,sp,focusing,achieved\n"
+            "0.003491326,0.917084567,1.100070108,0.207691224\n"
+            "0.348783511,0.000000233,0.000932211,0.000201065\n")
+
+    def test_request_too_large_for_memory_is_domain_error(self, capsys, tmp_path):
+        # 10**12 rates need 7.3 TiB, so the allocation is refused at once.
+        out_dir = tmp_path / "fig"
+        code, out, err = run(capsys, ["figure", "--bsc", "0.1", "--points", str(10 ** 12),
+                                      "--outdir", str(out_dir)])
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: out of memory") and len(err.splitlines()) == 1
+        assert not out_dir.exists()
 
     def test_manifest_command_line_round_trips_through_shlex(self, capsys, tmp_path):
         out_dir = tmp_path / "with space"
@@ -336,6 +369,17 @@ class TestSimulateCommand:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1
+
+    def test_horizon_too_large_for_memory_is_domain_error(self, capsys, tmp_path):
+        # 10**12 uses need 7.3 TiB of noise draws, so the allocation is refused at once.
+        out_dir = tmp_path / "out"
+        code, out, err = run(capsys, ["simulate", "bec-queue", "--delta", "0.4",
+                                      "--horizon", str(10 ** 12), "--delays", "2,4",
+                                      "--outdir", str(out_dir)])
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: out of memory") and len(err.splitlines()) == 1
+        assert not out_dir.exists()
 
     def test_bad_delays_are_input_error(self, capsys, tmp_path):
         code, _, err = run(capsys, ["simulate", "bec-queue", "--delta", "0.4",

@@ -38,6 +38,25 @@ ACHIEVED_BSC04_RHO2_E = 0.005807134322958652
 ACHIEVED_BSC04_RHO2_R = 0.002903567161479326
 PSI_BSC04_RHO2 = 0.5719385546514613
 
+# Exact values on the Z channel [[1, 0], [0.3, 0.7]], compared with ==.
+# The searches over rho and the rate split are flat near their optima, so a
+# last-bit change in E0 moves the printed params; any rewrite of the
+# asymmetric path must keep these bit for bit.
+Z_E0_MAX = {
+    0.5: (0.14745161476795615, [0.5372076562220536, 0.4627923437779464]),
+    1.0: (0.25636264787323504, [0.5, 0.5]),
+    4.0: (0.5906571677929353, [0.358498633101193, 0.641501366898807]),
+}
+Z_AT_03_BIT = {  # (value, param) at 0.3 bit
+    "sphere_packing": (0.049985297079915725, 0.8269227713446026),
+    "random_coding": (0.04998529707991553, 0.8269227844144469),
+    "achieved_exponent_at_rate": (0.08156212682070253, 0.3922309196251891),
+    "focusing_bound": (0.39954281060208374, 0.6128753483661027),
+}
+# _ascend_q runs in one focusing_bound(Z, 0.3 bit) on a fresh channel: 1,355
+# with the e0_max memo and the first-finite probe, 5,124 without them.
+Z_FOCUSING_ASCENT_BUDGET = 1_500
+
 CURV_BSC04 = -0.03945648305106565
 SLOPE_FOCUSING_BSC04 = 1.020644111875295
 SLOPE_ACHIEVED_BSC04 = 0.3375072848839657
@@ -51,6 +70,15 @@ def bsc04():
 @pytest.fixture(scope="module")
 def bec04():
     return chan.make_bec(0.4)
+
+
+def make_z():
+    return chan.make_dmc([[1.0, 0.0], [0.3, 0.7]])
+
+
+@pytest.fixture(scope="module")
+def zch():
+    return make_z()
 
 
 @pytest.fixture(scope="module")
@@ -134,6 +162,48 @@ class TestE0Max:
         for _ in range(20):
             q = rng.dirichlet(np.ones(2))
             assert res.value >= ex.gallager_e0(c, 1.5, q) - 1e-9
+
+
+class TestAsymmetricExact:
+    @pytest.mark.parametrize("rho", sorted(Z_E0_MAX))
+    def test_e0_max_bits(self, zch, rho):
+        value, q = Z_E0_MAX[rho]
+        res = ex.e0_max(zch, rho)
+        assert res.value == value
+        assert res.q.tolist() == q
+
+    @pytest.mark.parametrize("name", ["sphere_packing", "random_coding",
+                                      "achieved_exponent_at_rate"])
+    def test_bounds_bits(self, zch, name):
+        res = getattr(ex, name)(zch, 0.3 * LN2)
+        assert (res.value, res.param) == Z_AT_03_BIT[name]
+
+    def test_focusing_bits_within_ascent_budget(self, monkeypatch):
+        calls = []
+        ascend = ex._ascend_q
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return ascend(*args, **kwargs)
+
+        monkeypatch.setattr(ex, "_ascend_q", counted)
+        res = ex.focusing_bound(make_z(), 0.3 * LN2)
+        assert (res.value, res.param) == Z_AT_03_BIT["focusing_bound"]
+        assert res.flags == (ex.FLAG_SURROGATE,)
+        assert len(calls) <= Z_FOCUSING_ASCENT_BUDGET
+
+    def test_memoised_q_is_read_only(self, zch):
+        first = ex.e0_max(zch, 1.0)
+        with pytest.raises(ValueError):
+            first.q[0] = 0.25
+        again = ex.e0_max(zch, 1)
+        assert again.value == first.value
+        assert again.q.tolist() == Z_E0_MAX[1.0][1]
+
+    def test_memo_is_bounded(self, bsc04):
+        for k in range(2 * ex.E0_MAX_CACHE_SIZE):
+            ex.e0_max(bsc04, 1.0 + k / 1024)
+        assert ex._e0_max.cache_info().currsize == ex.E0_MAX_CACHE_SIZE
 
 
 class TestSpherePacking:
