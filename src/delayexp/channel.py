@@ -15,6 +15,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,7 +68,9 @@ class Channel:
 
     @cached_property
     def _capacity_detail(self) -> "CapacityResult":
-        return _alternating_maximization(self.p)
+        solved = _solve(self.p[None])
+        return CapacityResult(float(solved.value[0]), solved.q[0],
+                              bool(solved.converged[0]), int(solved.iterations[0]))
 
     @cached_property
     def _symmetric(self) -> bool:
@@ -185,12 +188,8 @@ def as_input_dist(r, n: int) -> np.ndarray:
 def mutual_information(r, ch: Channel) -> float:
     """I(r; p) in nats, with the 0 log 0 = 0 convention."""
     q = as_input_dist(r, ch.inputs)
-    p = ch.p
-    m = q @ p
-    mask = (p > 0) & (q[:, None] > 0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(mask, p * np.log(np.where(mask, p / np.maximum(m, 1e-300), 1.0)), 0.0)
-    return max(float(q @ terms.sum(axis=1)), 0.0)
+    p, support, logp, _ = _ba_start(ch.p[None])
+    return max(float(q @ _divergences(q[None], p, support, logp)[0]), 0.0)
 
 
 def conditional_divergence(g: Channel, p: Channel, r) -> float:
@@ -220,47 +219,19 @@ def capacity_detail(ch: Channel) -> CapacityResult:
     return ch._capacity_detail
 
 
-def _alternating_maximization(p: np.ndarray, tol: float = CAPACITY_REL_TOL,
-                              max_iter: int = CAPACITY_MAX_ITER) -> CapacityResult:
-    """Alternating maximization of mutual information from the uniform start.
-
-    The update multiplies ``q`` by the exponentiated per-input divergence
-    and renormalizes; the objective is monotone, so the relative change of
-    the value is the stop criterion.
-    """
-    k = p.shape[0]
-    q = np.full(k, 1.0 / k)
-    support = p > 0
-    value = 0.0
-    previous = -1.0
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        m = q @ p
-        with np.errstate(divide="ignore", invalid="ignore"):
-            d = np.where(support, p * np.log(np.where(support, p / np.maximum(m, 1e-300), 1.0)), 0.0).sum(axis=1)
-        value = float(q @ d)
-        if abs(value - previous) <= tol * max(1.0, abs(value)):
-            converged = True
-            break
-        previous = value
-        w = q * np.exp(d - d.max())
-        q = w / w.sum()
-    return CapacityResult(max(value, 0.0), q, converged, iterations)
+def _divergences(q: np.ndarray, p: np.ndarray, support: np.ndarray,
+                 logp: np.ndarray) -> np.ndarray:
+    """Per-input divergences D(p_x || q p) for a stack of channels and input laws."""
+    m = np.einsum("nk,nkm->nm", q, p)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logm = np.where(m > 0, np.log(np.maximum(m, 1e-300)), 0.0)
+    return np.where(support, p * (logp - logm[:, None, :]), 0.0).sum(axis=2)
 
 
 def _ba_step(q: np.ndarray, p: np.ndarray, support: np.ndarray,
              logp: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One alternating-maximization step for a stack of channels.
-
-    Returns the value I(q) of each row, the largest per-input divergence
-    max_x D(p_x || q p) (an upper bound on the row's capacity), and the
-    updated input laws.
-    """
-    m = np.einsum("nk,nkm->nm", q, p)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logm = np.where(m > 0, np.log(np.maximum(m, 1e-300)), 0.0)
-    d = np.where(support, p * (logp - logm[:, None, :]), 0.0).sum(axis=2)
+    """One step for a stack: I(q), the capacity bound max_x D(p_x || q p), the next laws."""
+    d = _divergences(q, p, support, logp)
     value = np.einsum("nk,nk->n", q, d)
     d_max = d.max(axis=1)
     w = q * np.exp(d - d_max[:, None])
@@ -276,22 +247,61 @@ def _ba_start(mats) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     return p, support, logp, np.full((n, k), 1.0 / k)
 
 
-def capacity_batch(mats: np.ndarray, tol: float = CAPACITY_REL_TOL,
-                   max_iter: int = CAPACITY_MAX_ITER) -> np.ndarray:
-    """Capacities of a stack of channels ``mats[i]``, all with one shape.
+class _Solution(NamedTuple):
+    value: np.ndarray       # I(q) at the last step, clamped at 0
+    q: np.ndarray           # the input laws that produced ``value``
+    iterations: np.ndarray  # steps taken
+    converged: np.ndarray   # retired before CAPACITY_MAX_ITER ran out
+    below: np.ndarray       # capacity below ``rate`` (all False without one)
 
-    Same algorithm and tolerances as :func:`capacity`, vectorized over the
-    leading axis so grid searches over channel space stay affordable.
+
+def _solve(mats, rate: float | None = None) -> _Solution:
+    """Blahut-Arimoto alternating maximization of a stack of channels ``mats[i]``.
+
+    Every row starts from the uniform law and retires on its own: when its
+    value settles within ``CAPACITY_REL_TOL``, or, given ``rate``, as soon
+    as the step's bracket I(q_t) <= C <= max_x D(p_x || q_t p) excludes
+    ``rate``. A row's result therefore does not depend on the rest of the
+    stack. Live rows are compacted only on steps where some row retires.
     """
     p, support, logp, q = _ba_start(mats)
-    value = np.zeros(p.shape[0])
-    previous = np.full(p.shape[0], -1.0)
-    for _ in range(max_iter):
-        value, _, q_next = _ba_step(q, p, support, logp)
-        if np.all(np.abs(value - previous) <= tol * np.maximum(1.0, np.abs(value))):
+    n = p.shape[0]
+    out = _Solution(np.zeros(n), q.copy(), np.zeros(n, dtype=int),
+                    np.zeros(n, dtype=bool), np.zeros(n, dtype=bool))
+    live = np.arange(n)
+    previous = np.full(n, -1.0)
+    for step in range(1, CAPACITY_MAX_ITER + 1):
+        if not len(live):
             break
+        value, d_max, q_next = _ba_step(q, p, support, logp)
+        settled = np.abs(value - previous) <= CAPACITY_REL_TOL * np.maximum(1.0, np.abs(value))
+        if rate is not None:
+            feasible = d_max < rate
+            settled |= feasible | (value >= rate)
+        retire = settled if step < CAPACITY_MAX_ITER else np.ones(len(live), dtype=bool)
+        if np.any(retire):
+            rows = live[retire]
+            out.value[rows] = np.maximum(value[retire], 0.0)
+            out.q[rows] = q[retire]
+            out.iterations[rows] = step
+            out.converged[rows] = settled[retire]
+            if rate is not None:
+                out.below[rows] = feasible[retire] | (out.value[rows] < rate)
+            keep = ~retire
+            live, p, support, logp = live[keep], p[keep], support[keep], logp[keep]
+            value, q_next = value[keep], q_next[keep]
         previous, q = value, q_next
-    return np.maximum(value, 0.0)
+    return out
+
+
+def capacity_batch(mats: np.ndarray) -> np.ndarray:
+    """Capacities of a stack of channels ``mats[i]``, all with one shape.
+
+    Same iteration as :func:`capacity`, vectorized over the leading axis so
+    grid searches over channel space stay affordable; row ``i`` equals
+    ``capacity_batch(mats[i:i + 1])[0]``.
+    """
+    return _solve(mats).value
 
 
 def capacity_below(mats: np.ndarray, rate: float) -> np.ndarray:
@@ -300,33 +310,10 @@ def capacity_below(mats: np.ndarray, rate: float) -> np.ndarray:
     Runs the iteration of :func:`capacity_batch`, but every step brackets
     each capacity, I(q_t) <= C <= max_x D(p_x || q_t p), so a row is
     decided as soon as ``rate`` falls outside its bracket; only undecided
-    rows keep iterating. A row that no bound decides is judged by its value
-    once it meets the convergence test of :func:`capacity_batch`, so row
-    ``i`` of the mask is ``capacity_batch(mats[i:i + 1]) < rate``. The
-    stacked ``capacity_batch(mats)`` iterates every row until the slowest
-    one converges; compared with ``rate`` it gives the same mask except
-    possibly for rows whose capacity lies within the convergence tolerance
-    of ``rate``.
+    rows keep iterating. A row that no bound decides is judged by the value
+    it settles at, so the mask is ``capacity_batch(mats) < rate``.
     """
-    p, support, logp, q = _ba_start(mats)
-    below = np.zeros(p.shape[0], dtype=bool)
-    live = np.arange(p.shape[0])
-    previous = np.full(p.shape[0], -1.0)
-    for _ in range(CAPACITY_MAX_ITER):
-        if not len(live):
-            return below
-        value, d_max, q = _ba_step(q, p, support, logp)
-        settled = np.abs(value - previous) <= CAPACITY_REL_TOL * np.maximum(1.0, np.abs(value))
-        feasible = d_max < rate
-        done = feasible | (value >= rate) | settled
-        if np.any(done):
-            below[live[done]] = feasible[done] | (np.maximum(value[done], 0.0) < rate)
-            keep = ~done
-            live, q, p, support, logp = live[keep], q[keep], p[keep], support[keep], logp[keep]
-            value = value[keep]
-        previous = value
-    below[live] = np.maximum(value, 0.0) < rate
-    return below
+    return _solve(mats, rate).below
 
 
 def is_symmetric(ch: Channel) -> bool:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
-from .channel import Channel, capacity, is_symmetric, load_channel, make_bec, make_bsc
+from .channel import Channel, capacity_detail, is_symmetric, load_channel, make_bec, make_bsc
 from .curves import convert, crossover_rate, emit_csv, emit_plot_script, sweep
 from .errors import BadInputError, DomainError
 from .exponents import (
@@ -209,7 +209,8 @@ def cmd_exponent(args) -> int:
 
 def cmd_figure(args, command_line: str) -> int:
     ch = _build_channel(args)
-    cap = capacity(ch)
+    solved = capacity_detail(ch)
+    cap = solved.value
     table = sweep(ch, FIGURE_RATE_LO * cap, FIGURE_RATE_HI * cap, args.points,
                   FIGURE_BOUNDS)
     table = convert(table, args.unit)
@@ -218,6 +219,8 @@ def cmd_figure(args, command_line: str) -> int:
     slopes = capacity_slopes(ch) if is_symmetric(ch) else None
     record = {
         "capacity": table.capacity,
+        "capacity_iterations": solved.iterations,
+        "capacity_converged": solved.converged,
         "crossover_fraction": None if crossing is None else crossing / table.capacity,
         "capacity_slopes": None if slopes is None else {
             "focusing": _finite_or_none(slopes.focusing_slope),

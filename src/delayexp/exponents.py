@@ -183,8 +183,8 @@ def _e0_raw(p: np.ndarray, rho: float, q: np.ndarray) -> float:
 
 def gallager_e0(ch: Channel, rho: float, q=None) -> float:
     """The Gallager function E0(rho, q) in nats; uniform q by default."""
-    if rho < 0:
-        raise DomainError(f"rho must be >= 0, got {rho}")
+    if not 0.0 <= rho < math.inf:  # NaN fails too
+        raise DomainError(f"rho must be finite and >= 0, got {rho}")
     if q is None:
         qv = np.full(ch.inputs, 1.0 / ch.inputs)
     else:
@@ -257,8 +257,8 @@ def e0_max(ch: Channel, rho: float) -> ExponentValue:
     memoised by (channel, rho) in an LRU of ``E0_MAX_CACHE_SIZE`` entries,
     so the returned ``q`` is read-only.
     """
-    if rho < 0:
-        raise DomainError(f"rho must be >= 0, got {rho}")
+    if not 0.0 <= rho < math.inf:  # NaN fails too
+        raise DomainError(f"rho must be finite and >= 0, got {rho}")
     return _e0_max(ch, float(rho))
 
 
@@ -494,10 +494,10 @@ def _focusing_surrogate(ch: Channel, rate: float) -> ExponentValue:
     return ExponentValue(-neg, lam, None, (FLAG_SURROGATE,))
 
 
-def _require_finite_positive_rho(rho: float) -> None:
+def _require_bracketed_rho(rho: float) -> None:
     # Written so that NaN fails the test as well.
-    if not 0.0 < rho < math.inf:
-        raise DomainError(f"rho must be finite and > 0, got {rho}")
+    if not RHO_MIN <= rho <= RHO_MAX:
+        raise DomainError(f"rho must lie in [{RHO_MIN:g}, {RHO_MAX:g}], got {rho}")
 
 
 def overhead_fraction(ch: Channel, rho: float) -> float:
@@ -505,8 +505,9 @@ def overhead_fraction(ch: Channel, rho: float) -> float:
 
     At curve parameter rho this is E0(rho) / (E0(1) + E0(rho)), which
     balances the error contributions of the data and confirmation phases.
+    ``rho`` must lie in [RHO_MIN, RHO_MAX], the bracket every search uses.
     """
-    _require_finite_positive_rho(rho)
+    _require_bracketed_rho(rho)
     e0_one = e0_max(ch, 1.0).value
     if e0_one < 1e-15:
         raise DegenerateChannelError("E0(1) is numerically zero")
@@ -518,9 +519,10 @@ def achieved_exponent(ch: Channel, rho: float) -> ParametricPoint:
     """Fixed-delay exponent achieved by the confirm/deny repeat strategy.
 
     The exponent at parameter rho is the harmonic combination
-    1 / (1/E0(rho) + 1/E0(1)) and sits at rate exponent / rho.
+    1 / (1/E0(rho) + 1/E0(1)) and sits at rate exponent / rho, for
+    ``rho`` in [RHO_MIN, RHO_MAX].
     """
-    _require_finite_positive_rho(rho)
+    _require_bracketed_rho(rho)
     e0_one = e0_max(ch, 1.0).value
     if e0_one < 1e-15:
         raise DegenerateChannelError("E0(1) is numerically zero")

@@ -207,8 +207,7 @@ class _NoiseSource:
     def __init__(self, ch: Channel, horizon: int, seed: int):
         rng = np.random.default_rng(np.random.SeedSequence((int(seed), _NOISE_STREAM)))
         self.u = rng.random(int(horizon))
-        self.cdf = np.cumsum(ch.p, axis=1)
-        self.cdf[:, -1] = 1.0
+        self.cdf = _cdf(ch.p)
         self.outputs = ch.outputs
 
     def emit(self, x: int, t: int) -> int:
@@ -240,6 +239,18 @@ def _arrival_count(t: int, rate_bits: float) -> int:
 
 def _arrival_time(i: int, rate_bits: float) -> int:
     return int(math.ceil(i / rate_bits - _ARRIVAL_EPS))
+
+
+def _arrival_times(n_bits: int, rate_bits: float) -> np.ndarray:
+    """Arrival use of bits 1..n_bits, as :func:`_arrival_time` gives each."""
+    return np.ceil(np.arange(1, n_bits + 1) / rate_bits - _ARRIVAL_EPS).astype(np.int64)
+
+
+def _cdf(probs: np.ndarray) -> np.ndarray:
+    """Cumulative sums along the last axis, the last entry forced to 1."""
+    cdf = np.cumsum(probs, axis=-1)
+    cdf[..., -1] = 1.0
+    return cdf
 
 
 def _log_likelihoods(ch: Channel) -> np.ndarray:
@@ -279,8 +290,7 @@ class BlockCodebook:
                 par[i] = par[i >> 1] ^ (i & 1)
             self._parity = par
         else:
-            self._qcdf = np.cumsum(self.q)
-            self._qcdf[-1] = 1.0
+            self._qcdf = _cdf(self.q)
         self._slabs: dict[tuple[int, int], tuple] = {}
 
     def _slab(self, block_id: int, slab_idx: int):
@@ -353,21 +363,18 @@ def _block_scores(codebook: BlockCodebook, block_id: int, outputs: np.ndarray) -
     return scores
 
 
+def _ranked(scores: np.ndarray, k: int) -> np.ndarray:
+    return np.argsort(-scores, kind="stable")[:k]
+
+
 def list_decode_block(codebook: BlockCodebook, block_id: int, outputs,
                       list_size: int) -> np.ndarray:
     """Top candidates by exact log-likelihood, ties broken by ascending index."""
-    if codebook.payload_bits > PAYLOAD_BITS_MAX:
-        raise PayloadTooLargeError(
-            f"payload of {codebook.payload_bits} bits exceeds the cap of {PAYLOAD_BITS_MAX}")
     if list_size < 1:
         raise DomainError(f"list size must be >= 1, got {list_size}")
     scores = _block_scores(codebook, block_id, outputs)
-    k = min(int(list_size), codebook.n_candidates)
-    return np.argsort(-scores, kind="stable")[:k]
+    return _ranked(scores, min(int(list_size), codebook.n_candidates))
 
-
-def _ranked(scores: np.ndarray, k: int) -> np.ndarray:
-    return np.argsort(-scores, kind="stable")[:k]
 
 def _confirmable(scores: np.ndarray, truth: int, list_len: int) -> bool:
     # Strict separation: the truth and everything scoring at least as high
@@ -419,8 +426,7 @@ class FlowCode:
         self.theta = theta
         self.memory = int(memory)
         self.q = np.full(ch.inputs, 1.0 / ch.inputs) if q is None else np.asarray(q, dtype=float)
-        self._qcdf = np.cumsum(self.q)
-        self._qcdf[-1] = 1.0
+        self._qcdf = _cdf(self.q)
         self._root = blake2b(_FLOW_SALT + (int(seed) & (2 ** 64 - 1)).to_bytes(8, "little"),
                              digest_size=16).digest()
 
@@ -740,9 +746,8 @@ def fortified_run(cfg: SchemeConfig, ch: Channel, horizon: int, delays,
 
     deliveries = np.full(n_blocks, np.inf)
     deliveries[:len(delivery_uses)] = delivery_uses
-    bit_index = np.arange(1, n_bits + 1)
-    arrivals = np.ceil(bit_index / cfg.rate_bits - _ARRIVAL_EPS).astype(np.int64)
-    delivered_at = deliveries[(bit_index - 1) // cfg.payload_bits]
+    arrivals = _arrival_times(n_bits, cfg.rate_bits)
+    delivered_at = deliveries[np.arange(n_bits) // cfg.payload_bits]
     weights, trials = grid.miss_weights(arrivals, delivered_at)
     return grid.table(weights, trials, SchemeRunResult,
                       blocks_confirmed=len(delivery_uses),
@@ -803,10 +808,8 @@ def synthesized_run(cfg: SchemeConfig, ch: Channel, horizon: int, delays,
     punctuation_errors = 0
     data_block_errors = 0
 
-    bit_index = np.arange(1, n_bits + 1)
-    arrivals = np.ceil(bit_index / cfg.rate_bits - _ARRIVAL_EPS).astype(np.int64)
-    blocks_of_bits = (bit_index - 1) // payload
-    offsets = (bit_index - 1) % payload
+    arrivals = _arrival_times(n_bits, cfg.rate_bits)
+    blocks_of_bits, offsets = np.divmod(np.arange(n_bits), payload)
     truth_bits = (values[blocks_of_bits] >> (payload - 1 - offsets)) & 1
     eligible = grid.eligible(arrivals)
     trials = int(np.count_nonzero(eligible))

@@ -127,6 +127,15 @@ class TestCapacity:
         c = ch.make_bsc(0.4)
         assert ch.mutual_information([0.5, 0.5], c) == pytest.approx(ch.capacity(c), rel=1e-9)
 
+    def test_scalar_is_the_batch_solve(self):
+        # One iteration serves both, so they agree to the bit; a scalar loop
+        # summing in another order gives 0.3680642071684971 on BSC(0.1)
+        # against the batch's 0.36806420716849714.
+        rng = np.random.default_rng(11)
+        for c in (ch.make_bsc(0.1), ch.make_bsc(0.4), ch.make_bec(0.4),
+                  ch.make_dmc([[1.0, 0.0], [0.3, 0.7]]), random_channel(rng, 3, 3)):
+            assert ch.capacity_detail(c).value == ch.capacity_batch(c.p[None])[0]
+
     def test_batch_agrees_with_scalar(self):
         rng = np.random.default_rng(3)
         mats = rng.dirichlet(np.ones(3), size=(20, 2))
@@ -151,6 +160,8 @@ class TestCapacityBelow:
     def test_matches_full_solve_on_oracle_grid(self, channel, steps):
         mats = pair_stack(channel.outputs, steps)
         reference = ch.capacity_batch(mats)
+        alone = np.array([ch.capacity_batch(mats[i:i + 1])[0] for i in range(len(mats))])
+        assert np.array_equal(reference, alone)
         for frac in (0.3, 0.6, 0.9):
             rate = frac * ch.capacity(channel)
             assert np.array_equal(ch.capacity_below(mats, rate), reference < rate)
@@ -167,10 +178,8 @@ class TestCapacityBelow:
         assert alone[1] == pytest.approx(LN2, rel=1e-12)
         for rate in (*alone, *stacked, LN2, 1e-3):
             assert np.array_equal(ch.capacity_below(mats, rate), alone < rate)
-        # The last row is the slowest, so it ends the stacked solve too and
-        # the stacked reference decides the tie at its value the same way.
-        assert stacked[3] == alone[3]
-        assert np.array_equal(ch.capacity_below(mats, stacked[3]), stacked < stacked[3])
+        # Every row retires on its own test, so stacking changes no value.
+        assert np.array_equal(stacked, alone)
 
     def test_empty_stack(self):
         assert ch.capacity_below(np.empty((0, 2, 2)), 0.1).shape == (0,)

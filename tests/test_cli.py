@@ -118,7 +118,9 @@ class TestExponentCommand:
         assert code == 3
         assert err.startswith("error:")
 
-    @pytest.mark.parametrize("rho", ["nan", "inf", "0", "-1"])
+    # Below RHO_MIN, E0 is lost to rounding (-0.0 at 1e-300, 10% low at
+    # 1e-15); far above RHO_MAX it reaches the rho -> inf value -ln 2.
+    @pytest.mark.parametrize("rho", ["nan", "inf", "0", "-1", "1e-300", "1e-15", "1e308"])
     def test_non_finite_or_nonpositive_rho_is_domain_error(self, capsys, rho):
         code, out, err = run(capsys, ["exponent", "--bsc", "0.4", "--bound", "achieved",
                                       "--rho", rho])

@@ -114,6 +114,14 @@ class TestGallagerE0:
         with pytest.raises(DomainError):
             ex.gallager_e0(bsc04, -0.5)
 
+    @pytest.mark.parametrize("rho", [math.nan, math.inf, -1.0])
+    @pytest.mark.parametrize("fn", [ex.gallager_e0, ex.e0_max], ids=["gallager_e0", "e0_max"])
+    def test_non_finite_or_negative_rho_rejected(self, bsc04, zch, fn, rho):
+        # At inf, E0 would come out as -ln 2 on the Z channel; at NaN, as NaN.
+        for c in (bsc04, zch):
+            with pytest.raises(DomainError):
+                fn(c, rho)
+
     def test_bad_q_rejected(self, bsc04):
         with pytest.raises(chan.DimensionMismatchError):
             ex.gallager_e0(bsc04, 1.0, [0.2, 0.3, 0.5])
@@ -465,6 +473,19 @@ class TestAchievedCurve:
             ex.achieved_exponent(useless, 1.0)
         with pytest.raises(DomainError):
             ex.overhead_fraction(bsc04, -1.0)
+
+    @pytest.mark.parametrize("rho", [math.nan, math.inf, 1e-300, 1e-15, 0.999 * ex.RHO_MIN,
+                                     1.001 * ex.RHO_MAX, 1e308])
+    def test_rho_outside_search_bracket_rejected(self, bsc04, rho):
+        with pytest.raises(DomainError):
+            ex.achieved_exponent(bsc04, rho)
+        with pytest.raises(DomainError):
+            ex.overhead_fraction(bsc04, rho)
+
+    def test_bracket_edges_accepted(self, bsc04):
+        for rho in (ex.RHO_MIN, ex.RHO_MAX):
+            assert ex.achieved_exponent(bsc04, rho).exponent > 0
+            assert 0 < ex.overhead_fraction(bsc04, rho) < 1
 
 
 class TestClosedFormsAndSlopes:
