@@ -80,17 +80,6 @@ class Channel:
         return self.label or f"DMC({self.inputs}x{self.outputs})"
 
 
-@dataclass(frozen=True, eq=False)
-class InputDist:
-    """A probability distribution over channel inputs."""
-
-    q: np.ndarray
-
-    @classmethod
-    def uniform(cls, n: int) -> "InputDist":
-        return cls(np.full(n, 1.0 / n))
-
-
 @dataclass(frozen=True)
 class CapacityResult:
     """Capacity value together with the achieving input distribution.
@@ -173,8 +162,8 @@ def load_channel(path) -> Channel:
 
 
 def as_input_dist(r, n: int) -> np.ndarray:
-    """Coerce ``r`` (InputDist, sequence, or ndarray) to a validated probability vector."""
-    q = np.asarray(r.q if isinstance(r, InputDist) else r, dtype=float)
+    """Coerce ``r`` (a sequence or ndarray) to a validated probability vector."""
+    q = np.asarray(r, dtype=float)
     if q.shape != (n,):
         raise DimensionMismatchError(f"input distribution has shape {q.shape}, expected ({n},)")
     if np.any(q < 0):

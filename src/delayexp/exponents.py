@@ -227,25 +227,18 @@ def _ascend_q(p: np.ndarray, rho: float, q0: np.ndarray,
     return q, best
 
 
-def _grid_q(p: np.ndarray, rho: float, points: int = 33):
-    """Dense simplex scan for up to three inputs; None for larger alphabets."""
-    k = p.shape[0]
-    axis = np.linspace(0.0, 1.0, points)
-    best_q, best = None, -math.inf
-    if k == 2:
-        cands = [(a, 1.0 - a) for a in axis]
-    elif k == 3:
-        cands = [(a, b, 1.0 - a - b) for a in axis for b in axis if a + b <= 1.0 + 1e-12]
-    else:
+def _grid_q(p: np.ndarray, rho: float):
+    """Simplex scan at 33 points per axis for up to three inputs; None beyond that."""
+    if p.shape[0] > 3:
         return None
     pa = _powers(p, rho)
-    for cand in cands:
-        q = np.clip(np.asarray(cand), 0.0, None)
-        q /= q.sum()
+    best_q, best = None, -math.inf
+    for q in _simplex_grid(p.shape[0], 32):
         val = _e0_from_powers(pa, rho, q)
         if val > best:
             best_q, best = q, val
-    return best_q, best
+    # A copy, so the memo can make the winner read-only without pinning the grid.
+    return best_q.copy(), best
 
 
 def e0_max(ch: Channel, rho: float) -> ExponentValue:
@@ -454,7 +447,9 @@ def focusing_bound(ch: Channel, rate: float) -> ExponentValue:
     """Rate-focusing converse on the fixed-delay exponent at ``rate`` (nats).
 
     On symmetric channels this is computed parametrically: the value is
-    E0(eta) at the eta solving E0(eta) / eta = rate. Other channels fall
+    E0(eta) at the eta solving E0(eta) / eta = rate; as with sphere
+    packing, a root past the bracket is +inf with an ``unbounded`` flag
+    when no output letter is reachable from every input. Other channels fall
     back to the defining outer minimization over rate splits, with the
     sphere-packing bound standing in for the change-of-channel converse;
     the result then carries a ``surrogate`` flag.
@@ -474,6 +469,11 @@ def _focusing_parametric(ch: Channel, rate: float) -> ExponentValue:
 
     if gap(RHO_MAX) > 0:
         ev = e0_max(ch, RHO_MAX)
+        if not _has_full_support_column(ch):
+            # As in _parametric_bound: with no output reachable from every
+            # input, E0 grows linearly in eta, and a root past the bracket
+            # is taken to be at +inf.
+            return ExponentValue(math.inf, math.inf, ev.q, (FLAG_UNBOUNDED,))
         return ExponentValue(ev.value, RHO_MAX, ev.q, (FLAG_BRACKET_EDGE,))
     eta = _bisect_root(gap, RHO_MIN, RHO_MAX)
     ev = e0_max(ch, eta)

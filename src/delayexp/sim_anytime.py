@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from hashlib import blake2b
 
 import numpy as np
@@ -82,10 +82,10 @@ class SchemeConfig:
 
     def __post_init__(self):
         # bool is a subclass of int: without its own check `true` would pass as 1.
-        for name in ("n", "c", "l", "theta", "seed", "redecode_window"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise BadInputError(f"scheme config {name} must be an integer, got {value!r}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type in (int, "int") and (isinstance(value, bool) or not isinstance(value, int)):
+                raise BadInputError(f"scheme config {f.name} must be an integer, got {value!r}")
         if isinstance(self.rate_bits, bool) or not isinstance(self.rate_bits, (int, float)):
             raise BadInputError(f"scheme config rate_bits must be a number, got {self.rate_bits!r}")
         if self.seed < 0:
@@ -120,20 +120,14 @@ class SchemeConfig:
     def data_uses_per_chunk(self) -> int:
         return self.c - self.theta
 
-    def to_dict(self) -> dict:
-        return {"n": self.n, "c": self.c, "l": self.l, "theta": self.theta,
-                "rate_bits": self.rate_bits, "seed": self.seed,
-                "redecode_window": self.redecode_window}
-
     @classmethod
     def from_dict(cls, payload: dict) -> "SchemeConfig":
         if not isinstance(payload, dict):
             raise BadInputError("scheme config must be a JSON object")
-        known = {"n", "c", "l", "theta", "rate_bits", "seed", "redecode_window"}
-        extra = set(payload) - known
+        extra = set(payload) - {f.name for f in fields(cls)}
         if extra:
             raise BadInputError(f"unknown scheme config keys: {sorted(extra)}")
-        missing = {"n", "c", "l"} - set(payload)
+        missing = {f.name for f in fields(cls) if f.default is MISSING} - set(payload)
         if missing:
             raise BadInputError(f"scheme config is missing keys: {sorted(missing)}")
         try:
@@ -208,17 +202,12 @@ class _NoiseSource:
         rng = np.random.default_rng(np.random.SeedSequence((int(seed), _NOISE_STREAM)))
         self.u = rng.random(int(horizon))
         self.cdf = _cdf(ch.p)
-        self.outputs = ch.outputs
-
-    def emit(self, x: int, t: int) -> int:
-        # t is 1-based
-        y = int(np.searchsorted(self.cdf[x], self.u[t - 1], side="right"))
-        return min(y, self.outputs - 1)
 
     def emit_batch(self, letters: np.ndarray, t0: int) -> np.ndarray:
         """Outputs for a run of consecutive uses starting at 1-based t0."""
         u = self.u[t0 - 1:t0 - 1 + len(letters)]
-        # Row-wise searchsorted(..., side="right"), identical to emit().
+        # Row-wise searchsorted(..., side="right"); each cdf row ends at 1 > u,
+        # so every output is a valid letter.
         return np.sum(self.cdf[letters] <= u[:, None], axis=1)
 
 
@@ -312,16 +301,6 @@ class BlockCodebook:
             self._slabs[key] = slab
         return slab
 
-    def candidates_at(self, block_id: int, pos: int) -> np.ndarray:
-        """Letters of every candidate codeword at one position."""
-        slab = self._slab(block_id, pos // _CODE_SLAB)
-        off = pos % _CODE_SLAB
-        if self.coset:
-            g, s = slab
-            idx = np.arange(self.n_candidates, dtype=np.int64) & g[off]
-            return (self._parity[idx] ^ s[off]).astype(np.int64, copy=False)
-        return slab[0][:, off].astype(np.int64, copy=False)
-
     def candidates_range(self, block_id: int, start: int, count: int) -> np.ndarray:
         """Letters of every candidate over positions [start, start+count)."""
         out = np.empty((self.n_candidates, count), dtype=np.int64)
@@ -341,39 +320,10 @@ class BlockCodebook:
             col += take
         return out
 
-    def symbol(self, block_id: int, pos: int, payload: int) -> int:
-        """The transmitted letter of one candidate at one position."""
-        slab = self._slab(block_id, pos // _CODE_SLAB)
-        off = pos % _CODE_SLAB
-        if self.coset:
-            g, s = slab
-            return int(self._parity[payload & g[off]] ^ s[off])
-        return int(slab[0][payload, off])
-
-
-def _block_scores(codebook: BlockCodebook, block_id: int, outputs: np.ndarray) -> np.ndarray:
-    y = np.asarray(outputs, dtype=np.int64)
-    scores = np.zeros(codebook.n_candidates)
-    pos = 0
-    while pos < len(y):
-        take = min(_CODE_SLAB, len(y) - pos)
-        letters = codebook.candidates_range(block_id, pos, take)
-        scores += codebook.logp[letters, y[pos:pos + take]].sum(axis=1)
-        pos += take
-    return scores
-
 
 def _ranked(scores: np.ndarray, k: int) -> np.ndarray:
+    """The indices of the ``k`` highest scores, ties broken by ascending index."""
     return np.argsort(-scores, kind="stable")[:k]
-
-
-def list_decode_block(codebook: BlockCodebook, block_id: int, outputs,
-                      list_size: int) -> np.ndarray:
-    """Top candidates by exact log-likelihood, ties broken by ascending index."""
-    if list_size < 1:
-        raise DomainError(f"list size must be >= 1, got {list_size}")
-    scores = _block_scores(codebook, block_id, outputs)
-    return _ranked(scores, min(int(list_size), codebook.n_candidates))
 
 
 def _confirmable(scores: np.ndarray, truth: int, list_len: int) -> bool:
@@ -443,16 +393,6 @@ class FlowCode:
     def letters(self, digest: bytes, chunk_index: int) -> np.ndarray:
         u = _hash_uniforms(digest, int(chunk_index), self.theta)
         return np.searchsorted(self._qcdf, u, side="right").astype(np.int64)
-
-
-def flow_encode(ch: Channel, history, chunk_index: int, theta: int, seed: int,
-                q=None) -> np.ndarray:
-    """Flow letters for one chunk given the message history through that chunk."""
-    if chunk_index < 0 or chunk_index >= len(history):
-        raise DomainError(f"history of length {len(history)} has no chunk {chunk_index}")
-    code = FlowCode(ch, theta, seed, q)
-    digest = code.context_digest(history[:chunk_index + 1])
-    return code.letters(digest, chunk_index)
 
 
 class FlowDecoder:
@@ -529,17 +469,6 @@ class FlowDecoder:
         return newly, list(self._last_best)
 
 
-def flow_decode(ch: Channel, chunk_outputs, theta: int, l: int,
-                redecode_window: int, seed: int, q=None) -> list[FlowMessage]:
-    """Decode a whole flow-output stream; returns the full message estimate."""
-    code = FlowCode(ch, theta, seed, q,
-                    memory=max(_FLOW_MEMORY_MIN, int(redecode_window)))
-    dec = FlowDecoder(code, ch, l, redecode_window)
-    for outputs in chunk_outputs:
-        dec.step(outputs)
-    return dec.frozen + dec._last_best
-
-
 # -- the data-stream parse ---------------------------------------------------
 
 class _ParseState:
@@ -605,73 +534,7 @@ def _walk_chunk(state: _ParseState, cfg: SchemeConfig, codebook: BlockCodebook,
     state.apply(message, list_len)
 
 
-def parse_history(cfg: SchemeConfig, codebook: BlockCodebook, messages,
-                  data_outputs: np.ndarray) -> _ParseState:
-    """Parse the data stream from scratch under a punctuation estimate.
-
-    ``data_outputs`` holds one row of c - theta outputs per chunk. The
-    returned state carries the decoded block values in confirmation order;
-    feeding a corrected estimate re-derives the block boundaries, which is
-    exactly the decoder's recovery path after a punctuation error.
-    """
-    list_len = min(1 << cfg.l, 1 << cfg.payload_bits)
-    state = _ParseState(1 << cfg.payload_bits)
-    for k, message in enumerate(messages):
-        _walk_chunk(state, cfg, codebook, k, message, data_outputs[k], list_len)
-    return state
-
-
 # -- the fortified scheme ----------------------------------------------------
-
-class FortifiedEncoder:
-    """Data encoder whose confirm/deny link is ideal: checked every use.
-
-    The encoder simulates the decoder from the fed-back outputs, so it
-    knows exactly when the decoder could confirm; the confirm (with its
-    list index) is then delivered error-free.
-    """
-
-    def __init__(self, cfg: SchemeConfig, codebook: BlockCodebook,
-                 block_values: np.ndarray):
-        self.cfg = cfg
-        self.codebook = codebook
-        self.block_values = block_values
-        self.list_len = min(1 << cfg.l, codebook.n_candidates)
-        self.next_block = 0
-        self.active = False
-        self.pos = 0
-        self.scores = np.zeros(codebook.n_candidates)
-        self.delivery_uses: list[int] = []
-
-    def queue_bits(self, t: int) -> int:
-        """Bits arrived but not yet confirmed, as of use t."""
-        return _arrival_count(t, self.cfg.rate_bits) - self.cfg.payload_bits * self.next_block
-
-    def next_input(self, t: int) -> int:
-        if not self.active and self.queue_bits(t) >= self.cfg.payload_bits:
-            self.active = True
-            self.pos = 0
-            self.scores = np.zeros(self.codebook.n_candidates)
-        if not self.active:
-            return IDLE_LETTER
-        value = int(self.block_values[self.next_block])
-        return self.codebook.symbol(self.next_block, self.pos, value)
-
-    def observe(self, t: int, y: int) -> FlowMessage:
-        if not self.active:
-            return FlowMessage(False)
-        letters = self.codebook.candidates_at(self.next_block, self.pos)
-        self.scores += self.codebook.logp[letters, y]
-        self.pos += 1
-        truth = int(self.block_values[self.next_block])
-        if _confirmable(self.scores, truth, self.list_len):
-            index = _list_index(self.scores, truth)
-            self.delivery_uses.append(t)
-            self.active = False
-            self.next_block += 1
-            return FlowMessage(True, index)
-        return FlowMessage(False)
-
 
 _SERVE_STRIDE_MIN = 8
 _SERVE_STRIDE_MAX = 512
@@ -682,9 +545,9 @@ def _serve_blocks(cfg: SchemeConfig, codebook: BlockCodebook, values: np.ndarray
     """Block delivery uses under the ideal flow link, block by block.
 
     Processes each in-flight block in vectorized strides; step-for-step
-    equivalent to driving FortifiedEncoder one use at a time (the idle
-    uses between blocks touch no state, and the noise uniforms are
-    indexed by absolute time either way).
+    equivalent to an encoder that tests the confirm condition after every
+    use (the idle uses between blocks touch no state, and the noise
+    uniforms are indexed by absolute time either way).
     """
     payload = cfg.payload_bits
     list_len = min(1 << cfg.l, codebook.n_candidates)

@@ -77,11 +77,11 @@ class DelayErrorTable:
         return "\n".join(lines) + "\n"
 
 
-def _error_columns(weights, trials):
-    """(errors, trials, half_widths) from per-delay error weights and trial counts."""
-    errors = tuple(w / n for w, n in zip(weights, trials))
-    half_widths = tuple(Z95 * math.sqrt(p * (1.0 - p) / n) for p, n in zip(errors, trials))
-    return errors, tuple(trials), half_widths
+def _error_columns(weights, trials: int):
+    """(errors, trials, half_widths) from per-delay error weights over ``trials`` bits."""
+    errors = tuple(w / trials for w in weights)
+    half_widths = tuple(Z95 * math.sqrt(p * (1.0 - p) / trials) for p in errors)
+    return errors, (trials,) * len(errors), half_widths
 
 
 class DeadlineGrid:
@@ -128,8 +128,7 @@ class DeadlineGrid:
 
     def table(self, weights, trials: int, kind=DelayErrorTable, **fields) -> DelayErrorTable:
         """The ``kind`` table of per-delay error weights over ``trials`` bits."""
-        return kind(self.delays, *_error_columns(weights, (trials,) * len(self.delays)),
-                    **fields)
+        return kind(self.delays, *_error_columns(weights, trials), **fields)
 
 
 @dataclass(frozen=True)
@@ -195,47 +194,6 @@ def simulate_bec_feedback(delta: float, horizon: int, delays, seed: int) -> Dela
     grid = DeadlineGrid(delays, horizon)
     arrivals, delivery = _service_times(delta, grid.horizon, seed)
     return grid.table(*grid.miss_weights(arrivals, delivery))
-
-
-def queue_level_frequencies(delta: float, horizon: int, seed: int, max_level: int = 12) -> np.ndarray:
-    """Occupancy counts of backlog levels sampled at every bit arrival."""
-    if not 0.0 < delta < 0.5:
-        raise OutOfRangeError(f"erasure probability must lie in (0, 1/2), got {delta}")
-    arrivals, delivery = _service_times(delta, int(horizon), seed)
-    finite = np.sort(delivery[np.isfinite(delivery)])
-    # Backlog just after an arrival = bits arrived so far minus bits delivered.
-    delivered = np.searchsorted(finite, arrivals, side="right")
-    levels = np.arange(1, len(arrivals) + 1) - delivered
-    return np.bincount(np.minimum(levels, max_level), minlength=max_level + 1)
-
-
-def replica_seeds(seed: int, count: int) -> tuple[int, ...]:
-    """Derive independent 64-bit run seeds from one user seed."""
-    return tuple(int(np.random.SeedSequence((int(seed), k)).generate_state(1, np.uint64)[0])
-                 for k in range(count))
-
-
-def merge_tables(tables) -> DelayErrorTable:
-    """Pool replica tables: totals weighted by trials, intervals recomputed."""
-    tables = list(tables)
-    if not tables:
-        raise DomainError("nothing to merge")
-    dgrid = tables[0].delays
-    if any(t.delays != dgrid for t in tables):
-        raise DomainError("replica tables disagree on the delay grid")
-    rows = range(len(dgrid))
-    weights = [sum(t.errors[j] * t.trials[j] for t in tables) for j in rows]
-    trials = [sum(t.trials[j] for t in tables) for j in rows]
-    return DelayErrorTable(dgrid, *_error_columns(weights, trials))
-
-
-def run_replicas(delta: float, horizon: int, delays, seed: int,
-                 replicas: int) -> DelayErrorTable:
-    """Merged estimate over ``replicas`` independent runs with derived seeds."""
-    if replicas < 1:
-        raise DomainError(f"replicas must be >= 1, got {replicas}")
-    return merge_tables(simulate_bec_feedback(delta, horizon, delays, s)
-                        for s in replica_seeds(seed, replicas))
 
 
 def fit_exponent(table: DelayErrorTable) -> FitResult:

@@ -1,0 +1,109 @@
+"""Direct reference forms of what the package computes in batches.
+
+Each function here is a per-use or whole-history version of a step that
+``delayexp`` runs in vectorized or incremental form; tests drive both and
+compare. Nothing here is on the path of a command.
+"""
+
+import numpy as np
+
+from delayexp.channel import OutOfRangeError
+from delayexp.sim_anytime import (
+    _FLOW_MEMORY_MIN,
+    IDLE_LETTER,
+    FlowCode,
+    FlowDecoder,
+    FlowMessage,
+    _arrival_count,
+    _confirmable,
+    _list_index,
+    _ParseState,
+    _walk_chunk,
+)
+from delayexp.sim_queue import _service_times
+
+
+class FortifiedEncoder:
+    """Data encoder whose confirm/deny link is ideal: checked every use.
+
+    The encoder simulates the decoder from the fed-back outputs, so it
+    knows exactly when the decoder could confirm; the confirm (with its
+    list index) is then delivered error-free. ``sim_anytime._serve_blocks``
+    serves the same blocks in strides and must deliver at the same uses.
+    """
+
+    def __init__(self, cfg, codebook, block_values):
+        self.cfg = cfg
+        self.codebook = codebook
+        self.block_values = block_values
+        self.list_len = min(1 << cfg.l, codebook.n_candidates)
+        self.next_block = 0
+        self.active = False
+        self.pos = 0
+        self.scores = np.zeros(codebook.n_candidates)
+        self.letters = None  # every candidate's letter at the current use
+        self.delivery_uses = []
+
+    def queue_bits(self, t):
+        """Bits arrived but not yet confirmed, as of use t."""
+        return _arrival_count(t, self.cfg.rate_bits) - self.cfg.payload_bits * self.next_block
+
+    def next_input(self, t):
+        if not self.active and self.queue_bits(t) >= self.cfg.payload_bits:
+            self.active = True
+            self.pos = 0
+            self.scores = np.zeros(self.codebook.n_candidates)
+        if not self.active:
+            return IDLE_LETTER
+        self.letters = self.codebook.candidates_range(self.next_block, self.pos, 1)[:, 0]
+        return int(self.letters[self.block_values[self.next_block]])
+
+    def observe(self, t, y):
+        if not self.active:
+            return FlowMessage(False)
+        self.scores += self.codebook.logp[self.letters, y]
+        self.pos += 1
+        truth = int(self.block_values[self.next_block])
+        if _confirmable(self.scores, truth, self.list_len):
+            index = _list_index(self.scores, truth)
+            self.delivery_uses.append(t)
+            self.active = False
+            self.next_block += 1
+            return FlowMessage(True, index)
+        return FlowMessage(False)
+
+
+def parse_history(cfg, codebook, messages, data_outputs):
+    """Parse the data stream from scratch under a punctuation estimate.
+
+    ``data_outputs`` holds one row of c - theta outputs per chunk. The
+    returned state carries the decoded block values in confirmation order;
+    feeding a corrected estimate re-derives the block boundaries, which is
+    exactly the decoder's recovery path after a punctuation error.
+    """
+    list_len = min(1 << cfg.l, 1 << cfg.payload_bits)
+    state = _ParseState(1 << cfg.payload_bits)
+    for k, message in enumerate(messages):
+        _walk_chunk(state, cfg, codebook, k, message, data_outputs[k], list_len)
+    return state
+
+
+def flow_decode(ch, chunk_outputs, theta, l, redecode_window, seed, q=None):
+    """Decode a whole flow-output stream; returns the full message estimate."""
+    code = FlowCode(ch, theta, seed, q, memory=max(_FLOW_MEMORY_MIN, int(redecode_window)))
+    dec = FlowDecoder(code, ch, l, redecode_window)
+    for outputs in chunk_outputs:
+        dec.step(outputs)
+    return dec.frozen + dec._last_best
+
+
+def queue_level_frequencies(delta, horizon, seed, max_level=12):
+    """Occupancy counts of backlog levels sampled at every bit arrival."""
+    if not 0.0 < delta < 0.5:
+        raise OutOfRangeError(f"erasure probability must lie in (0, 1/2), got {delta}")
+    arrivals, delivery = _service_times(delta, int(horizon), seed)
+    finite = np.sort(delivery[np.isfinite(delivery)])
+    # Backlog just after an arrival = bits arrived so far minus bits delivered.
+    delivered = np.searchsorted(finite, arrivals, side="right")
+    levels = np.arange(1, len(arrivals) + 1) - delivered
+    return np.bincount(np.minimum(levels, max_level), minlength=max_level + 1)

@@ -25,11 +25,8 @@ from delayexp.exponents import (
     sphere_packing,
 )
 from delayexp.sim_anytime import SchemeConfig, fortified_run, synthesized_run
-from delayexp.sim_queue import (
-    fit_exponent,
-    queue_level_frequencies,
-    simulate_bec_feedback,
-)
+from delayexp.sim_queue import fit_exponent, simulate_bec_feedback
+from reference import queue_level_frequencies
 
 LN2 = math.log(2.0)
 LN15 = math.log(1.5)

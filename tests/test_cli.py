@@ -18,6 +18,7 @@ LN2 = math.log(2.0)
 
 IDENTITY_MATRIX = {"matrix": [[1.0, 0.0], [0.0, 1.0]]}
 Z_MATRIX = {"matrix": [[1.0, 0.0], [0.3, 0.7]]}
+NOISY_TYPEWRITER = [[.5, .5, 0, 0], [0, .5, .5, 0], [0, 0, .5, .5], [.5, 0, 0, .5]]
 FORTIFIED_CFG = {"n": 1, "c": 2, "l": 0, "rate_bits": 0.5, "seed": 0}
 SYNTHESIZED_CFG = {"n": 1, "c": 8, "l": 0, "theta": 4, "rate_bits": 0.125, "seed": 3,
                    "redecode_window": 4}
@@ -146,6 +147,20 @@ class TestExponentCommand:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("channel", [
+        ["--bsc", "0"],
+        ["--matrix", "typewriter.json"],
+    ], ids=["bsc0", "typewriter"])
+    def test_focusing_unbounded_on_zero_error_channels(self, capsys, tmp_path, monkeypatch,
+                                                       channel):
+        monkeypatch.chdir(tmp_path)
+        Path("typewriter.json").write_text(json.dumps({"matrix": NOISY_TYPEWRITER}))
+        code, out, err = run(capsys, ["exponent", "--bound", "focusing", *channel,
+                                      "--rate-bits", "0.5"])
+        assert code == 4
+        assert out.splitlines() == ["exponent inf nats", "param inf"]
+        assert "unbounded" in err
 
     def test_unknown_bound_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -439,6 +454,44 @@ def _simulate_argv(tmp_path, scheme, override, seed, out_dir):
     return ["simulate", *head, "--horizon", "2000", "--seed", seed, "--outdir", str(out_dir)]
 
 
+def _fuzz_main(argv, out_dir=None, parser_may_exit=True, flagged_ok=False):
+    """Run ``main`` and check it ended in a documented exit code without a traceback.
+
+    A nonzero exit must print an ``error:`` line, except exit 4 under
+    ``flagged_ok``, which must print its ``flag`` line. The parser may
+    reject a flag value with ``SystemExit(2)`` only under
+    ``parser_may_exit``. ``out_dir`` must end up holding a manifest or no
+    files at all.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            if not parser_may_exit:
+                raise
+            code = exc.code
+            assert code == 2 and ": error: " in err.getvalue()
+        else:
+            assert code in (0, 2, 3, 4)
+            if code == 4 and flagged_ok:
+                assert err.getvalue().startswith("flag ")
+            elif code != 0:
+                assert err.getvalue().startswith("error:")
+    assert "Traceback" not in err.getvalue()
+    if out_dir is not None:
+        written = list(out_dir.iterdir()) if out_dir.is_dir() else []
+        assert not written or (out_dir / "manifest.json").is_file()
+
+
+def _out_dir(tmp, blocked):
+    """A fresh output directory, or one under a regular file that cannot be created."""
+    if not blocked:
+        return Path(tmp) / "out"
+    (Path(tmp) / "file").write_text("")
+    return Path(tmp) / "file" / "sub"
+
+
 FUZZ_VALUES = (math.nan, math.inf, -math.inf, -1, 0, 10 ** 18, 10 ** 400, 1e300, 1.5, 1e-300,
                True, "4", None)
 
@@ -453,20 +506,74 @@ def test_simulate_fuzz_exits_cleanly(scheme, field, value, seed, blocked):
     # Any config value, seed or output directory ends in a documented exit
     # code with no traceback, and leaves a manifest or no files at all.
     with tempfile.TemporaryDirectory() as tmp:
-        out_dir = Path(tmp) / "out"
-        if blocked:
-            (Path(tmp) / "file").write_text("")
-            out_dir = Path(tmp) / "file" / "sub"
-        argv = _simulate_argv(tmp, scheme, {field: value}, seed, out_dir)
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-        assert code in (0, 2, 3, 4)
-        assert "Traceback" not in err.getvalue()
-        if code != 0:
-            assert err.getvalue().startswith("error:")
-        written = list(out_dir.iterdir()) if out_dir.is_dir() else []
-        assert not written or (out_dir / "manifest.json").is_file()
+        out_dir = _out_dir(tmp, blocked)
+        _fuzz_main(_simulate_argv(tmp, scheme, {field: value}, seed, out_dir), out_dir,
+                   parser_may_exit=False)
+
+
+# Flag values for the fuzz tests of the other commands: non-finite, signed
+# zero, subnormal-scale and boundary numbers. They are passed as
+# --flag=value, so the parser does not take -inf for a flag.
+FUZZ_NUMBERS = ("nan", "inf", "-inf", "-0.0", "0", "1e-300", "0.5", "1")
+# Integer flags get small counts and a few values that are not integers.
+# --grid-steps, --list-size and --seed also get 10**12, which the program
+# must refuse at once or use without allocating for it. --points and
+# --horizon have no upper bound, so a huge value would only test how the
+# host answers an 8 TB allocation; they do not get it.
+FUZZ_COUNTS = ("-1", "0", "1", "2", "8", "0.5", "nan")
+FUZZ_BOUNDED_COUNTS = FUZZ_COUNTS + (str(10 ** 12),)
+
+
+def _flag(flag, values, usual=None):
+    """``[flag=value]`` for one of ``values``, or else the usual setting.
+
+    The usual setting keeps the other flags' values reachable past the
+    first check; ``usual=None`` leaves the flag out.
+    """
+    usual_args = [] if usual is None else [f"{flag}={usual}"]
+    return st.one_of(st.just(usual_args), st.sampled_from(values).map(lambda v: [f"{flag}={v}"]))
+
+
+CHANNEL = st.sampled_from(["--bsc", "--bec"]).flatmap(
+    lambda flag: _flag(flag, FUZZ_NUMBERS, usual="0.1"))
+UNIT = _flag("--unit", ("nats", "bits", "nan"))
+
+
+@given(bound=st.sampled_from(["sp", "rc", "list", "haroutunian", "focusing", "achieved"]),
+       channel=CHANNEL,
+       rate=_flag("--rate-bits", FUZZ_NUMBERS, usual="0.1"),
+       rho=_flag("--rho", FUZZ_NUMBERS),
+       list_size=_flag("--list-size", FUZZ_BOUNDED_COUNTS),
+       # Always given: the oracle's default of 100 steps is slow on three outputs.
+       grid_steps=_flag("--grid-steps", FUZZ_BOUNDED_COUNTS + ("20",), usual="4"),
+       unit=UNIT)
+@settings(max_examples=150, deadline=None)
+def test_exponent_fuzz_exits_cleanly(bound, channel, rate, rho, list_size, grid_steps, unit):
+    _fuzz_main(["exponent", "--bound", bound, *channel, *rate, *rho, *list_size,
+                *grid_steps, *unit], flagged_ok=True)
+
+
+@given(points=_flag("--points", FUZZ_COUNTS, usual="8"), channel=CHANNEL, unit=UNIT,
+       blocked=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_figure_fuzz_exits_cleanly(points, channel, unit, blocked):
+    with tempfile.TemporaryDirectory() as tmp:
+        out_dir = _out_dir(tmp, blocked)
+        _fuzz_main(["figure", *channel, *points, *unit, "--outdir", str(out_dir)], out_dir)
+
+
+@given(delta=_flag("--delta", FUZZ_NUMBERS, usual="0.4"),
+       horizon=_flag("--horizon", FUZZ_COUNTS + ("20",), usual="20000"),
+       delays=_flag("--delays", ("0", "-1", "", ",", "2,,4", "4;8", "1e-300", "nan", " 2, 4",
+                                 "99999"), usual="2,4"),
+       seed=_flag("--seed", FUZZ_BOUNDED_COUNTS, usual="0"),
+       blocked=st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_bec_queue_fuzz_exits_cleanly(delta, horizon, delays, seed, blocked):
+    with tempfile.TemporaryDirectory() as tmp:
+        out_dir = _out_dir(tmp, blocked)
+        _fuzz_main(["simulate", "bec-queue", *delta, *horizon, *delays, *seed,
+                    "--outdir", str(out_dir)], out_dir)
 
 
 def test_version_flag(capsys):

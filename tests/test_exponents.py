@@ -57,6 +57,10 @@ Z_AT_03_BIT = {  # (value, param) at 0.3 bit
 # with the e0_max memo and the first-finite probe, 5,124 without them.
 Z_FOCUSING_ASCENT_BUDGET = 1_500
 
+# No output letter is reachable from every input, and the zero-error
+# capacity (inputs 0 and 2 never confuse) equals the capacity, 1 bit.
+NOISY_TYPEWRITER = [[.5, .5, 0, 0], [0, .5, .5, 0], [0, 0, .5, .5], [.5, 0, 0, .5]]
+
 CURV_BSC04 = -0.03945648305106565
 SLOPE_FOCUSING_BSC04 = 1.020644111875295
 SLOPE_ACHIEVED_BSC04 = 0.3375072848839657
@@ -393,6 +397,22 @@ class TestFocusingBound:
         res = ex.focusing_bound(bsc04, 1e-4)
         assert ex.FLAG_BRACKET_EDGE in res.flags
         assert res.value == pytest.approx(E0_BSC04_R64, rel=1e-9)
+
+    @pytest.mark.parametrize("matrix, frac", [
+        (np.eye(2), 0.5),
+        (NOISY_TYPEWRITER, 0.1),
+        (NOISY_TYPEWRITER, 0.5),
+        (NOISY_TYPEWRITER, 0.9),
+    ], ids=["bsc0-0.5C", "typewriter-0.1C", "typewriter-0.5C", "typewriter-0.9C"])
+    def test_unbounded_when_no_output_is_reachable_from_every_input(self, matrix, frac):
+        # On these channels every G inside P's supports keeps C(G) >= C, so
+        # below capacity the focusing bound, like sphere packing, is infinite.
+        c = chan.make_dmc(matrix)
+        rate = frac * chan.capacity(c)
+        res = ex.focusing_bound(c, rate)
+        assert res.value == math.inf
+        assert res.flags == (ex.FLAG_UNBOUNDED,)
+        assert res.value >= ex.sphere_packing(c, rate).value
 
     def test_surrogate_on_asymmetric_channel(self):
         z = chan.make_dmc([[1.0, 0.0], [0.3, 0.7]])

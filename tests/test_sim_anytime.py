@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -10,30 +10,28 @@ from hypothesis import strategies as st
 from delayexp.channel import make_bec, make_bsc, make_dmc
 from delayexp.errors import BadInputError, DomainError
 from delayexp.sim_anytime import (
+    _CODE_SLAB,
     BlockCodebook,
     FlowCode,
     FlowDecoder,
     FlowMessage,
-    FortifiedEncoder,
     PayloadTooLargeError,
     SchemeConfig,
     SchemeRunResult,
     WindowTooLargeError,
     _arrival_count,
     _arrival_time,
-    _block_scores,
     _block_values,
     _code_input_dist,
     _NoiseSource,
+    _ParseState,
+    _ranked,
     _serve_blocks,
-    flow_decode,
-    flow_encode,
     fortified_run,
-    list_decode_block,
-    parse_history,
     synthesized_run,
 )
 from delayexp.sim_queue import HorizonTooShortError, fit_exponent
+from reference import FortifiedEncoder, flow_decode, parse_history
 
 LN15 = math.log(1.5)
 IDENTITY = make_dmc([[1.0, 0.0], [0.0, 1.0]])
@@ -77,7 +75,7 @@ class TestSchemeConfig:
     def test_dict_roundtrip(self):
         cfg = SchemeConfig(n=2, c=24, l=1, theta=12, rate_bits=1 / 6, seed=5,
                            redecode_window=3)
-        assert SchemeConfig.from_dict(cfg.to_dict()) == cfg
+        assert SchemeConfig.from_dict(asdict(cfg)) == cfg
 
     def test_from_dict_rejects_unknown_and_missing_keys(self):
         with pytest.raises(BadInputError):
@@ -90,7 +88,7 @@ class TestSchemeConfig:
     def test_from_json_roundtrip(self, tmp_path):
         cfg = SchemeConfig(n=1, c=8, l=0, theta=4, rate_bits=0.125, seed=3)
         path = tmp_path / "scheme.json"
-        path.write_text(json.dumps(cfg.to_dict()))
+        path.write_text(json.dumps(asdict(cfg)))
         assert SchemeConfig.from_json(path) == cfg
 
     def test_from_json_bad_file(self, tmp_path):
@@ -109,7 +107,7 @@ class TestSchemeConfig:
             return
         rate = 1.0 / (n * c)  # one-bit payload keeps any shape valid
         cfg = SchemeConfig(n=n, c=c, l=l, theta=theta, rate_bits=rate, seed=seed)
-        assert SchemeConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+        assert SchemeConfig.from_dict(json.loads(json.dumps(asdict(cfg)))) == cfg
 
 
 class TestArrivalClock:
@@ -163,9 +161,8 @@ class TestBlockCodebook:
     def test_one_bit_payload_is_antipodal(self):
         cb = BlockCodebook(make_bec(0.4), 1, 0)
         assert cb.coset
-        for pos in range(50):
-            col = cb.candidates_at(0, pos)
-            assert col[0] ^ col[1] == 1
+        letters = cb.candidates_range(0, 0, 50)
+        assert np.all(letters[0] ^ letters[1] == 1)
 
     def test_pairwise_agreement_near_half(self):
         cb = BlockCodebook(make_bsc(0.1), 8, 2)
@@ -173,18 +170,16 @@ class TestBlockCodebook:
         agree = np.mean(letters[5] == letters[200])
         assert abs(agree - 0.5) < 0.05
 
-    def test_symbol_matches_candidate_column(self):
-        cb = BlockCodebook(make_bsc(0.1), 4, 9)
-        for pos in (0, 17, 255, 256, 300):
-            col = cb.candidates_at(2, pos)
-            for v in (0, 5, 15):
-                assert cb.symbol(2, pos, v) == col[v]
-
     def test_range_spans_slab_boundary(self):
+        # Candidate m's letter at position t is parity(m & g_t) ^ s_t, with
+        # (g, s) read from the slab holding t.
         cb = BlockCodebook(make_bsc(0.1), 4, 9)
         block = cb.candidates_range(1, 250, 12)
-        cols = np.stack([cb.candidates_at(1, 250 + j) for j in range(12)], axis=1)
-        assert np.array_equal(block, cols)
+        for j, t in enumerate(range(250, 262)):
+            g, s = cb._slab(1, t // _CODE_SLAB)
+            off = t % _CODE_SLAB
+            want = [cb._parity[m & g[off]] ^ s[off] for m in range(cb.n_candidates)]
+            assert block[:, j].tolist() == want
 
     def test_binary_inputs_always_take_coset_path(self):
         # The cutoff-rate-optimal weight of any binary-input channel is
@@ -214,24 +209,28 @@ class TestBlockCodebook:
             BlockCodebook(make_bsc(0.1), 0, 0)
 
 
+def _block_scores(cb, block_id, outputs):
+    """Every candidate's log-likelihood after one block's outputs, as the parse scores it."""
+    state = _ParseState(cb.n_candidates)
+    state.score(cb, cb.candidates_range(block_id, 0, len(outputs)), outputs)
+    return state.scores
+
+
 class TestListDecode:
     def test_noiseless_rank_one(self):
         cb = BlockCodebook(IDENTITY, 4, 1)
         for value in range(16):
             sent = cb.candidates_range(0, 0, 30)[value]
-            top = list_decode_block(cb, 0, sent, 1)
-            assert list(top) == [value]
+            assert list(_ranked(_block_scores(cb, 0, sent), 1)) == [value]
 
     def test_all_erased_ties_break_by_index(self):
         cb = BlockCodebook(make_bec(0.4), 3, 0)
         erased = np.full(10, 2, dtype=np.int64)
-        assert list(list_decode_block(cb, 0, erased, 8)) == list(range(8))
+        assert list(_ranked(_block_scores(cb, 0, erased), 8)) == list(range(8))
 
     def test_list_size_validation_and_clipping(self):
         cb = BlockCodebook(make_bsc(0.2), 3, 0)
-        with pytest.raises(DomainError):
-            list_decode_block(cb, 0, np.zeros(4, dtype=np.int64), 0)
-        assert len(list_decode_block(cb, 0, np.zeros(4, dtype=np.int64), 99)) == 8
+        assert len(_ranked(_block_scores(cb, 0, np.zeros(4, dtype=np.int64)), 99)) == 8
 
     def test_truth_in_list_rates_grow_with_list_size(self):
         # Monte Carlo inclusion rates on a noisy channel; frozen from the
@@ -300,10 +299,6 @@ class TestFlowCode:
             total += 4
         assert abs(coll / total - 0.5) < 0.01
 
-    def test_flow_encode_bounds(self):
-        with pytest.raises(DomainError):
-            flow_encode(make_bsc(0.1), [FlowMessage(False)], 1, 4, 0)
-
     def test_theta_and_memory_validation(self):
         with pytest.raises(DomainError):
             FlowCode(make_bsc(0.1), 0, seed=0)
@@ -324,7 +319,8 @@ class TestFlowDecoder:
         rng = np.random.default_rng(4)
         truth = [FlowMessage(bool(c), int(c and rng.integers(0, 2)))
                  for c in rng.integers(0, 2, size=30)]
-        outputs = [flow_encode(ch, truth, k, 6, seed=2) for k in range(30)]
+        code = FlowCode(ch, 6, seed=2)
+        outputs = [code.letters(code.context_digest(truth[:k + 1]), k) for k in range(30)]
         assert flow_decode(ch, outputs, theta=6, l=1, redecode_window=3, seed=2) == truth
 
     def test_window_one_equals_chunkwise_hypothesis_test(self):
@@ -484,7 +480,8 @@ class TestFortifiedScheme:
         enc = FortifiedEncoder(cfg, cb, values)
         for t in range(1, horizon + 1):
             x = enc.next_input(t)
-            enc.observe(t, noise.emit(x, t))
+            # Sampled here by inverse CDF, independently of emit_batch.
+            enc.observe(t, int(np.searchsorted(noise.cdf[x], noise.u[t - 1], side="right")))
             # Queue accounting: arrived bits minus confirmed payloads.
             assert enc.queue_bits(t) == (_arrival_count(t, cfg.rate_bits)
                                          - cfg.payload_bits * len(enc.delivery_uses))

