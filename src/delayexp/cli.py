@@ -61,6 +61,12 @@ FIGURE_BOUNDS = ("sp", "focusing", "achieved")
 FIGURE_RATE_LO = 0.01   # fraction of capacity
 FIGURE_RATE_HI = 0.999
 
+# Size caps, far above the largest runs in use (512 points, 10**7 uses) and
+# checked before anything is allocated, so that a refusal does not depend on
+# how the host answers a huge allocation.
+POINTS_MAX = 10 ** 6
+HORIZON_MAX = 10 ** 8
+
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_DOMAIN = 3
@@ -357,6 +363,10 @@ def main(argv=None) -> int:
     try:
         if args.command == "simulate" and args.seed < 0:
             raise BadInputError(f"--seed must be >= 0, got {args.seed}")
+        if args.command == "simulate" and args.horizon > HORIZON_MAX:
+            raise DomainError(f"--horizon {args.horizon} exceeds the cap of {HORIZON_MAX}")
+        if args.command == "figure" and args.points > POINTS_MAX:
+            raise DomainError(f"--points {args.points} exceeds the cap of {POINTS_MAX}")
         if args.command == "exponent":
             return cmd_exponent(args)
         if args.command == "figure":

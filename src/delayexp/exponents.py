@@ -50,6 +50,9 @@ CURVATURE_STEP = 1e-4
 # magnitude (even BSC(1e-6) is near 2e-4).
 FLAT_CURVATURE_TOL = 1e-6
 ORACLE_MAX_GRID = 200
+# Row pairs of the oracle's coarse pass, each a capacity test: 10**6 pairs
+# take seconds, and three outputs at 100 grid steps (26.5M pairs) minutes.
+ORACLE_MAX_PAIRS = 10 ** 6
 # Entries of the e0_max memo, shared by all channels. Sweeps revisit rho
 # values close together in time, so a small LRU keeps nearly all the reuse
 # of an unbounded memo; a dense figure would otherwise hold tens of
@@ -348,6 +351,11 @@ def _simplex_grid(m: int, steps: int) -> np.ndarray:
     return np.clip(np.asarray(rows), 0.0, 1.0)
 
 
+def _simplex_rows(m: int, steps: int) -> int:
+    """The number of rows ``_simplex_grid(m, steps)`` holds."""
+    return math.comb(steps + m - 1, m - 1)
+
+
 def _window_grid(row: np.ndarray, steps: int) -> np.ndarray:
     """A refined simplex grid covering +-2 coarse cells around ``row``."""
     m = len(row)
@@ -429,6 +437,13 @@ def haroutunian_oracle(ch: Channel, rate: float, grid_steps: int = 100) -> float
             f"oracle supports 2 inputs and <= 3 outputs, got {ch.inputs}x{ch.outputs}")
     if not 4 <= grid_steps <= ORACLE_MAX_GRID:
         raise DomainError(f"grid_steps must lie in [4, {ORACLE_MAX_GRID}], got {grid_steps}")
+    pairs = _simplex_rows(ch.outputs, grid_steps) ** 2
+    if pairs > ORACLE_MAX_PAIRS:
+        fits = max(s for s in range(4, ORACLE_MAX_GRID + 1)
+                   if _simplex_rows(ch.outputs, s) ** 2 <= ORACLE_MAX_PAIRS)
+        raise DomainError(
+            f"grid_steps {grid_steps} on {ch.outputs} outputs makes {pairs} row pairs, "
+            f"over the cap of {ORACLE_MAX_PAIRS}; the largest grid_steps that fits is {fits}")
     _require_positive_rate(rate)
     if rate >= capacity(ch):
         return 0.0

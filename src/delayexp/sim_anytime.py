@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import deque
 from dataclasses import MISSING, dataclass, fields, replace
 from hashlib import blake2b
 
@@ -340,15 +341,19 @@ def _list_index(scores: np.ndarray, truth: int) -> int:
 
 # -- flow-control tree code --------------------------------------------------
 
-def _hash_uniforms(digest: bytes, chunk_index: int, count: int) -> np.ndarray:
-    blocks = []
-    need = count * 8
-    for b in range((need + 63) // 64):
-        h = blake2b(digest + chunk_index.to_bytes(8, "little")
-                    + b.to_bytes(2, "little"), digest_size=64).digest()
-        blocks.append(np.frombuffer(h, dtype=np.uint64))
-    words = np.concatenate(blocks)[:count]
-    return words.astype(np.float64) / 2.0 ** 64
+def _hash_uniforms(digests, chunk_index: int, count: int) -> np.ndarray:
+    """One row of ``count`` uniforms in [0, 1) per digest, all at one chunk.
+
+    Row i is the little-endian 64-bit words of blake2b(digests[i] + chunk
+    index + block number), 64 bytes per block, over 2^64.
+    """
+    n_blocks = (count * 8 + 63) // 64
+    suffixes = [chunk_index.to_bytes(8, "little") + b.to_bytes(2, "little")
+                for b in range(n_blocks)]
+    raw = b"".join(blake2b(digest + suffix, digest_size=64).digest()
+                   for digest in digests for suffix in suffixes)
+    words = np.frombuffer(raw, dtype=np.uint64).reshape(len(digests), n_blocks * 8)
+    return words[:, :count].astype(np.float64) / 2.0 ** 64
 
 
 _FLOW_MEMORY_MIN = 8
@@ -384,14 +389,18 @@ class FlowCode:
         return blake2b(digest + message.token(), digest_size=16).digest()
 
     def context_digest(self, history) -> bytes:
-        """Digest of the trailing ``memory`` messages of a history."""
+        """Digest of the trailing ``memory`` messages of a history sequence."""
         digest = self._root
-        for message in tuple(history)[-self.memory:]:
+        for message in history[-self.memory:]:
             digest = self.extend(digest, message)
         return digest
 
     def letters(self, digest: bytes, chunk_index: int) -> np.ndarray:
-        u = _hash_uniforms(digest, int(chunk_index), self.theta)
+        return self.letter_rows([digest], chunk_index)[0]
+
+    def letter_rows(self, digests, chunk_index: int) -> np.ndarray:
+        """The letters of chunk ``chunk_index`` under each digest, one row each."""
+        u = _hash_uniforms(digests, int(chunk_index), self.theta)
         return np.searchsorted(self._qcdf, u, side="right").astype(np.int64)
 
 
@@ -400,9 +409,18 @@ class FlowDecoder:
 
     Each step appends one chunk of flow outputs. Once the window is full,
     appending first freezes the oldest chunk's message under the current
-    best path (decision feedback); the exhaustive search then covers only
-    the trailing window. Ties prefer the enumeration order deny,
-    confirm(0), confirm(1), ...
+    best path (decision feedback); the search then covers only the
+    trailing window. Ties prefer the enumeration order deny, confirm(0),
+    confirm(1), ...
+
+    The window hypotheses form a tree with one layer per pending chunk,
+    each layer's nodes in enumeration order. A node's letters depend only
+    on its chunk index and the last ``memory`` messages up to it, so its
+    log-likelihood holds from step to step: after a freeze, layer d is the
+    block of the old layer d + 1 under the frozen message. A step hashes
+    and scores only the new deepest layer. Only the last ``memory - 1``
+    frozen messages are kept, as ``frozen_tail``; ``step`` returns each
+    frozen message once.
     """
 
     def __init__(self, code: FlowCode, ch: Channel, l: int, window: int):
@@ -417,56 +435,62 @@ class FlowDecoder:
         self.logp = _log_likelihoods(ch)
         self.window = window
         self.alphabet = (FlowMessage(False),) + tuple(FlowMessage(True, j) for j in range(1 << l))
-        self.frozen: list[FlowMessage] = []
+        self.frozen_tail: deque[FlowMessage] = deque(maxlen=code.memory - 1)
         self.pending: list[np.ndarray] = []
         self.base_chunk = 0
-        self._last_best: list[FlowMessage] = []
+        self._layers: list[np.ndarray] = []  # per-node log-likelihood of each pending chunk
+        self._best: list[int] = []           # alphabet indices of the best path
+        self._leaf_key: tuple[bytes, int] | None = None  # what _leaves was built from
+        self._leaves: list[bytes] = []
 
-    def _search(self) -> list[FlowMessage]:
-        # Exhaustive depth-first scan of the window hypotheses. The hash
-        # context of each hypothesis chunk is the trailing frozen messages
-        # plus the hypothesis prefix, so every candidate's letters are
-        # recomputed from its own history suffix.
-        context = tuple(self.frozen[-(self.code.memory - 1):]) if self.code.memory > 1 else ()
-        best_score = -math.inf
-        best_path: list[FlowMessage] = []
-        stack = [(0.0, ())]
-        while stack:
-            score, path = stack.pop()
-            depth = len(path)
-            if depth == len(self.pending):
-                if score > best_score:
-                    best_score = score
-                    best_path = list(path)
-                continue
-            y = self.pending[depth]
-            # Push in reverse so the canonical order is explored first and
-            # strict improvement keeps the enumeration-least tie winner.
-            for message in reversed(self.alphabet):
-                extended = path + (message,)
-                digest = self.code.context_digest(context + extended)
-                letters = self.code.letters(digest, self.base_chunk + depth)
-                s = float(self.logp[letters, y].sum())
-                stack.append((score + s, extended))
-        return best_path
+    def _leaf_digests(self) -> list[bytes]:
+        # The deepest layer's context is the frozen messages within
+        # ``memory`` of it, then the hypothesis path. The digests are kept
+        # while that context is unchanged: with memory equal to the window,
+        # it is empty on every step once the window is full.
+        depth = len(self.pending)
+        tail = list(self.frozen_tail)
+        start = self.code.context_digest(tail[max(0, len(tail) - (self.code.memory - depth)):])
+        if self._leaf_key != (start, depth):
+            level = [start]
+            for _ in range(depth):
+                level = [self.code.extend(d, m) for d in level for m in self.alphabet]
+            self._leaf_key, self._leaves = (start, depth), level
+        return self._leaves
+
+    def _search(self) -> list[int]:
+        # Score the new deepest layer, then sum node scores along every path
+        # in chunk order, as a depth-first scan adds them; np.argmax keeps
+        # the first, enumeration-least, of equal maxima.
+        depth = len(self.pending)
+        letters = self.code.letter_rows(self._leaf_digests(), self.base_chunk + depth - 1)
+        self._layers.append(self.logp[letters, self.pending[-1]].sum(axis=1))
+        k = len(self.alphabet)
+        score = np.zeros(1)
+        for layer in self._layers:
+            score = np.repeat(score, k) + layer
+        return [int(i) for i in np.unravel_index(int(np.argmax(score)), (k,) * depth)]
 
     def step(self, outputs) -> tuple[list[FlowMessage], list[FlowMessage]]:
         """Consume one chunk of flow outputs.
 
         Returns (newly frozen messages, current best estimate for the
-        pending window). The full history estimate is ``frozen`` plus the
-        window estimate.
+        pending window). The full history estimate is every message frozen
+        so far plus the window estimate.
         """
         newly: list[FlowMessage] = []
         if len(self.pending) == self.window:
-            head = self._last_best[0]
-            self.frozen.append(head)
-            newly.append(head)
+            head = self._best[0]
+            self.frozen_tail.append(self.alphabet[head])
+            newly.append(self.alphabet[head])
             self.pending.pop(0)
             self.base_chunk += 1
+            k = len(self.alphabet)
+            self._layers = [layer[head * (len(layer) // k):(head + 1) * (len(layer) // k)]
+                            for layer in self._layers[1:]]
         self.pending.append(np.asarray(outputs, dtype=np.int64))
-        self._last_best = self._search()
-        return newly, list(self._last_best)
+        self._best = self._search()
+        return newly, [self.alphabet[i] for i in self._best]
 
 
 # -- the data-stream parse ---------------------------------------------------
@@ -678,6 +702,10 @@ def synthesized_run(cfg: SchemeConfig, ch: Channel, horizon: int, delays,
     trials = int(np.count_nonzero(eligible))
     wrong_weight = {d: 0.0 for d in grid.delays}
     miss_weight = {d: 0.0 for d in grid.delays}
+    # The bits judged at delay d on boundary (k + 1) * c are those arriving
+    # in [(k + 1) * c - d, (k + 2) * c - d): rows k and k + 1 of ``edges``.
+    edges = np.searchsorted(arrivals, np.arange(1, chunks + 2)[:, None] * cfg.c
+                            - np.asarray(grid.delays), side="left").tolist()
 
     data_rows = np.empty((chunks, data_len), dtype=np.int64)
 
@@ -725,10 +753,7 @@ def synthesized_run(cfg: SchemeConfig, ch: Channel, horizon: int, delays,
         decoded = provisional.values
         # Emit every (bit, delay) whose last boundary at or before its
         # deadline is this one.
-        boundary = (k + 1) * cfg.c
-        for d in grid.delays:
-            lo = np.searchsorted(arrivals, boundary - d, side="left")
-            hi = np.searchsorted(arrivals, boundary + cfg.c - d, side="left")
+        for d, lo, hi in zip(grid.delays, edges[k], edges[k + 1]):
             for i in range(lo, hi):
                 if not eligible[i]:
                     continue

@@ -5,6 +5,8 @@ Each function here is a per-use or whole-history version of a step that
 compare. Nothing here is on the path of a command.
 """
 
+import math
+
 import numpy as np
 
 from delayexp.channel import OutOfRangeError
@@ -92,9 +94,43 @@ def flow_decode(ch, chunk_outputs, theta, l, redecode_window, seed, q=None):
     """Decode a whole flow-output stream; returns the full message estimate."""
     code = FlowCode(ch, theta, seed, q, memory=max(_FLOW_MEMORY_MIN, int(redecode_window)))
     dec = FlowDecoder(code, ch, l, redecode_window)
+    frozen, best = [], []
     for outputs in chunk_outputs:
-        dec.step(outputs)
-    return dec.frozen + dec._last_best
+        newly, best = dec.step(outputs)
+        frozen += newly
+    return frozen + best
+
+
+def exhaustive_window_search(decoder):
+    """The ML window path of a ``FlowDecoder``'s current state, by brute force.
+
+    Depth-first over every hypothesis path of the pending window, hashing
+    each node's letters from its own history suffix; ties go to the
+    enumeration-least path. ``FlowDecoder.step`` must return the same path.
+    """
+    memory = decoder.code.memory
+    context = tuple(decoder.frozen_tail)[-(memory - 1):] if memory > 1 else ()
+    best_score = -math.inf
+    best_path = []
+    stack = [(0.0, ())]
+    while stack:
+        score, path = stack.pop()
+        depth = len(path)
+        if depth == len(decoder.pending):
+            if score > best_score:
+                best_score = score
+                best_path = list(path)
+            continue
+        y = decoder.pending[depth]
+        # Push in reverse so the canonical order is explored first and
+        # strict improvement keeps the enumeration-least tie winner.
+        for message in reversed(decoder.alphabet):
+            extended = path + (message,)
+            digest = decoder.code.context_digest(context + extended)
+            letters = decoder.code.letters(digest, decoder.base_chunk + depth)
+            s = float(decoder.logp[letters, y].sum())
+            stack.append((score + s, extended))
+    return best_path
 
 
 def queue_level_frequencies(delta, horizon, seed, max_level=12):

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delayexp.channel import make_bsc
-from delayexp.cli import SCHEME_COUNTERS, main
+from delayexp import cli
+from delayexp.cli import HORIZON_MAX, POINTS_MAX, SCHEME_COUNTERS, main
 from delayexp.sim_anytime import SchemeConfig, synthesized_run
 
 LN2 = math.log(2.0)
@@ -63,6 +64,15 @@ class TestExponentCommand:
         assert lines[0] == "rate 0.005076712 nats"
         assert lines[1] == "exponent 0.005076712 nats"
         assert lines[2] == "param 1.000000000"
+
+    def test_haroutunian_grid_too_slow_is_domain_error(self, capsys):
+        # The default 100 grid steps on three outputs would pair 26.5M rows.
+        code, out, err = run(capsys, ["exponent", "--bound", "haroutunian", "--bec", "0.1",
+                                      "--rate-bits", "0.1"])
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: grid_steps 100 on 3 outputs") and err.count("\n") == 1
+        assert err.endswith("the largest grid_steps that fits is 43\n")
 
     def test_haroutunian_close_to_sphere_packing(self, capsys):
         args = ["--bsc", "0.1", "--rate-bits", "0.159"]
@@ -253,13 +263,27 @@ class TestFigureCommand:
             "0.348783511,0.000000233,0.000932211,0.000201065\n")
 
     def test_request_too_large_for_memory_is_domain_error(self, capsys, tmp_path):
-        # 10**12 rates need 7.3 TiB, so the allocation is refused at once.
+        # 10**12 rates would need 7.3 TiB; the cap refuses them before any allocation.
         out_dir = tmp_path / "fig"
         code, out, err = run(capsys, ["figure", "--bsc", "0.1", "--points", str(10 ** 12),
                                       "--outdir", str(out_dir)])
         assert code == 3
         assert out == ""
-        assert err.startswith("error: out of memory") and len(err.splitlines()) == 1
+        assert err == f"error: --points {10 ** 12} exceeds the cap of {POINTS_MAX}\n"
+        assert not out_dir.exists()
+
+    def test_out_of_memory_is_one_line_domain_error(self, capsys, tmp_path, monkeypatch):
+        # An allocation refused below the caps still ends in exit 3 and one line.
+        def refuse(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.28 TiB")
+
+        monkeypatch.setattr(cli, "sweep", refuse)
+        out_dir = tmp_path / "fig"
+        code, out, err = run(capsys, ["figure", "--bsc", "0.1", "--points", str(POINTS_MAX),
+                                      "--outdir", str(out_dir)])
+        assert code == 3
+        assert out == ""
+        assert err == "error: out of memory: Unable to allocate 7.28 TiB\n"
         assert not out_dir.exists()
 
     def test_manifest_command_line_round_trips_through_shlex(self, capsys, tmp_path):
@@ -388,15 +412,17 @@ class TestSimulateCommand:
         assert err.startswith("error:") and len(err.splitlines()) == 1
 
     def test_horizon_too_large_for_memory_is_domain_error(self, capsys, tmp_path):
-        # 10**12 uses need 7.3 TiB of noise draws, so the allocation is refused at once.
-        out_dir = tmp_path / "out"
-        code, out, err = run(capsys, ["simulate", "bec-queue", "--delta", "0.4",
-                                      "--horizon", str(10 ** 12), "--delays", "2,4",
-                                      "--outdir", str(out_dir)])
-        assert code == 3
-        assert out == ""
-        assert err.startswith("error: out of memory") and len(err.splitlines()) == 1
-        assert not out_dir.exists()
+        # 10**12 uses would need 7.3 TiB of noise draws; every simulate mode
+        # refuses them at the cap before any allocation.
+        for scheme in ("bec-queue", "fortified", "synthesized"):
+            out_dir = tmp_path / scheme
+            argv = _simulate_argv(tmp_path, scheme, {}, "0", out_dir)
+            argv[argv.index("--horizon") + 1] = str(10 ** 12)
+            code, out, err = run(capsys, argv)
+            assert code == 3
+            assert out == ""
+            assert err == f"error: --horizon {10 ** 12} exceeds the cap of {HORIZON_MAX}\n"
+            assert not out_dir.exists()
 
     def test_bad_delays_are_input_error(self, capsys, tmp_path):
         code, _, err = run(capsys, ["simulate", "bec-queue", "--delta", "0.4",
@@ -515,13 +541,10 @@ def test_simulate_fuzz_exits_cleanly(scheme, field, value, seed, blocked):
 # zero, subnormal-scale and boundary numbers. They are passed as
 # --flag=value, so the parser does not take -inf for a flag.
 FUZZ_NUMBERS = ("nan", "inf", "-inf", "-0.0", "0", "1e-300", "0.5", "1")
-# Integer flags get small counts and a few values that are not integers.
-# --grid-steps, --list-size and --seed also get 10**12, which the program
-# must refuse at once or use without allocating for it. --points and
-# --horizon have no upper bound, so a huge value would only test how the
-# host answers an 8 TB allocation; they do not get it.
-FUZZ_COUNTS = ("-1", "0", "1", "2", "8", "0.5", "nan")
-FUZZ_BOUNDED_COUNTS = FUZZ_COUNTS + (str(10 ** 12),)
+# Integer flags get small counts, a few values that are not integers, and
+# 10**12, which the program must refuse at once or use without allocating
+# for it.
+FUZZ_COUNTS = ("-1", "0", "1", "2", "8", "0.5", "nan", str(10 ** 12))
 
 
 def _flag(flag, values, usual=None):
@@ -543,9 +566,9 @@ UNIT = _flag("--unit", ("nats", "bits", "nan"))
        channel=CHANNEL,
        rate=_flag("--rate-bits", FUZZ_NUMBERS, usual="0.1"),
        rho=_flag("--rho", FUZZ_NUMBERS),
-       list_size=_flag("--list-size", FUZZ_BOUNDED_COUNTS),
+       list_size=_flag("--list-size", FUZZ_COUNTS),
        # Always given: the oracle's default of 100 steps is slow on three outputs.
-       grid_steps=_flag("--grid-steps", FUZZ_BOUNDED_COUNTS + ("20",), usual="4"),
+       grid_steps=_flag("--grid-steps", FUZZ_COUNTS + ("20",), usual="4"),
        unit=UNIT)
 @settings(max_examples=150, deadline=None)
 def test_exponent_fuzz_exits_cleanly(bound, channel, rate, rho, list_size, grid_steps, unit):
@@ -566,7 +589,7 @@ def test_figure_fuzz_exits_cleanly(points, channel, unit, blocked):
        horizon=_flag("--horizon", FUZZ_COUNTS + ("20",), usual="20000"),
        delays=_flag("--delays", ("0", "-1", "", ",", "2,,4", "4;8", "1e-300", "nan", " 2, 4",
                                  "99999"), usual="2,4"),
-       seed=_flag("--seed", FUZZ_BOUNDED_COUNTS, usual="0"),
+       seed=_flag("--seed", FUZZ_COUNTS, usual="0"),
        blocked=st.booleans())
 @settings(max_examples=100, deadline=None)
 def test_bec_queue_fuzz_exits_cleanly(delta, horizon, delays, seed, blocked):

@@ -357,6 +357,22 @@ class TestHaroutunianOracle:
         with pytest.raises(DomainError):
             ex.haroutunian_oracle(bsc04, 0.01, grid_steps=2)
 
+    def test_pair_cap_refuses_slow_grids_up_front(self, bec04):
+        # Three outputs at 100 steps make 5,151^2 row pairs: refused before
+        # any capacity test, naming the largest grid that fits.
+        with pytest.raises(DomainError, match="largest grid_steps that fits is 43$"):
+            ex.haroutunian_oracle(bec04, 0.1, grid_steps=100)
+        with pytest.raises(DomainError, match="makes 1071225 row pairs"):
+            ex.haroutunian_oracle(bec04, 0.1, grid_steps=43 + 1)
+        assert ex._simplex_rows(3, 43) ** 2 <= ex.ORACLE_MAX_PAIRS
+        # Two outputs fit at every accepted grid.
+        assert ex._simplex_rows(2, ex.ORACLE_MAX_GRID) ** 2 <= ex.ORACLE_MAX_PAIRS
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_simplex_rows_counts_the_grid(self, m):
+        for steps in (4, 10, 43, 44, 100, ex.ORACLE_MAX_GRID):
+            assert len(ex._simplex_grid(m, steps)) == ex._simplex_rows(m, steps)
+
 
 class TestFocusingBound:
     def test_frozen_bec_half_bit(self, bec04):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from delayexp import sim_anytime
 from delayexp.channel import make_bec, make_bsc, make_dmc
 from delayexp.errors import BadInputError, DomainError
 from delayexp.sim_anytime import (
@@ -22,6 +23,7 @@ from delayexp.sim_anytime import (
     _arrival_count,
     _arrival_time,
     _block_values,
+    _cdf,
     _code_input_dist,
     _NoiseSource,
     _ParseState,
@@ -31,10 +33,13 @@ from delayexp.sim_anytime import (
     synthesized_run,
 )
 from delayexp.sim_queue import HorizonTooShortError, fit_exponent
-from reference import FortifiedEncoder, flow_decode, parse_history
+from reference import FortifiedEncoder, exhaustive_window_search, flow_decode, parse_history
 
 LN15 = math.log(1.5)
 IDENTITY = make_dmc([[1.0, 0.0], [0.0, 1.0]])
+FLOW_CHANNELS = {"bsc": make_bsc(0.1), "bec": make_bec(0.4),
+                 "z": make_dmc([[1.0, 0.0], [0.3, 0.7]])}
+BEC_ERASURE = 2
 
 # The repeat-until-confirm reduction of the fortified scheme on a BEC.
 BEC_CFG = SchemeConfig(n=1, c=2, l=0, theta=0, rate_bits=0.5, seed=0)
@@ -378,6 +383,43 @@ class TestFlowDecoder:
         for a in range(w - 1):
             assert rates[a + 1] <= rates[a] + 0.01
 
+    @settings(max_examples=40, deadline=None)
+    @given(l=st.integers(0, 2), window=st.integers(1, 4), extra_memory=st.sampled_from([0, 3]),
+           channel=st.sampled_from(sorted(FLOW_CHANNELS)), theta=st.integers(1, 6),
+           erase_chunk=st.floats(0.0, 0.5), seed=st.integers(0, 2**16))
+    def test_step_matches_exhaustive_search(self, l, window, extra_memory, channel, theta,
+                                            erase_chunk, seed):
+        # Each step's window estimate must be the brute-force ML path of
+        # the same state, ties included: short chunks make letters collide,
+        # and on the BEC whole chunks come out erased.
+        ch = FLOW_CHANNELS[channel]
+        code = FlowCode(ch, theta, seed=seed, memory=window + extra_memory)
+        dec = FlowDecoder(code, ch, l, window)
+        rng = np.random.default_rng(seed)
+        cdf = _cdf(ch.p)
+        truth = []
+        for k in range(40):
+            confirm = bool(rng.random() < 0.5)
+            truth.append(FlowMessage(confirm, int(rng.integers(0, 1 << l)) if confirm else 0))
+            letters = code.letters(code.context_digest(truth), k)
+            y = np.sum(cdf[letters] <= rng.random(theta)[:, None], axis=1)
+            if channel == "bec" and rng.random() < erase_chunk:
+                y[:] = BEC_ERASURE
+            _, best = dec.step(y)
+            assert best == exhaustive_window_search(dec)
+
+    @pytest.mark.parametrize("l,window,extra_memory", [(0, 4, 0), (1, 3, 3), (2, 2, 0)])
+    def test_all_erased_chunks_decode_as_denies(self, l, window, extra_memory):
+        # Every hypothesis has the same likelihood, so the
+        # enumeration-least path, all denies, wins every step.
+        ch = FLOW_CHANNELS["bec"]
+        dec = FlowDecoder(FlowCode(ch, 3, seed=1, memory=window + extra_memory), ch, l, window)
+        deny = FlowMessage(False)
+        for k in range(40):
+            newly, best = dec.step(np.full(3, BEC_ERASURE))
+            assert best == [deny] * min(k + 1, window) == exhaustive_window_search(dec)
+            assert newly == ([deny] if k >= window else [])
+
 
 def _noiseless_truth_side(cfg, chunks):
     """True messages and data rows of a run over the identity channel."""
@@ -600,6 +642,35 @@ class TestSynthesizedScheme:
             "48,2.3832070707e-01,1584,2.0981930617e-02\n")
         assert table.blocks_confirmed == 199
         assert table.missed_bit_weight == 1090.5
+
+    def test_flow_decoder_hashes_only_new_leaves(self, monkeypatch):
+        # Work guard: once the window is full a step hashes the letter rows
+        # of the 3^4 new leaves only (l = 1, window 4), and the encoder one
+        # row per chunk; the digest tree of the leaves is built once.
+        rows = extends = 0
+        hash_uniforms = sim_anytime._hash_uniforms
+        extend = FlowCode.extend
+
+        def counting_hash(digests, chunk_index, count):
+            nonlocal rows
+            rows += len(digests)
+            return hash_uniforms(digests, chunk_index, count)
+
+        def counting_extend(self, digest, message):
+            nonlocal extends
+            extends += 1
+            return extend(self, digest, message)
+
+        monkeypatch.setattr(sim_anytime, "_hash_uniforms", counting_hash)
+        monkeypatch.setattr(FlowCode, "extend", counting_extend)
+        horizon = 12_000
+        synthesized_run(self.CFG, make_bsc(0.05), horizon, (24, 48), 0)
+        chunks = horizon // self.CFG.c
+        warm_up = 3 + 3**2 + 3**3
+        assert rows <= chunks * 3**4 + warm_up + chunks
+        # The encoder's context is the last 4 messages. The leaves' digest
+        # tree is built once per warm-up depth: 3, 12, 39 and 120 nodes.
+        assert extends <= 4 * chunks + 3 + 12 + 39 + 120
 
     def test_requires_flow_uses(self):
         with pytest.raises(DomainError):
