@@ -6,6 +6,14 @@ information measures everything else is built from (mutual information,
 conditional divergence), capacity via alternating maximization, and the
 symmetry test that decides when the uniform input distribution is optimal.
 
+A channel is symmetric when its outputs split into groups whose
+sub-matrices have permuted rows and permuted columns. The test needs no
+search over such splits: columns sharing their sorted values form one
+class, and a class that splits into groups with permuted rows has permuted
+rows as a whole, since each input's sorted row on a union of groups is the
+merge of its sorted rows on the groups, and merging, like sorting, moves no
+entry further from its counterpart than the largest gap between the inputs.
+
 All information quantities are in nats.
 """
 
@@ -25,10 +33,6 @@ ROW_SUM_SLACK = 1e-9
 CAPACITY_REL_TOL = 1e-12
 CAPACITY_MAX_ITER = 10_000
 SYMMETRY_ATOL = 1e-9
-
-# Up to this many columns share a letter-frequency class before the exact
-# partition search is abandoned for the single-group test (see is_symmetric).
-_PARTITION_SEARCH_LIMIT = 16
 
 
 class NonStochasticError(BadInputError):
@@ -315,51 +319,19 @@ def is_symmetric(ch: Channel) -> bool:
     return ch._symmetric
 
 
-def _valid_group(p: np.ndarray, cols: tuple) -> bool:
-    """Do these columns form one admissible sub-matrix?"""
-    sub = p[:, list(cols)]
-    rows_sorted = np.sort(sub, axis=1)
-    if not np.allclose(rows_sorted, rows_sorted[0], atol=SYMMETRY_ATOL, rtol=0.0):
-        return False
-    cols_sorted = np.sort(sub, axis=0)
-    return bool(np.allclose(cols_sorted.T, cols_sorted[:, 0], atol=SYMMETRY_ATOL, rtol=0.0))
-
-
 def _partition_symmetric(p: np.ndarray) -> bool:
-    # Columns in one group must share their sorted letter multiset, so first
-    # bucket columns by that key and search each bucket independently.
+    # Columns in one group must be permutations of each other: bucket them by
+    # their sorted values at 9 decimals, the resolution of SYMMETRY_ATOL, and
+    # within a class that half of the test holds by construction. The row
+    # half holds for a class split into groups exactly when it holds for the
+    # whole class (the merge argument in the module docstring), so each class
+    # takes one row test.
     classes: dict[tuple, list[int]] = {}
     for y in range(p.shape[1]):
         key = tuple(np.round(np.sort(p[:, y]), 9))
         classes.setdefault(key, []).append(y)
-    return all(_class_partitions(p, members) for members in classes.values())
-
-
-def _class_partitions(p: np.ndarray, members: list[int]) -> bool:
-    """Exact search for a full partition of one column class into valid groups."""
-    m = len(members)
-    if m > _PARTITION_SEARCH_LIMIT:
-        # Degenerate fallback for huge classes: accept only the single-group split.
-        return _valid_group(p, tuple(members))
-    memo: dict[int, bool] = {0: True}
-
-    def solve(mask: int) -> bool:
-        if mask in memo:
-            return memo[mask]
-        low = (mask & -mask).bit_length() - 1
-        rest = mask & ~(1 << low)
-        sub = rest
-        ok = False
-        while True:
-            cand = sub | (1 << low)
-            cols = tuple(members[i] for i in range(m) if cand >> i & 1)
-            if _valid_group(p, cols) and solve(mask & ~cand):
-                ok = True
-                break
-            if sub == 0:
-                break
-            sub = (sub - 1) & rest
-        memo[mask] = ok
-        return ok
-
-    return solve((1 << m) - 1)
+    for members in classes.values():
+        rows_sorted = np.sort(p[:, members], axis=1)
+        if not np.allclose(rows_sorted, rows_sorted[0], atol=SYMMETRY_ATOL, rtol=0.0):
+            return False
+    return True

@@ -28,7 +28,6 @@ import math
 import os
 import shlex
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
@@ -36,16 +35,13 @@ from .channel import Channel, capacity_detail, is_symmetric, load_channel, make_
 from .curves import convert, crossover_rate, emit_csv, emit_plot_script, sweep
 from .errors import BadInputError, DomainError
 from .exponents import (
+    BOUNDS_AT_RATE,
     FLAG_FLAT_CURVATURE,
     achieved_exponent,
-    achieved_exponent_at_rate,
     bec_feedback_exponent,
+    bound_at_rate,
     capacity_slopes,
-    focusing_bound,
     haroutunian_oracle,
-    list_random_coding,
-    random_coding,
-    sphere_packing,
 )
 from .sim_anytime import SchemeConfig, fortified_run, synthesized_run
 from .sim_queue import (
@@ -77,34 +73,14 @@ SCHEME_COUNTERS = ("blocks_confirmed", "punctuation_chunk_errors", "data_block_e
                    "spurious_confirms", "wrong_bit_weight", "missed_bit_weight")
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """What a command produced: inputs, randomness, and files.
-
-    ``artifacts`` lists every file the run emitted, the manifest itself
-    included; the manifest is written after all the files it names.
-    """
-
-    command_line: str
-    seeds: tuple[int, ...]
-    artifacts: tuple[str, ...]
-    tool_version: str
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"command_line": self.command_line,
-             "seeds": list(self.seeds),
-             "artifacts": list(self.artifacts),
-             "tool_version": self.tool_version},
-            indent=2) + "\n"
-
-
 def _write_manifest(outdir: Path, command_line: str, seeds, artifact_paths) -> Path:
+    """Write ``manifest.json`` after every file it lists; it lists itself last."""
     path = outdir / "manifest.json"
-    manifest = RunManifest(command_line, tuple(int(s) for s in seeds),
-                           tuple(str(p) for p in artifact_paths) + (str(path),),
-                           __version__)
-    path.write_text(manifest.to_json(), encoding="utf-8")
+    manifest = {"command_line": command_line,
+                "seeds": [int(s) for s in seeds],
+                "artifacts": [str(p) for p in artifact_paths] + [str(path)],
+                "tool_version": __version__}
+    path.write_text(_record_json(manifest), encoding="utf-8")
     return path
 
 
@@ -189,17 +165,7 @@ def cmd_exponent(args) -> int:
         value = haroutunian_oracle(ch, _rate_nats(args), grid_steps=args.grid_steps)
         print(f"exponent {_scale(value, unit):.9f} {unit}")
     else:
-        rate = _rate_nats(args)
-        if args.bound == "sp":
-            result = sphere_packing(ch, rate)
-        elif args.bound == "rc":
-            result = random_coding(ch, rate)
-        elif args.bound == "list":
-            result = list_random_coding(ch, rate, args.list_size)
-        elif args.bound == "focusing":
-            result = focusing_bound(ch, rate)
-        else:
-            result = achieved_exponent_at_rate(ch, rate)
+        result = bound_at_rate(ch, args.bound, _rate_nats(args), args.list_size)
         print(f"exponent {_scale(result.value, unit):.9f} {unit}")
         if result.param is not None:
             print(f"param {result.param:.9f}")
@@ -308,9 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_exp = sub.add_parser("exponent", help="evaluate one bound at one rate")
     _add_channel_flags(p_exp)
-    p_exp.add_argument("--bound", required=True,
-                       choices=("sp", "rc", "list", "haroutunian", "focusing",
-                                "achieved"))
+    p_exp.add_argument("--bound", required=True, choices=(*BOUNDS_AT_RATE, "haroutunian"))
     p_exp.add_argument("--rate-bits", type=float,
                        help="rate in bits per channel use")
     p_exp.add_argument("--rho", type=float,

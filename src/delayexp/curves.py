@@ -20,11 +20,6 @@ from . import exponents as ex
 
 LN2 = math.log(2.0)
 
-# Fixed column order: converses first, achievability bounds by list size,
-# then the fixed-delay pair. Requested subsets keep this relative order.
-_FIXED_PREFIX = ("sp", "er")
-_FIXED_SUFFIX = ("focusing", "achieved")
-
 
 class EmptyTableError(DomainError):
     """The curve table holds no rows."""
@@ -53,46 +48,10 @@ class CurveTable:
     rates: tuple[float, ...]
     columns: dict[str, tuple[CurveCell, ...]]
 
-    def rows(self):
-        for i, rate in enumerate(self.rates):
-            yield rate, {b: self.columns[b][i] for b in self.bounds}
-
-
-def _canonical_bounds(bounds) -> tuple[str, ...]:
-    pending = set(bounds)
-    ordered = [b for b in _FIXED_PREFIX if b in pending]
-    pending -= set(ordered)
-    lists = [b for b in pending if isinstance(b, str) and b.startswith("list:")]
-    for b in lists:
-        try:
-            size = int(b.split(":", 1)[1])
-        except ValueError:
-            raise DomainError(f"bad list bound spec {b!r}; expected list:<integer>")
-        if size < 1:
-            raise DomainError(f"list size in {b!r} must be >= 1")
-    ordered += sorted(lists, key=lambda b: int(b.split(":", 1)[1]))
-    pending -= set(lists)
-    ordered += [b for b in _FIXED_SUFFIX if b in pending]
-    pending -= set(_FIXED_SUFFIX)
-    if pending:
-        raise DomainError(f"unknown bounds: {sorted(map(str, pending))}")
-    if not ordered:
-        raise DomainError("no bounds requested")
-    return tuple(ordered)
-
 
 def _evaluate_cell(ch: Channel, bound: str, rate: float) -> CurveCell:
     try:
-        if bound == "sp":
-            res = ex.sphere_packing(ch, rate)
-        elif bound == "er":
-            res = ex.random_coding(ch, rate)
-        elif bound.startswith("list:"):
-            res = ex.list_random_coding(ch, rate, int(bound.split(":", 1)[1]))
-        elif bound == "focusing":
-            res = ex.focusing_bound(ch, rate)
-        else:
-            res = ex.achieved_exponent_at_rate(ch, rate)
+        res = ex.bound_at_rate(ch, bound, rate)
     except DelayexpError as exc:
         return CurveCell(0.0, (f"error:{type(exc).__name__}",))
     return CurveCell(res.value, res.flags)
@@ -102,10 +61,17 @@ def sweep(ch: Channel, rate_min: float, rate_max: float, points: int,
           bounds) -> CurveTable:
     """Evaluate ``bounds`` on a uniform rate grid, in nats.
 
-    ``bounds`` is a collection drawn from {"sp", "er", "list:<n>",
-    "focusing", "achieved"}.
+    ``bounds`` is a collection of names from ``exponents.BOUNDS_AT_RATE``
+    ("sp", "rc", "list", "focusing", "achieved"; "list" at list size 2).
+    The columns follow that order, whatever the order of ``bounds``.
     """
-    order = _canonical_bounds(bounds)
+    requested = set(bounds)
+    unknown = requested - set(ex.BOUNDS_AT_RATE)
+    if unknown:
+        raise DomainError(f"unknown bounds: {sorted(map(str, unknown))}")
+    order = tuple(b for b in ex.BOUNDS_AT_RATE if b in requested)
+    if not order:
+        raise DomainError("no bounds requested")
     if not points >= 2:
         raise DomainError(f"points must be >= 2, got {points}")
     if not 0.0 < rate_min < rate_max:

@@ -343,12 +343,17 @@ def list_random_coding(ch: Channel, rate: float, list_size) -> ExponentValue:
 
 # -- change-of-channel oracle ------------------------------------------------
 
-def _simplex_grid(m: int, steps: int) -> np.ndarray:
-    axis = np.arange(steps + 1) / steps
-    if m == 2:
-        return np.column_stack([axis, 1.0 - axis])
-    rows = [(a, b, 1.0 - a - b) for a in axis for b in axis if a + b <= 1.0 + 1e-12]
+def _grid_rows(axes) -> np.ndarray:
+    """Rows of the simplex over the grid ``axes``: the free coordinates of
+    two outputs (one axis) or three (two axes, pairs past the simplex dropped)."""
+    if len(axes) == 1:
+        return np.column_stack([axes[0], 1.0 - axes[0]])
+    rows = [(a, b, 1.0 - a - b) for a in axes[0] for b in axes[1] if a + b <= 1.0 + 1e-12]
     return np.clip(np.asarray(rows), 0.0, 1.0)
+
+
+def _simplex_grid(m: int, steps: int) -> np.ndarray:
+    return _grid_rows([np.arange(steps + 1) / steps] * (m - 1))
 
 
 def _simplex_rows(m: int, steps: int) -> int:
@@ -358,18 +363,9 @@ def _simplex_rows(m: int, steps: int) -> int:
 
 def _window_grid(row: np.ndarray, steps: int) -> np.ndarray:
     """A refined simplex grid covering +-2 coarse cells around ``row``."""
-    m = len(row)
     half = 2.0 / steps
-
-    def axis_around(x):
-        return np.linspace(max(0.0, x - half), min(1.0, x + half), steps + 1)
-
-    if m == 2:
-        a = axis_around(row[0])
-        return np.column_stack([a, 1.0 - a])
-    a, b = axis_around(row[0]), axis_around(row[1])
-    rows = [(x, y, 1.0 - x - y) for x in a for y in b if x + y <= 1.0 + 1e-12]
-    return np.clip(np.asarray(rows), 0.0, 1.0)
+    return _grid_rows([np.linspace(max(0.0, x - half), min(1.0, x + half), steps + 1)
+                       for x in row[:-1]])
 
 
 def _kl_rows(rows: np.ndarray, p_row: np.ndarray) -> np.ndarray:
@@ -571,6 +567,31 @@ def achieved_exponent_at_rate(ch: Channel, rate: float) -> ExponentValue:
     rho = _bisect_root(lambda r: rate_at(r) - rate, RHO_MIN, RHO_MAX)
     point = achieved_exponent(ch, rho)
     return ExponentValue(point.exponent, rho, e0_max(ch, rho).q)
+
+
+# -- one bound by name -------------------------------------------------------
+
+# The bounds evaluated at one rate, in the column order of a curve sweep:
+# converses first, then achievability, then the fixed-delay pair.
+BOUNDS_AT_RATE = ("sp", "rc", "list", "focusing", "achieved")
+
+
+def bound_at_rate(ch: Channel, name: str, rate: float, list_size=2) -> ExponentValue:
+    """The bound ``name`` from :data:`BOUNDS_AT_RATE` at ``rate`` (nats);
+    ``list_size`` applies to ``"list"`` only."""
+    # Calls go through the module-level names, not a table of function
+    # objects, so a wrapper that replaces a module attribute sees each one.
+    if name == "sp":
+        return sphere_packing(ch, rate)
+    if name == "rc":
+        return random_coding(ch, rate)
+    if name == "list":
+        return list_random_coding(ch, rate, list_size)
+    if name == "focusing":
+        return focusing_bound(ch, rate)
+    if name == "achieved":
+        return achieved_exponent_at_rate(ch, rate)
+    raise DomainError(f"unknown bound {name!r}; expected one of {', '.join(BOUNDS_AT_RATE)}")
 
 
 def bec_feedback_exponent(delta: float) -> float:

@@ -114,10 +114,6 @@ class SchemeConfig:
         return int(round(self.n * self.c * self.rate_bits))
 
     @property
-    def rate_nats(self) -> float:
-        return self.rate_bits * math.log(2.0)
-
-    @property
     def data_uses_per_chunk(self) -> int:
         return self.c - self.theta
 
@@ -150,9 +146,9 @@ class SchemeConfig:
 class FlowMessage:
     """One chunk-boundary control message.
 
-    A deny serializes to the single bit 0; a confirm to a 1 followed by
-    the l-bit list index of the true block. The variable bit count is
-    absorbed by the tree code, which hashes whole messages.
+    A deny carries nothing more; a confirm also carries the l-bit list index
+    of the true block. The tree code hashes whole messages (:meth:`token`),
+    so the two lengths need no serialization to bits.
     """
 
     confirm: bool
@@ -163,13 +159,6 @@ class FlowMessage:
             raise DomainError("disambiguation index must be >= 0")
         if not self.confirm and self.index != 0:
             raise DomainError("deny messages carry no disambiguation index")
-
-    def bits(self, l: int) -> str:
-        if not self.confirm:
-            return "0"
-        if self.index >= 1 << l:
-            raise DomainError(f"index {self.index} needs more than {l} bits")
-        return "1" + format(self.index, f"0{l}b") if l else "1"
 
     def token(self) -> bytes:
         return b"1:%d" % self.index if self.confirm else b"0"
@@ -552,7 +541,7 @@ def _walk_chunk(state: _ParseState, cfg: SchemeConfig, codebook: BlockCodebook,
     """Advance a parse by one chunk under one (estimated) flow message."""
     state.open_block(cfg, chunk_index)
     span = cfg.data_uses_per_chunk
-    if state.active and span > 0:
+    if state.active:
         state.score(codebook, codebook.candidates_range(state.next_block, state.pos, span),
                     data_outputs)
     state.apply(message, list_len)
@@ -715,7 +704,7 @@ def synthesized_run(cfg: SchemeConfig, ch: Channel, horizon: int, delays,
         # steps, transmitting the active block's codeword on the way.
         encoder.open_block(cfg, k)
         value = int(values[encoder.next_block])
-        if encoder.active and data_len > 0:
+        if encoder.active:
             letters = codebook.candidates_range(encoder.next_block, encoder.pos, data_len)
             row = noise.emit_batch(letters[value], base + 1)
             encoder.score(codebook, letters, row)

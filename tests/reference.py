@@ -1,15 +1,15 @@
 """Direct reference forms of what the package computes in batches.
 
-Each function here is a per-use or whole-history version of a step that
-``delayexp`` runs in vectorized or incremental form; tests drive both and
-compare. Nothing here is on the path of a command.
+Each function here is a per-use, whole-history or brute-force version of a
+step that ``delayexp`` runs in vectorized, incremental or shortcut form;
+tests drive both and compare. Nothing here is on the path of a command.
 """
 
 import math
 
 import numpy as np
 
-from delayexp.channel import OutOfRangeError
+from delayexp.channel import SYMMETRY_ATOL, OutOfRangeError
 from delayexp.sim_anytime import (
     _FLOW_MEMORY_MIN,
     IDLE_LETTER,
@@ -143,3 +143,36 @@ def queue_level_frequencies(delta, horizon, seed, max_level=12):
     delivered = np.searchsorted(finite, arrivals, side="right")
     levels = np.arange(1, len(arrivals) + 1) - delivered
     return np.bincount(np.minimum(levels, max_level), minlength=max_level + 1)
+
+
+def set_partitions(items):
+    """Every set partition of the list ``items``, each a list of blocks."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for partition in set_partitions(rest):
+        for i in range(len(partition)):
+            yield partition[:i] + [[first] + partition[i]] + partition[i + 1:]
+        yield [[first]] + partition
+
+
+def symmetric_by_partitions(p, max_class=6):
+    """Symmetry by brute force: every class of columns with the same sorted
+    values (at 9 decimals) splits into some groups whose sub-matrices have
+    permuted rows and permuted columns within ``SYMMETRY_ATOL``. Tries every
+    set partition of every class, so classes are capped at ``max_class``."""
+    classes = {}
+    for y in range(p.shape[1]):
+        classes.setdefault(tuple(np.round(np.sort(p[:, y]), 9)), []).append(y)
+
+    def valid(cols):
+        sub = p[:, cols]
+        rows, columns = np.sort(sub, axis=1), np.sort(sub, axis=0)
+        return (np.allclose(rows, rows[0], atol=SYMMETRY_ATOL, rtol=0.0)
+                and np.allclose(columns.T, columns[:, 0], atol=SYMMETRY_ATOL, rtol=0.0))
+
+    assert all(len(members) <= max_class for members in classes.values())
+    return all(any(all(valid(group) for group in partition)
+                   for partition in set_partitions(members))
+               for members in classes.values())

@@ -3,12 +3,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from delayexp import channel as ch
 from delayexp.errors import BadInputError
 from delayexp.exponents import _simplex_grid
+from reference import symmetric_by_partitions
 
 LN2 = math.log(2.0)
 
@@ -226,6 +227,42 @@ class TestMeasures:
             ch.mutual_information([0.7, 0.7], c)
 
 
+# Two 2x2 blocks of BSC(0.2) at half weight: one class of four columns that
+# also splits into two valid groups.
+TWO_GROUPS_ONE_CLASS = np.array([[0.4, 0.1, 0.1, 0.4], [0.1, 0.4, 0.4, 0.1]])
+# Two symmetric 2x2 groups whose columns lie a full SYMMETRY_ATOL apart but
+# share their 9-decimal class: symmetric, as the search over partitions says.
+_X = (16e6 - 0.5) * 1e-9
+GROUPS_A_TOLERANCE_APART = np.array([[_X, 0.5 - _X, _X + 1e-9, 0.5 - _X - 1e-9],
+                                     [0.5 - _X, _X, 0.5 - _X - 1e-9, _X + 1e-9]])
+
+
+@st.composite
+def block_channels(draw):
+    """Channels of at most six outputs built from circulant blocks. A block may
+    repeat with its rows and columns permuted, which puts several valid groups
+    in one column class; a block with fewer columns than inputs is not valid.
+    One entry may then move by an amount near SYMMETRY_ATOL."""
+    k = draw(st.integers(2, 3))
+    blocks = []
+    for _ in range(draw(st.integers(1, 3))):
+        m = draw(st.integers(1 if blocks else 2, 3))
+        base = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=m, max_size=m)))
+        block = np.array([np.roll(base, i) for i in range(k)]) / base.sum()
+        weight = draw(st.floats(0.1, 1.0))
+        blocks.append(weight * block)
+        if draw(st.booleans()):
+            rows, cols = draw(st.permutations(range(k))), draw(st.permutations(range(m)))
+            blocks.append(weight * block[np.ix_(rows, cols)])
+    p = np.hstack(blocks)[:, :6]
+    if draw(st.booleans()):
+        i, y = draw(st.integers(0, k - 1)), draw(st.integers(0, p.shape[1] - 1))
+        step = draw(st.sampled_from([1e-12, 1e-10, 5e-10, 1e-9, 2e-9, 1e-8, 1e-7])
+                    | st.floats(1e-12, 1e-7))
+        p[i, y] = abs(p[i, y] + draw(st.sampled_from([-1.0, 1.0])) * step)
+    return p / p.sum(axis=1, keepdims=True)
+
+
 class TestSymmetry:
     def test_standard_channels(self):
         assert ch.is_symmetric(ch.make_bsc(0.4))
@@ -254,3 +291,21 @@ class TestSymmetry:
     @settings(max_examples=25, deadline=None)
     def test_every_bsc_symmetric(self, delta):
         assert ch.is_symmetric(ch.make_bsc(delta))
+
+    @given(block_channels())
+    @example(TWO_GROUPS_ONE_CLASS)
+    @example(TWO_GROUPS_ONE_CLASS + [[-1e-9, 0.0, 0.0, 1e-9], [0.0, 0.0, 0.0, 0.0]])
+    @example(GROUPS_A_TOLERANCE_APART)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_search_over_partitions(self, p):
+        c = ch.make_dmc(p)
+        assert ch.is_symmetric(c) == symmetric_by_partitions(c.p)
+
+    def test_one_class_of_eighteen_columns(self):
+        # Nine copies of a BSC block: one class of 18 columns, past the size at
+        # which a search over partitions of the class is affordable.
+        bsc = np.array([[0.3, 0.7], [0.7, 0.3]]) / 9
+        p = np.hstack([bsc] * 9)
+        assert ch.is_symmetric(ch.make_dmc(p))
+        p[0, :2] = [0.3 / 9 + 0.01, 0.7 / 9 - 0.01]  # same row sum, one column off
+        assert not ch.is_symmetric(ch.make_dmc(p))

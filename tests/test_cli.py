@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from delayexp.channel import make_bsc
 from delayexp import cli
 from delayexp.cli import HORIZON_MAX, POINTS_MAX, SCHEME_COUNTERS, main
+from delayexp.exponents import BOUNDS_AT_RATE, bound_at_rate
 from delayexp.sim_anytime import SchemeConfig, synthesized_run
 
 LN2 = math.log(2.0)
@@ -176,6 +178,21 @@ class TestExponentCommand:
         with pytest.raises(SystemExit) as exc:
             main(["exponent", "--bsc", "0.4", "--bound", "bogus", "--rate-bits", "0.1"])
         assert exc.value.code == 2
+
+    def test_bound_choices_are_the_shared_dispatch(self):
+        parser = cli.build_parser()
+        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        bound = next(a for a in commands.choices["exponent"]._actions if a.dest == "bound")
+        assert bound.choices == (*BOUNDS_AT_RATE, "haroutunian")
+
+    @pytest.mark.parametrize("bound", BOUNDS_AT_RATE)
+    def test_exponent_prints_the_dispatched_bound(self, capsys, bound):
+        code, out, _ = run(capsys, ["exponent", "--bound", bound, "--bsc", "0.1",
+                                    "--rate-bits", "0.3", "--list-size", "3"])
+        expected = bound_at_rate(make_bsc(0.1), bound, 0.3 * LN2, 3)
+        assert code == 0
+        assert out.splitlines() == [f"exponent {expected.value:.9f} nats",
+                                    f"param {expected.param:.9f}"]
 
 
 class TestFigureCommand:

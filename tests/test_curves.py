@@ -41,8 +41,9 @@ class TestSweep:
         assert all(len(t.columns[b]) == 16 for b in t.bounds)
 
     def test_rowwise_dominance(self, small_table):
-        for _, cells in small_table.rows():
-            assert cells["focusing"].value >= cells["achieved"].value >= 0.0
+        columns = small_table.columns
+        for focusing, achieved in zip(columns["focusing"], columns["achieved"]):
+            assert focusing.value >= achieved.value >= 0.0
 
     def test_two_points(self, bsc04):
         cap = chan.capacity(bsc04)
@@ -54,8 +55,16 @@ class TestSweep:
     def test_canonical_order_with_lists(self, bsc04):
         cap = chan.capacity(bsc04)
         t = curves.sweep(bsc04, 0.2 * cap, 0.5 * cap, 2,
-                         {"achieved", "list:8", "er", "list:2", "sp"})
-        assert t.bounds == ("sp", "er", "list:2", "list:8", "achieved")
+                         {"achieved", "list", "rc", "focusing", "sp"})
+        assert t.bounds == ex.BOUNDS_AT_RATE
+        t = curves.sweep(bsc04, 0.2 * cap, 0.5 * cap, 2, ["achieved", "list", "sp"])
+        assert t.bounds == ("sp", "list", "achieved")
+
+    def test_list_column_is_list_size_two(self, bsc04):
+        cap = chan.capacity(bsc04)
+        t = curves.sweep(bsc04, 0.2 * cap, 0.5 * cap, 3, {"list"})
+        for rate, cell in zip(t.rates, t.columns["list"]):
+            assert cell.value == ex.list_random_coding(bsc04, rate, 2).value
 
     def test_preconditions(self, bsc04):
         cap = chan.capacity(bsc04)
@@ -65,19 +74,17 @@ class TestSweep:
             curves.sweep(bsc04, 0.5 * cap, 0.2 * cap, 8, {"sp"})
         with pytest.raises(DomainError):
             curves.sweep(bsc04, 0.1 * cap, 0.5 * cap, 1, {"sp"})
-        with pytest.raises(DomainError):
-            curves.sweep(bsc04, 0.1 * cap, 0.5 * cap, 8, {"nonsense"})
-        with pytest.raises(DomainError):
-            curves.sweep(bsc04, 0.1 * cap, 0.5 * cap, 8, {"list:zero"})
+        # Only the names in exponents.BOUNDS_AT_RATE are bounds.
+        for bounds in ({"nonsense"}, {"list:zero"}, {"er"}, {"list:2"}, {"sp", "er"}, set()):
+            with pytest.raises(DomainError):
+                curves.sweep(bsc04, 0.1 * cap, 0.5 * cap, 8, bounds)
         with pytest.raises(ex.DegenerateChannelError):
             curves.sweep(chan.make_dmc([[0.5, 0.5], [0.5, 0.5]]), 0.01, 0.02, 4, {"sp"})
 
     def test_extreme_list_size_still_sweeps(self, bsc04):
         cap = chan.capacity(bsc04)
-        t = curves.sweep(bsc04, 0.2 * cap, 0.5 * cap, 3, {"list:1000000"})
-        col = t.columns["list:1000000"]
-        assert len(col) == 3
-        assert all(math.isfinite(c.value) for c in col)
+        for rate in np.linspace(0.2 * cap, 0.5 * cap, 3):
+            assert math.isfinite(ex.list_random_coding(bsc04, float(rate), 10 ** 6).value)
 
     def test_cell_errors_become_flags(self):
         # Per-cell evaluation converts domain failures into error flags
@@ -91,8 +98,8 @@ class TestSweep:
 class TestEmitCsv:
     def test_deterministic_bytes(self, bsc04):
         cap = chan.capacity(bsc04)
-        a = curves.emit_csv(curves.sweep(bsc04, 0.1 * cap, 0.8 * cap, 8, {"sp", "er"}))
-        b = curves.emit_csv(curves.sweep(bsc04, 0.1 * cap, 0.8 * cap, 8, {"sp", "er"}))
+        a = curves.emit_csv(curves.sweep(bsc04, 0.1 * cap, 0.8 * cap, 8, {"sp", "rc"}))
+        b = curves.emit_csv(curves.sweep(bsc04, 0.1 * cap, 0.8 * cap, 8, {"sp", "rc"}))
         assert a == b
 
     def test_single_row_two_lines(self):

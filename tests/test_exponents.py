@@ -442,6 +442,32 @@ class TestFocusingBound:
             ex.focusing_bound(useless, 0.1)
 
 
+class TestBoundAtRate:
+    @pytest.mark.parametrize("name, direct", [
+        ("sp", ex.sphere_packing),
+        ("rc", ex.random_coding),
+        ("list", lambda ch, rate: ex.list_random_coding(ch, rate, 2)),
+        ("focusing", ex.focusing_bound),
+        ("achieved", ex.achieved_exponent_at_rate),
+    ], ids=["sp", "rc", "list", "focusing", "achieved"])
+    def test_each_name_is_its_function(self, bec04, zch, name, direct):
+        for ch in (bec04, zch):
+            got, want = ex.bound_at_rate(ch, name, 0.2), direct(ch, 0.2)
+            assert (got.value, got.param, got.flags) == (want.value, want.param, want.flags)
+
+    def test_list_size_reaches_the_list_bound(self, bsc04):
+        got = ex.bound_at_rate(bsc04, "list", 0.0002, 4)
+        assert got.param == pytest.approx(4.0, abs=1e-6)
+        assert got.value == ex.list_random_coding(bsc04, 0.0002, 4).value
+        with pytest.raises(ex.BadListSizeError):
+            ex.bound_at_rate(bsc04, "list", 0.0002, 0)
+
+    @pytest.mark.parametrize("name", ["er", "list:2", "haroutunian", ""])
+    def test_unknown_names_are_domain_errors(self, bsc04, name):
+        with pytest.raises(DomainError, match="unknown bound"):
+            ex.bound_at_rate(bsc04, name, 0.01)
+
+
 class TestAchievedCurve:
     def test_overhead_half_at_rho_one(self, bsc04):
         assert ex.overhead_fraction(bsc04, 1.0) == pytest.approx(0.5, abs=1e-12)

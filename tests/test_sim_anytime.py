@@ -50,7 +50,6 @@ class TestSchemeConfig:
         cfg = SchemeConfig(n=2, c=7, l=1, theta=0, rate_bits=3 / 14, seed=11)
         assert cfg.payload_bits == 3
         assert cfg.data_uses_per_chunk == 7
-        assert cfg.rate_nats == pytest.approx((3 / 14) * math.log(2.0), rel=1e-15)
 
     def test_theta_reduces_data_uses(self):
         cfg = SchemeConfig(n=2, c=24, l=1, theta=12, rate_bits=1 / 6)
@@ -130,20 +129,6 @@ class TestArrivalClock:
 
 
 class TestFlowMessage:
-    def test_bit_serialization(self):
-        assert FlowMessage(False).bits(2) == "0"
-        assert FlowMessage(True).bits(0) == "1"
-        assert FlowMessage(True, 2).bits(2) == "110"
-
-    def test_confirm_costs_list_bits_deny_costs_one(self):
-        for l in range(4):
-            assert len(FlowMessage(False).bits(l)) == 1
-            assert len(FlowMessage(True, (1 << l) - 1).bits(l)) == 1 + l
-
-    def test_index_overflow(self):
-        with pytest.raises(DomainError):
-            FlowMessage(True, 4).bits(2)
-
     def test_deny_carries_no_index(self):
         with pytest.raises(DomainError):
             FlowMessage(False, 1)

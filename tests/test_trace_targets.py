@@ -2,14 +2,26 @@
 
 ``perfbench/spans.py`` patches package functions and methods by name; a
 rename in the package would make the traced benchmark run fail, so this
-loads the tracer by path and enters and exits it once.
+loads the tracer by path and enters and exits it once. The tracer replaces
+module attributes, so a function the package reaches some other way (say,
+through a table of function objects) would drop out of the per-layer
+metrics without an error; the second test runs the bound commands traced
+and checks that every bound still records its span.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
 
+from delayexp import cli
+from delayexp.exponents import BOUNDS_AT_RATE
+
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+# The span each bound's exponent command must record; the random-coding pair
+# has no span of its own and is seen through e0_max.
+BOUND_SPANS = {"sp": "exponents.sphere_packing", "rc": "exponents.e0_max",
+               "list": "exponents.e0_max", "focusing": "exponents.focusing_bound",
+               "achieved": "exponents.achieved_exponent_at_rate"}
 
 
 def load_spans():
@@ -41,3 +53,22 @@ def test_every_trace_target_resolves_and_is_restored():
     for module_name, path in targets:
         owner, attr = resolve(module_name, path)
         assert getattr(owner, attr) is originals[module_name, path], path
+
+
+def test_traced_bound_commands_record_every_bound(tmp_path):
+    spans = load_spans()
+    with spans.Tracer() as tracer:
+        for bound in BOUNDS_AT_RATE:
+            tracer.command = bound
+            assert cli.main(["exponent", "--bound", bound, "--bec", "0.4",
+                             "--rate-bits", "0.5"]) == 0
+        tracer.command = "figure"
+        assert cli.main(["figure", "--bec", "0.4", "--points", "4",
+                         "--outdir", str(tmp_path)]) == 0
+    seen = {(command, name) for _, _, command, name, _, _ in tracer.spans}
+    for bound, name in BOUND_SPANS.items():
+        assert (bound, name) in seen, bound
+    for name in ("curves.sweep", "exponents.sphere_packing", "exponents.focusing_bound",
+                 "exponents.achieved_exponent_at_rate"):
+        assert ("figure", name) in seen, name
+    assert tracer.counts["curves.sweep.cells"] == 4 * len(cli.FIGURE_BOUNDS)
