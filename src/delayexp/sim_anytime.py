@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import deque
 from dataclasses import MISSING, dataclass, fields, replace
 from hashlib import blake2b
 
@@ -250,26 +249,24 @@ class BlockCodebook:
     back to i.i.d. letters drawn from the code distribution.
     """
 
-    def __init__(self, ch: Channel, payload_bits: int, seed: int, q=None):
+    def __init__(self, ch: Channel, payload_bits: int, seed: int):
         if payload_bits > PAYLOAD_BITS_MAX:
             raise PayloadTooLargeError(
                 f"payload of {payload_bits} bits exceeds the cap of {PAYLOAD_BITS_MAX}")
         if payload_bits < 1:
             raise DomainError("payload must hold at least one bit")
-        self.ch = ch
-        self.payload_bits = payload_bits
         self.n_candidates = 1 << payload_bits
         self.seed = int(seed)
-        self.q = np.full(ch.inputs, 1.0 / ch.inputs) if q is None else np.asarray(q, dtype=float)
+        q = _code_input_dist(ch)
         self.logp = _log_likelihoods(ch)
-        self.coset = ch.inputs == 2 and np.max(np.abs(self.q - 0.5)) < 1e-9
+        self.coset = ch.inputs == 2 and np.max(np.abs(q - 0.5)) < 1e-9
         if self.coset:
             par = np.zeros(self.n_candidates, dtype=np.int8)
             for i in range(1, self.n_candidates):
                 par[i] = par[i >> 1] ^ (i & 1)
             self._parity = par
         else:
-            self._qcdf = _cdf(self.q)
+            self._qcdf = _cdf(q)
         self._slabs: dict[tuple[int, int], tuple] = {}
 
     def _slab(self, block_id: int, slab_idx: int):
@@ -316,11 +313,12 @@ def _ranked(scores: np.ndarray, k: int) -> np.ndarray:
     return np.argsort(-scores, kind="stable")[:k]
 
 
-def _confirmable(scores: np.ndarray, truth: int, list_len: int) -> bool:
+def _confirmable(scores: np.ndarray, truth: int, list_len: int):
     # Strict separation: the truth and everything scoring at least as high
     # must all fit in the list, so the confirmed index is unambiguous under
     # any tie ordering. An all-tied chunk (e.g. all-erased outputs) denies.
-    return int(np.count_nonzero(scores >= scores[truth])) <= list_len
+    # Candidates run along axis 0; a 2-D block gives one verdict per column.
+    return np.count_nonzero(scores >= scores[truth], axis=0) <= list_len
 
 
 def _list_index(scores: np.ndarray, truth: int) -> int:
@@ -345,9 +343,6 @@ def _hash_uniforms(digests, chunk_index: int, count: int) -> np.ndarray:
     return words[:, :count].astype(np.float64) / 2.0 ** 64
 
 
-_FLOW_MEMORY_MIN = 8
-
-
 class FlowCode:
     """Tree code over the flow slots, hashed from the recent message history.
 
@@ -358,19 +353,19 @@ class FlowCode:
     pair a window decoder of depth at most ``memory`` can compare -- while
     a difference older than ``memory`` chunks ages out, so a settled
     decoding error desynchronizes the stream only transiently instead of
-    permanently.
+    permanently. The scheme sets ``memory`` to its re-decode window, the
+    shortest memory that separates every window hypothesis pair; the
+    letters are drawn from the channel's code input distribution.
     """
 
-    def __init__(self, ch: Channel, theta: int, seed: int, q=None,
-                 memory: int = _FLOW_MEMORY_MIN):
+    def __init__(self, ch: Channel, theta: int, seed: int, memory: int):
         if theta < 1:
             raise DomainError(f"theta must be >= 1, got {theta}")
         if memory < 1:
             raise DomainError(f"memory must be >= 1, got {memory}")
         self.theta = theta
         self.memory = int(memory)
-        self.q = np.full(ch.inputs, 1.0 / ch.inputs) if q is None else np.asarray(q, dtype=float)
-        self._qcdf = _cdf(self.q)
+        self._qcdf = _cdf(_code_input_dist(ch))
         self._root = blake2b(_FLOW_SALT + (int(seed) & (2 ** 64 - 1)).to_bytes(8, "little"),
                              digest_size=16).digest()
 
@@ -396,64 +391,44 @@ class FlowCode:
 class FlowDecoder:
     """Sliding-window exact-ML decoder of the tree-coded message stream.
 
-    Each step appends one chunk of flow outputs. Once the window is full,
-    appending first freezes the oldest chunk's message under the current
-    best path (decision feedback); the search then covers only the
-    trailing window. Ties prefer the enumeration order deny, confirm(0),
-    confirm(1), ...
+    The window is the code's memory. Each step appends one chunk of flow
+    outputs. Once the window is full, appending first freezes the oldest
+    chunk's message under the current best path (decision feedback); the
+    search then covers only the trailing window. Ties prefer the
+    enumeration order deny, confirm(0), confirm(1), ...
 
     The window hypotheses form a tree with one layer per pending chunk,
     each layer's nodes in enumeration order. A node's letters depend only
     on its chunk index and the last ``memory`` messages up to it, so its
     log-likelihood holds from step to step: after a freeze, layer d is the
     block of the old layer d + 1 under the frozen message. A step hashes
-    and scores only the new deepest layer. Only the last ``memory - 1``
-    frozen messages are kept, as ``frozen_tail``; ``step`` returns each
-    frozen message once.
+    and scores only the new deepest layer. With memory equal to the window
+    that layer's context is its own hypothesis path, never a frozen
+    message, so its digests are the same leaves of one tree grown from the
+    code's root, one level per warm-up step. ``step`` returns each frozen
+    message once; the decoder keeps none of them, nor any outputs.
     """
 
-    def __init__(self, code: FlowCode, ch: Channel, l: int, window: int):
-        if window * (l + 1) > FLOW_HYPOTHESIS_BITS_MAX:
+    def __init__(self, code: FlowCode, ch: Channel, l: int):
+        if code.memory * (l + 1) > FLOW_HYPOTHESIS_BITS_MAX:
             raise WindowTooLargeError(
-                f"window of {window} chunks at l={l} exceeds "
+                f"window of {code.memory} chunks at l={l} exceeds "
                 f"{FLOW_HYPOTHESIS_BITS_MAX} hypothesis bits")
-        if window > code.memory:
-            raise WindowTooLargeError(
-                f"window of {window} chunks exceeds the code memory of {code.memory}")
         self.code = code
         self.logp = _log_likelihoods(ch)
-        self.window = window
         self.alphabet = (FlowMessage(False),) + tuple(FlowMessage(True, j) for j in range(1 << l))
-        self.frozen_tail: deque[FlowMessage] = deque(maxlen=code.memory - 1)
-        self.pending: list[np.ndarray] = []
         self.base_chunk = 0
         self._layers: list[np.ndarray] = []  # per-node log-likelihood of each pending chunk
         self._best: list[int] = []           # alphabet indices of the best path
-        self._leaf_key: tuple[bytes, int] | None = None  # what _leaves was built from
-        self._leaves: list[bytes] = []
+        self._leaves = [code.context_digest(())]  # digests of the deepest layer's nodes
 
-    def _leaf_digests(self) -> list[bytes]:
-        # The deepest layer's context is the frozen messages within
-        # ``memory`` of it, then the hypothesis path. The digests are kept
-        # while that context is unchanged: with memory equal to the window,
-        # it is empty on every step once the window is full.
-        depth = len(self.pending)
-        tail = list(self.frozen_tail)
-        start = self.code.context_digest(tail[max(0, len(tail) - (self.code.memory - depth)):])
-        if self._leaf_key != (start, depth):
-            level = [start]
-            for _ in range(depth):
-                level = [self.code.extend(d, m) for d in level for m in self.alphabet]
-            self._leaf_key, self._leaves = (start, depth), level
-        return self._leaves
-
-    def _search(self) -> list[int]:
+    def _search(self, outputs) -> list[int]:
         # Score the new deepest layer, then sum node scores along every path
         # in chunk order, as a depth-first scan adds them; np.argmax keeps
         # the first, enumeration-least, of equal maxima.
-        depth = len(self.pending)
-        letters = self.code.letter_rows(self._leaf_digests(), self.base_chunk + depth - 1)
-        self._layers.append(self.logp[letters, self.pending[-1]].sum(axis=1))
+        depth = len(self._layers) + 1
+        letters = self.code.letter_rows(self._leaves, self.base_chunk + depth - 1)
+        self._layers.append(self.logp[letters, outputs].sum(axis=1))
         k = len(self.alphabet)
         score = np.zeros(1)
         for layer in self._layers:
@@ -468,17 +443,16 @@ class FlowDecoder:
         so far plus the window estimate.
         """
         newly: list[FlowMessage] = []
-        if len(self.pending) == self.window:
+        if len(self._layers) == self.code.memory:
             head = self._best[0]
-            self.frozen_tail.append(self.alphabet[head])
             newly.append(self.alphabet[head])
-            self.pending.pop(0)
             self.base_chunk += 1
             k = len(self.alphabet)
             self._layers = [layer[head * (len(layer) // k):(head + 1) * (len(layer) // k)]
                             for layer in self._layers[1:]]
-        self.pending.append(np.asarray(outputs, dtype=np.int64))
-        self._best = self._search()
+        else:
+            self._leaves = [self.code.extend(d, m) for d in self._leaves for m in self.alphabet]
+        self._best = self._search(outputs)
         return newly, [self.alphabet[i] for i in self._best]
 
 
@@ -583,8 +557,7 @@ def _serve_blocks(cfg: SchemeConfig, codebook: BlockCodebook, values: np.ndarray
             letters = codebook.candidates_range(block, pos, take)
             y = noise.emit_batch(letters[value], t)
             cum = scores[:, None] + np.cumsum(codebook.logp[letters, y], axis=1)
-            counts = np.count_nonzero(cum >= cum[value][None, :], axis=0)
-            ok = np.flatnonzero(counts <= list_len)
+            ok = np.flatnonzero(_confirmable(cum, value, list_len))
             if ok.size:
                 j = int(ok[0])
                 deliveries.append(t + j)
@@ -613,7 +586,7 @@ def fortified_run(cfg: SchemeConfig, ch: Channel, horizon: int, delays,
     grid = DeadlineGrid(delays, horizon)
     horizon = grid.horizon
     # The codebook caps the payload before any per-bit array is sized.
-    codebook = BlockCodebook(ch, cfg.payload_bits, cfg.seed, q=_code_input_dist(ch))
+    codebook = BlockCodebook(ch, cfg.payload_bits, cfg.seed)
     n_bits = _arrival_count(horizon, cfg.rate_bits)
     n_blocks = n_bits // cfg.payload_bits + 1
     values = _block_values(cfg, n_blocks)
@@ -662,9 +635,8 @@ def synthesized_run(cfg: SchemeConfig, ch: Channel, horizon: int, delays,
             f"window needs {cfg.redecode_window + 1}")
 
     payload = cfg.payload_bits
-    q = _code_input_dist(ch)
     # The codebook caps the payload before any per-bit array is sized.
-    codebook = BlockCodebook(ch, payload, cfg.seed, q=q)
+    codebook = BlockCodebook(ch, payload, cfg.seed)
     list_len = min(1 << cfg.l, codebook.n_candidates)
     n_bits = _arrival_count(span, cfg.rate_bits)
     n_blocks = n_bits // payload + 1
@@ -673,8 +645,10 @@ def synthesized_run(cfg: SchemeConfig, ch: Channel, horizon: int, delays,
     # Memory equal to the window keeps every window hypothesis pair fully
     # separated while letting a rare settled error age out of the hash
     # context as fast as possible (resync after window - 1 clean commits).
-    flow_code = FlowCode(ch, cfg.theta, cfg.seed, q=q, memory=cfg.redecode_window)
-    flow_dec = FlowDecoder(flow_code, ch, cfg.l, cfg.redecode_window)
+    # It also means no frozen message enters the newest chunk's context, so
+    # the decoder hashes one fixed tree of window paths.
+    flow_code = FlowCode(ch, cfg.theta, cfg.seed, cfg.redecode_window)
+    flow_dec = FlowDecoder(flow_code, ch, cfg.l)
     noise = _NoiseSource(ch, span, seed)
 
     encoder = _ParseState(codebook.n_candidates)  # truth-side block timeline

@@ -11,7 +11,6 @@ import numpy as np
 
 from delayexp.channel import SYMMETRY_ATOL, OutOfRangeError
 from delayexp.sim_anytime import (
-    _FLOW_MEMORY_MIN,
     IDLE_LETTER,
     FlowCode,
     FlowDecoder,
@@ -90,10 +89,13 @@ def parse_history(cfg, codebook, messages, data_outputs):
     return state
 
 
-def flow_decode(ch, chunk_outputs, theta, l, redecode_window, seed, q=None):
-    """Decode a whole flow-output stream; returns the full message estimate."""
-    code = FlowCode(ch, theta, seed, q, memory=max(_FLOW_MEMORY_MIN, int(redecode_window)))
-    dec = FlowDecoder(code, ch, l, redecode_window)
+def flow_decode(ch, chunk_outputs, theta, l, redecode_window, seed):
+    """Decode a whole flow-output stream; returns the full message estimate.
+
+    The code's memory is the window, as the synthesized scheme sets it.
+    """
+    code = FlowCode(ch, theta, seed, redecode_window)
+    dec = FlowDecoder(code, ch, l)
     frozen, best = [], []
     for outputs in chunk_outputs:
         newly, best = dec.step(outputs)
@@ -101,33 +103,36 @@ def flow_decode(ch, chunk_outputs, theta, l, redecode_window, seed, q=None):
     return frozen + best
 
 
-def exhaustive_window_search(decoder):
-    """The ML window path of a ``FlowDecoder``'s current state, by brute force.
+def exhaustive_window_search(decoder, frozen, window_outputs):
+    """The ML window path after a ``FlowDecoder``'s latest step, by brute force.
 
-    Depth-first over every hypothesis path of the pending window, hashing
-    each node's letters from its own history suffix; ties go to the
-    enumeration-least path. ``FlowDecoder.step`` must return the same path.
+    ``frozen`` is every message the decoder's steps have frozen so far and
+    ``window_outputs`` the flow outputs of the chunks after them, one row
+    each. Depth-first over every hypothesis path of that window, hashing
+    each node's letters from its own history suffix, frozen messages
+    included; ties go to the enumeration-least path. ``FlowDecoder.step``
+    must return the same path.
     """
     memory = decoder.code.memory
-    context = tuple(decoder.frozen_tail)[-(memory - 1):] if memory > 1 else ()
+    context = tuple(frozen)[-(memory - 1):] if memory > 1 else ()
     best_score = -math.inf
     best_path = []
     stack = [(0.0, ())]
     while stack:
         score, path = stack.pop()
         depth = len(path)
-        if depth == len(decoder.pending):
+        if depth == len(window_outputs):
             if score > best_score:
                 best_score = score
                 best_path = list(path)
             continue
-        y = decoder.pending[depth]
+        y = window_outputs[depth]
         # Push in reverse so the canonical order is explored first and
         # strict improvement keeps the enumeration-least tie winner.
         for message in reversed(decoder.alphabet):
             extended = path + (message,)
             digest = decoder.code.context_digest(context + extended)
-            letters = decoder.code.letters(digest, decoder.base_chunk + depth)
+            letters = decoder.code.letters(digest, len(frozen) + depth)
             s = float(decoder.logp[letters, y].sum())
             stack.append((score + s, extended))
     return best_path

@@ -176,21 +176,26 @@ class TestBlockCodebook:
         # uniform, so even an asymmetric one gets coset codewords.
         zch = make_dmc([[1.0, 0.0], [0.3, 0.7]])
         assert np.allclose(_code_input_dist(zch), 0.5)
-        assert BlockCodebook(zch, 4, 0, q=_code_input_dist(zch)).coset
+        assert BlockCodebook(zch, 4, 0).coset
 
     def test_ternary_channel_uses_iid_fallback(self):
         tern = make_dmc([[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]])
-        cb = BlockCodebook(tern, 4, 0, q=_code_input_dist(tern))
+        cb = BlockCodebook(tern, 4, 0)
         assert not cb.coset
         letters = cb.candidates_range(0, 0, 3000)
         for letter in range(3):
             assert abs(np.mean(letters == letter) - 1 / 3) < 0.05
 
     def test_skewed_weight_uses_iid_fallback(self):
-        cb = BlockCodebook(make_bsc(0.1), 4, 0, q=[0.3, 0.7])
+        # Input 2 is a fair coin over the two clean inputs' outputs, so the
+        # code law is [1/2, 1/2, 0] and letter 2 is never sent.
+        skewed = make_dmc([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.5, 0.5, 0.0]])
+        assert np.allclose(_code_input_dist(skewed), [0.5, 0.5, 0.0])
+        cb = BlockCodebook(skewed, 4, 0)
         assert not cb.coset
         letters = cb.candidates_range(0, 0, 4000)
-        assert abs(np.mean(letters) - 0.7) < 0.05
+        assert not np.any(letters == 2)
+        assert abs(np.mean(letters) - 0.5) < 0.05
 
     def test_payload_caps(self):
         with pytest.raises(PayloadTooLargeError):
@@ -258,7 +263,7 @@ class TestListDecode:
 class TestFlowCode:
     def test_letters_deterministic_and_in_range(self):
         ch = make_bsc(0.1)
-        code = FlowCode(ch, 5, seed=3)
+        code = FlowCode(ch, 5, seed=3, memory=2)
         d = code.context_digest([FlowMessage(True, 0), FlowMessage(False)])
         a = code.letters(d, 7)
         assert np.array_equal(a, code.letters(d, 7))
@@ -277,7 +282,7 @@ class TestFlowCode:
     def test_distinct_histories_collide_half_the_time(self):
         # Uniform binary letters: two independent digests agree on a slot
         # with probability 1/2.
-        code = FlowCode(make_bsc(0.1), 4, seed=123)
+        code = FlowCode(make_bsc(0.1), 4, seed=123, memory=6)
         rng = np.random.default_rng(7)
         coll = total = 0
         for k in range(10_000):
@@ -291,34 +296,35 @@ class TestFlowCode:
 
     def test_theta_and_memory_validation(self):
         with pytest.raises(DomainError):
-            FlowCode(make_bsc(0.1), 0, seed=0)
+            FlowCode(make_bsc(0.1), 0, seed=0, memory=1)
         with pytest.raises(DomainError):
             FlowCode(make_bsc(0.1), 2, seed=0, memory=0)
 
 
 class TestFlowDecoder:
     def test_window_caps(self):
+        # The window is the code memory; 12 chunks of 2 bits is the cap.
         ch = make_bsc(0.1)
+        FlowDecoder(FlowCode(ch, 2, 0, memory=12), ch, l=1)
         with pytest.raises(WindowTooLargeError):
-            FlowDecoder(FlowCode(ch, 2, 0, memory=16), ch, l=1, window=13)
-        with pytest.raises(WindowTooLargeError):
-            FlowDecoder(FlowCode(ch, 2, 0, memory=4), ch, l=0, window=5)
+            FlowDecoder(FlowCode(ch, 2, 0, memory=13), ch, l=1)
 
     def test_noiseless_stream_decodes_exactly(self):
         ch = IDENTITY
         rng = np.random.default_rng(4)
         truth = [FlowMessage(bool(c), int(c and rng.integers(0, 2)))
                  for c in rng.integers(0, 2, size=30)]
-        code = FlowCode(ch, 6, seed=2)
+        code = FlowCode(ch, 6, seed=2, memory=3)
         outputs = [code.letters(code.context_digest(truth[:k + 1]), k) for k in range(30)]
         assert flow_decode(ch, outputs, theta=6, l=1, redecode_window=3, seed=2) == truth
 
     def test_window_one_equals_chunkwise_hypothesis_test(self):
-        # With a one-chunk window the decoder is a per-chunk ML test
-        # against the trailing frozen context; replicate it by hand.
+        # With a one-chunk window the code memory is one message, so the
+        # decoder is a per-chunk ML test of each chunk's own message;
+        # replicate it by hand.
         ch = make_bsc(0.1)
         theta, l = 3, 0
-        code = FlowCode(ch, theta, seed=5, memory=8)
+        code = FlowCode(ch, theta, seed=5, memory=1)
         rng = np.random.default_rng(6)
         truth = [FlowMessage(bool(b)) for b in rng.integers(0, 2, size=60)]
         outputs = []
@@ -332,8 +338,7 @@ class TestFlowDecoder:
         for k, y in enumerate(outputs):
             best, best_score = None, -math.inf
             for cand in (FlowMessage(False), FlowMessage(True, 0)):
-                tail = tuple(frozen[-7:]) + (cand,)
-                letters = code.letters(code.context_digest(tail), k)
+                letters = code.letters(code.context_digest([cand]), k)
                 score = float(logp[letters, y].sum())
                 if score > best_score:
                     best, best_score = cand, score
@@ -346,8 +351,8 @@ class TestFlowDecoder:
         # oldest position.
         theta, l, w, p = 4, 0, 4, 0.05
         ch = make_bsc(p)
-        code = FlowCode(ch, theta, seed=9, memory=8)
-        dec = FlowDecoder(code, ch, l, w)
+        code = FlowCode(ch, theta, seed=9, memory=w)
+        dec = FlowDecoder(code, ch, l)
         rng = np.random.default_rng(10)
         truth = []
         mismatch, count = np.zeros(w), np.zeros(w)
@@ -362,27 +367,27 @@ class TestFlowDecoder:
                     mismatch[age] += est != truth[dec.base_chunk + j]
                     count[age] += 1
         rates = mismatch / count
-        assert rates[0] == pytest.approx(0.117451, abs=1e-6)
-        assert rates[-1] == pytest.approx(0.072072, abs=1e-6)
+        assert rates[0] == pytest.approx(0.052052, abs=1e-6)
+        assert rates[-1] == pytest.approx(0.005672, abs=1e-6)
         assert rates[0] > rates[-1] + 0.02
         for a in range(w - 1):
             assert rates[a + 1] <= rates[a] + 0.01
 
     @settings(max_examples=40, deadline=None)
-    @given(l=st.integers(0, 2), window=st.integers(1, 4), extra_memory=st.sampled_from([0, 3]),
+    @given(l=st.integers(0, 2), window=st.integers(1, 4),
            channel=st.sampled_from(sorted(FLOW_CHANNELS)), theta=st.integers(1, 6),
            erase_chunk=st.floats(0.0, 0.5), seed=st.integers(0, 2**16))
-    def test_step_matches_exhaustive_search(self, l, window, extra_memory, channel, theta,
-                                            erase_chunk, seed):
+    def test_step_matches_exhaustive_search(self, l, window, channel, theta, erase_chunk,
+                                            seed):
         # Each step's window estimate must be the brute-force ML path of
         # the same state, ties included: short chunks make letters collide,
         # and on the BEC whole chunks come out erased.
         ch = FLOW_CHANNELS[channel]
-        code = FlowCode(ch, theta, seed=seed, memory=window + extra_memory)
-        dec = FlowDecoder(code, ch, l, window)
+        code = FlowCode(ch, theta, seed=seed, memory=window)
+        dec = FlowDecoder(code, ch, l)
         rng = np.random.default_rng(seed)
         cdf = _cdf(ch.p)
-        truth = []
+        truth, frozen, outputs = [], [], []
         for k in range(40):
             confirm = bool(rng.random() < 0.5)
             truth.append(FlowMessage(confirm, int(rng.integers(0, 1 << l)) if confirm else 0))
@@ -390,19 +395,25 @@ class TestFlowDecoder:
             y = np.sum(cdf[letters] <= rng.random(theta)[:, None], axis=1)
             if channel == "bec" and rng.random() < erase_chunk:
                 y[:] = BEC_ERASURE
-            _, best = dec.step(y)
-            assert best == exhaustive_window_search(dec)
+            outputs.append(y)
+            newly, best = dec.step(y)
+            frozen += newly
+            assert best == exhaustive_window_search(dec, frozen, outputs[len(frozen):])
 
-    @pytest.mark.parametrize("l,window,extra_memory", [(0, 4, 0), (1, 3, 3), (2, 2, 0)])
-    def test_all_erased_chunks_decode_as_denies(self, l, window, extra_memory):
+    @pytest.mark.parametrize("l,window", [(0, 4), (1, 3), (2, 2)])
+    def test_all_erased_chunks_decode_as_denies(self, l, window):
         # Every hypothesis has the same likelihood, so the
         # enumeration-least path, all denies, wins every step.
         ch = FLOW_CHANNELS["bec"]
-        dec = FlowDecoder(FlowCode(ch, 3, seed=1, memory=window + extra_memory), ch, l, window)
+        dec = FlowDecoder(FlowCode(ch, 3, seed=1, memory=window), ch, l)
         deny = FlowMessage(False)
+        erased = np.full(3, BEC_ERASURE)
+        frozen = []
         for k in range(40):
-            newly, best = dec.step(np.full(3, BEC_ERASURE))
-            assert best == [deny] * min(k + 1, window) == exhaustive_window_search(dec)
+            newly, best = dec.step(erased)
+            frozen += newly
+            assert best == [deny] * min(k + 1, window) == exhaustive_window_search(
+                dec, frozen, [erased] * len(best))
             assert newly == ([deny] if k >= window else [])
 
 
@@ -501,7 +512,7 @@ class TestFortifiedScheme:
     ])
     def test_block_service_matches_per_use_encoder(self, ch, cfg):
         horizon = 20_000
-        cb = BlockCodebook(ch, cfg.payload_bits, cfg.seed, q=_code_input_dist(ch))
+        cb = BlockCodebook(ch, cfg.payload_bits, cfg.seed)
         values = _block_values(cfg, int(horizon * cfg.rate_bits) // cfg.payload_bits + 2)
         noise = _NoiseSource(ch, horizon, 3)
         enc = FortifiedEncoder(cfg, cb, values)
@@ -631,7 +642,8 @@ class TestSynthesizedScheme:
     def test_flow_decoder_hashes_only_new_leaves(self, monkeypatch):
         # Work guard: once the window is full a step hashes the letter rows
         # of the 3^4 new leaves only (l = 1, window 4), and the encoder one
-        # row per chunk; the digest tree of the leaves is built once.
+        # row per chunk; the digest tree of the leaves grows one level per
+        # warm-up step and is then kept.
         rows = extends = 0
         hash_uniforms = sim_anytime._hash_uniforms
         extend = FlowCode.extend
@@ -654,8 +666,8 @@ class TestSynthesizedScheme:
         warm_up = 3 + 3**2 + 3**3
         assert rows <= chunks * 3**4 + warm_up + chunks
         # The encoder's context is the last 4 messages. The leaves' digest
-        # tree is built once per warm-up depth: 3, 12, 39 and 120 nodes.
-        assert extends <= 4 * chunks + 3 + 12 + 39 + 120
+        # tree adds one level per warm-up step: 3, 9, 27 and 81 nodes.
+        assert extends <= 4 * chunks + 3 + 9 + 27 + 81
 
     def test_requires_flow_uses(self):
         with pytest.raises(DomainError):

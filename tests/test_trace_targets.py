@@ -6,10 +6,13 @@ loads the tracer by path and enters and exits it once. The tracer replaces
 module attributes, so a function the package reaches some other way (say,
 through a table of function objects) would drop out of the per-layer
 metrics without an error; the second test runs the bound commands traced
-and checks that every bound still records its span.
+and checks that every bound still records its span. The third runs a short
+synthesized simulation traced and checks the flow decoder's counts, which a
+hook reads from the result of each ``FlowDecoder.step``.
 """
 
 import importlib
+import json
 import importlib.util
 from pathlib import Path
 
@@ -72,3 +75,20 @@ def test_traced_bound_commands_record_every_bound(tmp_path):
                  "exponents.achieved_exponent_at_rate"):
         assert ("figure", name) in seen, name
     assert tracer.counts["curves.sweep.cells"] == 4 * len(cli.FIGURE_BOUNDS)
+
+
+def test_traced_synthesized_run_counts_flow_steps(tmp_path):
+    # 4,800 uses are 200 chunks of 24; a window of 4 chunks leaves the last
+    # 4 of them unsettled.
+    spans = load_spans()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 2, "c": 24, "l": 1, "theta": 12, "rate_bits": 1 / 6,
+                               "redecode_window": 4, "seed": 0}))
+    with spans.Tracer() as tracer:
+        tracer.command = "synthesized"
+        assert cli.main(["simulate", "synthesized", "--bsc", "0.05", "--config", str(cfg),
+                         "--horizon", "4800", "--delays", "24,48", "--seed", "0",
+                         "--outdir", str(tmp_path / "out")]) == 0
+    assert tracer.counts["sim_anytime.FlowDecoder.step.calls"] == 200
+    assert tracer.counts["sim_anytime.flow.chunks_settled"] == 196
+    assert tracer.counts["sim_anytime.FlowCode.letters.calls"] == 200
