@@ -37,6 +37,7 @@ from .errors import BadInputError, DomainError
 from .exponents import (
     BOUNDS_AT_RATE,
     FLAG_FLAT_CURVATURE,
+    FLAG_UNBOUNDED,
     achieved_exponent,
     bec_feedback_exponent,
     bound_at_rate,
@@ -164,6 +165,8 @@ def cmd_exponent(args) -> int:
     elif args.bound == "haroutunian":
         value = haroutunian_oracle(ch, _rate_nats(args), grid_steps=args.grid_steps)
         print(f"exponent {_scale(value, unit):.9f} {unit}")
+        if math.isinf(value):
+            flags = (FLAG_UNBOUNDED,)
     else:
         result = bound_at_rate(ch, args.bound, _rate_nats(args), args.list_size)
         print(f"exponent {_scale(result.value, unit):.9f} {unit}")

@@ -74,11 +74,12 @@ def sweep(ch: Channel, rate_min: float, rate_max: float, points: int,
         raise DomainError("no bounds requested")
     if not points >= 2:
         raise DomainError(f"points must be >= 2, got {points}")
-    if not 0.0 < rate_min < rate_max:
-        raise DomainError(f"need 0 < rate_min < rate_max, got [{rate_min}, {rate_max}]")
+    # Capacity first: a zero-capacity channel makes every rate interval empty.
     cap = capacity(ch)
     if cap < ex.DEGENERATE_CAPACITY:
         raise ex.DegenerateChannelError(f"channel capacity {cap!r} is numerically zero")
+    if not 0.0 < rate_min < rate_max:
+        raise DomainError(f"need 0 < rate_min < rate_max, got [{rate_min}, {rate_max}]")
     if rate_max > cap * (1.0 + 1e-12):
         raise DomainError(f"rate_max {rate_max} exceeds capacity {cap}")
     rates = [float(r) for r in np.linspace(rate_min, rate_max, points)]

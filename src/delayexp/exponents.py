@@ -200,8 +200,8 @@ def _ascend_q(p: np.ndarray, rho: float, q0: np.ndarray,
     """Maximize E0 over q by cyclic pairwise mass transfers.
 
     Each sweep reoptimizes the mass split of every input pair by a
-    golden-section line search; E0 is concave in q, so this converges to
-    the maximizer from any interior start.
+    golden-section line search; E0 is -ln of a function convex in q, so
+    this converges to the maximizer from any interior start.
     """
     pa = _powers(p, rho)
     q = np.array(q0, dtype=float)
@@ -230,28 +230,13 @@ def _ascend_q(p: np.ndarray, rho: float, q0: np.ndarray,
     return q, best
 
 
-def _grid_q(p: np.ndarray, rho: float):
-    """Simplex scan at 33 points per axis for up to three inputs; None beyond that."""
-    if p.shape[0] > 3:
-        return None
-    pa = _powers(p, rho)
-    best_q, best = None, -math.inf
-    for q in _simplex_grid(p.shape[0], 32):
-        val = _e0_from_powers(pa, rho, q)
-        if val > best:
-            best_q, best = q, val
-    # A copy, so the memo can make the winner read-only without pinning the grid.
-    return best_q.copy(), best
-
-
 def e0_max(ch: Channel, rho: float) -> ExponentValue:
     """max_q E0(rho, q) with the achieving input distribution.
 
-    Symmetric channels take the uniform shortcut; otherwise coordinate
-    ascent runs from the uniform start, cross-checked (and reseeded when
-    beaten) by a coarse simplex grid on small input alphabets. Results are
-    memoised by (channel, rho) in an LRU of ``E0_MAX_CACHE_SIZE`` entries,
-    so the returned ``q`` is read-only.
+    Symmetric channels take the uniform shortcut; otherwise pairwise
+    coordinate ascent runs from the uniform start. Results are memoised by
+    (channel, rho) in an LRU of ``E0_MAX_CACHE_SIZE`` entries, so the
+    returned ``q`` is read-only.
     """
     if not 0.0 <= rho < math.inf:  # NaN fails too
         raise DomainError(f"rho must be finite and >= 0, got {rho}")
@@ -268,11 +253,6 @@ def _e0_max(ch: Channel, rho: float) -> ExponentValue:
         val = _e0_raw(p, rho, q)
     else:
         q, val = _ascend_q(p, rho, q)
-        grid = _grid_q(p, rho)
-        if grid is not None and grid[1] > val + 1e-12:
-            q, val = _ascend_q(p, rho, grid[0])
-            if grid[1] > val:
-                q, val = grid
     q.flags.writeable = False
     return ExponentValue(val, None, q)
 
@@ -407,6 +387,8 @@ def _oracle_pass(p: np.ndarray, rate: float, rows0: np.ndarray,
         if not np.any(feasible):
             continue
         obj = _max_over_r_grid(d0[i0[feasible]], d1[i1[feasible]], steps)
+        # A sentinel in the max marks a row pair with an infinite divergence.
+        obj[obj >= _BIG] = math.inf
         k = int(np.argmin(obj))
         if obj[k] < best_val:
             best_val = float(obj[k])
@@ -426,7 +408,8 @@ def haroutunian_oracle(ch: Channel, rate: float, grid_steps: int = 100) -> float
     cross-checking the parametric sphere-packing route. Feasibility
     (C(G) < rate) comes from :func:`capacity_below`, which settles most
     candidates from the capacity bounds of a few alternating-maximization
-    steps and runs the full iteration only near the boundary.
+    steps and runs the full iteration only near the boundary. The value is
+    +inf when every grid channel below ``rate`` leaves the support of P.
     """
     if ch.inputs != 2 or ch.outputs > 3:
         raise UnsupportedAlphabetError(
@@ -505,10 +488,15 @@ def _focusing_surrogate(ch: Channel, rate: float) -> ExponentValue:
     return ExponentValue(-neg, lam, None, (FLAG_SURROGATE,))
 
 
-def _require_bracketed_rho(rho: float) -> None:
+def _e0_pair(ch: Channel, rho: float) -> tuple[float, float]:
+    """(E0(rho), E0(1)), both maximized over q, for rho in [RHO_MIN, RHO_MAX]."""
     # Written so that NaN fails the test as well.
     if not RHO_MIN <= rho <= RHO_MAX:
         raise DomainError(f"rho must lie in [{RHO_MIN:g}, {RHO_MAX:g}], got {rho}")
+    e0_one = e0_max(ch, 1.0).value
+    if e0_one < 1e-15:
+        raise DegenerateChannelError("E0(1) is numerically zero")
+    return e0_max(ch, rho).value, e0_one
 
 
 def overhead_fraction(ch: Channel, rho: float) -> float:
@@ -518,11 +506,7 @@ def overhead_fraction(ch: Channel, rho: float) -> float:
     balances the error contributions of the data and confirmation phases.
     ``rho`` must lie in [RHO_MIN, RHO_MAX], the bracket every search uses.
     """
-    _require_bracketed_rho(rho)
-    e0_one = e0_max(ch, 1.0).value
-    if e0_one < 1e-15:
-        raise DegenerateChannelError("E0(1) is numerically zero")
-    e0_rho = e0_max(ch, rho).value
+    e0_rho, e0_one = _e0_pair(ch, rho)
     return e0_rho / (e0_one + e0_rho)
 
 
@@ -533,14 +517,8 @@ def achieved_exponent(ch: Channel, rho: float) -> ParametricPoint:
     1 / (1/E0(rho) + 1/E0(1)) and sits at rate exponent / rho, for
     ``rho`` in [RHO_MIN, RHO_MAX].
     """
-    _require_bracketed_rho(rho)
-    e0_one = e0_max(ch, 1.0).value
-    if e0_one < 1e-15:
-        raise DegenerateChannelError("E0(1) is numerically zero")
-    e0_rho = e0_max(ch, rho).value
+    e0_rho, e0_one = _e0_pair(ch, rho)
     exponent = 1.0 / (1.0 / e0_rho + 1.0 / e0_one)
-    psi = e0_rho / (e0_one + e0_rho)
-    assert abs(psi * e0_one - (1.0 - psi) * e0_rho) <= 1e-12
     return ParametricPoint(rho, exponent / rho, exponent)
 
 

@@ -5,7 +5,7 @@ with new bits arriving deterministically every two uses (one-half bit per
 use). The backlog then forms a birth-death chain whose geometric tail sets
 the delay exponent; this module simulates the system, estimates per-delay
 error probabilities, and fits the exponent for comparison with the closed
-form ln((1-delta)/delta).
+form ln((1-delta)/delta) of ``exponents.bec_feedback_exponent``.
 """
 
 from __future__ import annotations
@@ -39,15 +39,6 @@ class TooFewPointsError(DomainError):
 
 class AllZeroErrorsError(DomainError):
     """Every error estimate is zero; no decay rate can be fit."""
-
-
-@dataclass(frozen=True)
-class QueueChain:
-    """Birth-death chain of the backlog, observed every two channel uses."""
-
-    delta: float
-    birth_prob: float
-    death_prob: float
 
 
 @dataclass(frozen=True)
@@ -138,24 +129,6 @@ class FitResult:
     slope: float
     r_squared: float
     excluded_delays: tuple[int, ...] = ()
-
-
-def birth_death(delta: float) -> QueueChain:
-    """The backlog chain for erasure probability ``delta``.
-
-    Over a two-use step the backlog grows by one when both uses are erased
-    (the arriving bit is not worked off) and shrinks by one when both
-    survive. delta >= 1/2 makes the chain transient and is rejected.
-    """
-    if not 0.0 < delta < 0.5:
-        raise OutOfRangeError(f"erasure probability must lie in (0, 1/2), got {delta}")
-    return QueueChain(delta, delta ** 2, (1.0 - delta) ** 2)
-
-
-def tail_exponent(chain: QueueChain) -> float:
-    """Decay rate, per channel use, of the chain's stationary tail."""
-    # Tail ratio birth/death per two-use step, halved per use.
-    return -0.5 * math.log(chain.birth_prob / chain.death_prob)
 
 
 def _service_times(delta: float, horizon: int, seed: int):

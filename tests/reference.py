@@ -10,6 +10,7 @@ import math
 import numpy as np
 
 from delayexp.channel import SYMMETRY_ATOL, OutOfRangeError
+from delayexp.exponents import _e0_from_powers, _powers, _simplex_grid
 from delayexp.sim_anytime import (
     IDLE_LETTER,
     FlowCode,
@@ -136,6 +137,16 @@ def exhaustive_window_search(decoder, frozen, window_outputs):
             s = float(decoder.logp[letters, y].sum())
             stack.append((score + s, extended))
     return best_path
+
+
+def grid_e0_max(p, rho, steps=32):
+    """max of E0(rho, q) over the simplex grid of ``steps`` cells per axis.
+
+    A brute-force second route to ``e0_max`` for two or three inputs; the
+    grid holds ``steps + 1`` points on two inputs and their triangle on three.
+    """
+    pa = _powers(p, rho)
+    return max(_e0_from_powers(pa, rho, q) for q in _simplex_grid(p.shape[0], steps))
 
 
 def queue_level_frequencies(delta, horizon, seed, max_level=12):

@@ -85,6 +85,16 @@ class TestExponentCommand:
         vs = fields(out_s.splitlines()[0])[0]
         assert abs(vh - vs) <= 5e-3
 
+    @pytest.mark.parametrize("channel", [["--bsc", "0"], ["--bec", "0"]], ids=["bsc0", "bec0"])
+    def test_haroutunian_unbounded_on_noiseless_channels(self, capsys, channel):
+        # Every grid channel below the rate leaves the support of P, so the
+        # divergence is infinite; it prints as inf with a flag, not as a sentinel.
+        code, out, err = run(capsys, ["exponent", "--bound", "haroutunian", *channel,
+                                      "--rate-bits", "0.5", "--grid-steps", "10"])
+        assert code == 4
+        assert out == "exponent inf nats\n"
+        assert err.startswith("flag unbounded:") and err.count("\n") == 1
+
     def test_bits_output_scales_every_unit_field(self, capsys):
         base = ["exponent", "--bec", "0.4", "--bound", "sp", "--rate-bits", "0.5"]
         _, out_nats, _ = run(capsys, base + ["--unit", "nats"])
@@ -278,6 +288,14 @@ class TestFigureCommand:
             "rate,sp,focusing,achieved\n"
             "0.003491326,0.917084567,1.100070108,0.207691224\n"
             "0.348783511,0.000000233,0.000932211,0.000201065\n")
+
+    def test_zero_capacity_channel_is_named_in_the_error(self, capsys, tmp_path):
+        out_dir = tmp_path / "fig"
+        code, out, err = run(capsys, ["figure", "--bsc", "0.5", "--outdir", str(out_dir)])
+        assert code == 3
+        assert out == ""
+        assert err == "error: channel capacity 0.0 is numerically zero\n"
+        assert not out_dir.exists()
 
     def test_request_too_large_for_memory_is_domain_error(self, capsys, tmp_path):
         # 10**12 rates would need 7.3 TiB; the cap refuses them before any allocation.

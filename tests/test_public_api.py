@@ -23,14 +23,12 @@ PUBLIC_NAMES = [
     "FlowDecoder",
     "FlowMessage",
     "ParametricPoint",
-    "QueueChain",
     "SchemeConfig",
     "SchemeRunResult",
     "__version__",
     "achieved_exponent",
     "achieved_exponent_at_rate",
     "bec_feedback_exponent",
-    "birth_death",
     "capacity",
     "capacity_detail",
     "capacity_slopes",
@@ -58,7 +56,6 @@ PUBLIC_NAMES = [
     "sphere_packing",
     "sweep",
     "synthesized_run",
-    "tail_exponent",
 ]
 
 

@@ -15,29 +15,26 @@ LN15 = math.log(1.5)
 
 
 class TestChain:
-    def test_birth_death_probs(self):
-        chain = sq.birth_death(0.4)
-        assert chain.birth_prob == pytest.approx(0.16, rel=1e-12)
-        assert chain.death_prob == pytest.approx(0.36, rel=1e-12)
-        assert chain.birth_prob + chain.death_prob <= 1.0
-        assert chain.birth_prob < chain.death_prob
-
     def test_rejects_unstable_delta(self):
+        # delta >= 1/2 makes the backlog chain transient.
         for bad in (0.0, 0.5, 0.9):
             with pytest.raises(OutOfRangeError):
-                sq.birth_death(bad)
+                ex.bec_feedback_exponent(bad)
+            with pytest.raises(OutOfRangeError):
+                sq.simulate_bec_feedback(bad, 100_000, [4, 8, 12], 0)
 
-    def test_tail_exponent_values(self):
-        assert sq.tail_exponent(sq.birth_death(0.4)) == pytest.approx(LN15, rel=1e-12)
-        assert sq.tail_exponent(sq.birth_death(0.25)) == pytest.approx(math.log(3.0), rel=1e-12)
+    def test_closed_form_values(self):
+        assert ex.bec_feedback_exponent(0.4) == pytest.approx(LN15, rel=1e-12)
+        assert ex.bec_feedback_exponent(0.25) == pytest.approx(math.log(3.0), rel=1e-12)
 
     @given(st.floats(min_value=0.01, max_value=0.49))
     @settings(max_examples=30, deadline=None)
-    def test_matches_closed_form_exponent(self, delta):
-        # Cross-module identity: the chain tail rate equals the channel's
-        # feedback exponent exactly.
-        assert sq.tail_exponent(sq.birth_death(delta)) == pytest.approx(
-            ex.bec_feedback_exponent(delta), rel=1e-12)
+    def test_chain_tail_matches_closed_form(self, delta):
+        # Over two uses the backlog grows by one with probability delta^2
+        # (both erased) and shrinks by one with (1 - delta)^2 (both survive);
+        # the stationary tail decays by birth/death per step, halved per use.
+        tail = -0.5 * math.log(delta ** 2 / (1.0 - delta) ** 2)
+        assert tail == pytest.approx(ex.bec_feedback_exponent(delta), rel=1e-12)
 
 
 class TestSimulate:
