@@ -37,7 +37,6 @@ from .errors import BadInputError, DomainError
 from .exponents import (
     BOUNDS_AT_RATE,
     FLAG_FLAT_CURVATURE,
-    FLAG_UNBOUNDED,
     achieved_exponent,
     bec_feedback_exponent,
     bound_at_rate,
@@ -121,8 +120,8 @@ def _build_channel(args) -> Channel:
     return load_channel(args.matrix)
 
 
-def _add_channel_flags(parser: argparse.ArgumentParser, required: bool = True) -> None:
-    group = parser.add_mutually_exclusive_group(required=required)
+def _add_channel_flags(parser: argparse.ArgumentParser) -> None:
+    group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--bsc", type=float, metavar="DELTA",
                        help="binary symmetric channel with crossover DELTA")
     group.add_argument("--bec", type=float, metavar="DELTA",
@@ -156,25 +155,21 @@ def _rate_nats(args) -> float:
 def cmd_exponent(args) -> int:
     ch = _build_channel(args)
     unit = args.unit
-    flags: tuple[str, ...] = ()
     if args.bound == "achieved" and args.rho is not None:
         point = achieved_exponent(ch, args.rho)
         print(f"rate {_scale(point.rate, unit):.9f} {unit}")
         print(f"exponent {_scale(point.exponent, unit):.9f} {unit}")
         print(f"param {point.rho:.9f}")
-    elif args.bound == "haroutunian":
-        value = haroutunian_oracle(ch, _rate_nats(args), grid_steps=args.grid_steps)
-        print(f"exponent {_scale(value, unit):.9f} {unit}")
-        if math.isinf(value):
-            flags = (FLAG_UNBOUNDED,)
+        return EXIT_OK
+    if args.bound == "haroutunian":
+        result = haroutunian_oracle(ch, _rate_nats(args), grid_steps=args.grid_steps)
     else:
         result = bound_at_rate(ch, args.bound, _rate_nats(args), args.list_size)
-        print(f"exponent {_scale(result.value, unit):.9f} {unit}")
-        if result.param is not None:
-            print(f"param {result.param:.9f}")
-        flags = result.flags
-    if flags:
-        print(f"flag {','.join(flags)}: result carries a numerical edge condition",
+    print(f"exponent {_scale(result.value, unit):.9f} {unit}")
+    if result.param is not None:
+        print(f"param {result.param:.9f}")
+    if result.flags:
+        print(f"flag {','.join(result.flags)}: result carries a numerical edge condition",
               file=sys.stderr)
         return EXIT_FLAGGED
     return EXIT_OK
@@ -253,8 +248,7 @@ def cmd_simulate_scheme(args, command_line: str) -> int:
     if args.scheme == "fortified":
         table = fortified_run(cfg, ch, args.horizon, delays, args.seed)
     else:
-        table = synthesized_run(cfg, ch, args.horizon, delays, args.seed,
-                                noiseless_flow=args.ideal_flow)
+        table = synthesized_run(cfg, ch, args.horizon, delays, args.seed)
     record = {name: getattr(table, name) for name in SCHEME_COUNTERS}
     csv_path, _, manifest_path = _write_artifacts(
         args.outdir, command_line, (cfg.seed, args.seed),
@@ -315,9 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated delays in channel uses")
         p_s.add_argument("--seed", type=int, default=0)
         p_s.add_argument("--outdir", help="output directory (default $DELAYEXP_OUTDIR or .)")
-        if scheme == "synthesized":
-            p_s.add_argument("--ideal-flow", action="store_true",
-                             help="replace the in-band flow link by the ideal one")
 
     return parser
 

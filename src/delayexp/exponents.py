@@ -42,6 +42,9 @@ RHO_MAX = 64.0
 GOLDEN_TOL = 1e-10
 BISECT_XTOL = 1e-10
 BISECT_FTOL = 1e-12
+# The pairwise input-law ascent stops once a sweep gains less than this.
+ASCENT_TOL = 1e-10
+ASCENT_SWEEPS_MAX = 200
 DEGENERATE_CAPACITY = 1e-9
 CURVATURE_STEP = 1e-4
 # Cancellation noise in the second difference is about eps / h^2 ~ 4e-8 at
@@ -130,13 +133,13 @@ class CapacitySlopes:
 
 # -- generic 1-D searches ----------------------------------------------------
 
-def _golden_max(f, lo: float, hi: float, tol: float = GOLDEN_TOL):
+def _golden_max(f, lo: float, hi: float):
     """Golden-section maximization of a unimodal function on [lo, hi]."""
     a, b = float(lo), float(hi)
     h = b - a
     c, d = a + _INVPHI2 * h, a + _INVPHI * h
     fc, fd = f(c), f(d)
-    while h > tol:
+    while h > GOLDEN_TOL:
         if fc >= fd:
             b, h = d, d - a
             d, fd = c, fc
@@ -151,14 +154,13 @@ def _golden_max(f, lo: float, hi: float, tol: float = GOLDEN_TOL):
     return x, f(x)
 
 
-def _bisect_root(f, lo: float, hi: float, xtol: float = BISECT_XTOL,
-                 ftol: float = BISECT_FTOL) -> float:
+def _bisect_root(f, lo: float, hi: float) -> float:
     """Root of a decreasing-through-zero function with a sign change on [lo, hi]."""
     flo = f(lo)
-    while hi - lo > xtol:
+    while hi - lo > BISECT_XTOL:
         mid = 0.5 * (lo + hi)
         fm = f(mid)
-        if abs(fm) < ftol:
+        if abs(fm) < BISECT_FTOL:
             return mid
         if (fm > 0) == (flo > 0):
             lo, flo = mid, fm
@@ -195,8 +197,7 @@ def gallager_e0(ch: Channel, rho: float, q=None) -> float:
     return _e0_raw(ch.p, float(rho), qv)
 
 
-def _ascend_q(p: np.ndarray, rho: float, q0: np.ndarray,
-              tol: float = 1e-10, max_sweeps: int = 200):
+def _ascend_q(p: np.ndarray, rho: float, q0: np.ndarray):
     """Maximize E0 over q by cyclic pairwise mass transfers.
 
     Each sweep reoptimizes the mass split of every input pair by a
@@ -207,7 +208,7 @@ def _ascend_q(p: np.ndarray, rho: float, q0: np.ndarray,
     q = np.array(q0, dtype=float)
     k = len(q)
     best = _e0_from_powers(pa, rho, q)
-    for _ in range(max_sweeps):
+    for _ in range(ASCENT_SWEEPS_MAX):
         gain = 0.0
         for i in range(k):
             for j in range(i + 1, k):
@@ -225,7 +226,7 @@ def _ascend_q(p: np.ndarray, rho: float, q0: np.ndarray,
                     gain += val - best
                     best = val
                     q[i], q[j] = t * mass, (1.0 - t) * mass
-        if gain < tol:
+        if gain < ASCENT_TOL:
             break
     return q, best
 
@@ -397,7 +398,7 @@ def _oracle_pass(p: np.ndarray, rate: float, rows0: np.ndarray,
     return best_val, best_pair
 
 
-def haroutunian_oracle(ch: Channel, rate: float, grid_steps: int = 100) -> float:
+def haroutunian_oracle(ch: Channel, rate: float, grid_steps: int = 100) -> ExponentValue:
     """Grid-search evaluation of the change-of-channel converse.
 
     Minimizes, over channels G on a per-row simplex grid with capacity
@@ -408,8 +409,10 @@ def haroutunian_oracle(ch: Channel, rate: float, grid_steps: int = 100) -> float
     cross-checking the parametric sphere-packing route. Feasibility
     (C(G) < rate) comes from :func:`capacity_below`, which settles most
     candidates from the capacity bounds of a few alternating-maximization
-    steps and runs the full iteration only near the boundary. The value is
-    +inf when every grid channel below ``rate`` leaves the support of P.
+    steps and runs the full iteration only near the boundary. As with
+    sphere packing, the value is 0 with a ``rate_above_capacity`` flag at
+    or above capacity, and +inf with an ``unbounded`` flag when every grid
+    channel below ``rate`` leaves the support of P.
     """
     if ch.inputs != 2 or ch.outputs > 3:
         raise UnsupportedAlphabetError(
@@ -424,15 +427,15 @@ def haroutunian_oracle(ch: Channel, rate: float, grid_steps: int = 100) -> float
             f"grid_steps {grid_steps} on {ch.outputs} outputs makes {pairs} row pairs, "
             f"over the cap of {ORACLE_MAX_PAIRS}; the largest grid_steps that fits is {fits}")
     _require_positive_rate(rate)
-    if rate >= capacity(ch):
-        return 0.0
+    if rate >= _positive_capacity(ch):
+        return ExponentValue(0.0, None, None, (FLAG_RATE_ABOVE_CAPACITY,))
     rows = _simplex_grid(ch.outputs, grid_steps)
     val, pair = _oracle_pass(ch.p, rate, rows, rows, grid_steps)
     if pair is None:
-        return math.inf
+        return ExponentValue(math.inf, None, None, (FLAG_UNBOUNDED,))
     refined, _ = _oracle_pass(ch.p, rate, _window_grid(pair[0], grid_steps),
                               _window_grid(pair[1], grid_steps), grid_steps)
-    return min(val, refined)
+    return ExponentValue(min(val, refined))
 
 
 # -- fixed-delay bounds ------------------------------------------------------

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields
 from hashlib import blake2b
 
 import numpy as np
@@ -44,6 +44,10 @@ _NOISE_STREAM = 0xA1  # channel noise, keyed by the run seed
 _BITS_STREAM = 0xB2   # message content, keyed by the config seed
 _CODE_STREAM = 0xC3   # data codebooks, keyed by the config seed
 _FLOW_SALT = b"flow"  # tree-code root, keyed by the config seed
+
+# A flow symbol is one chunk-boundary control message: DENY, or 1 + j to
+# confirm the block in flight as list entry j.
+DENY = 0
 
 _CODE_SLAB = 256
 _LOG_ZERO = -1e30
@@ -139,28 +143,6 @@ class SchemeConfig:
         except (OSError, json.JSONDecodeError) as exc:
             raise BadInputError(f"cannot read scheme config {path}: {exc}") from exc
         return cls.from_dict(payload)
-
-
-@dataclass(frozen=True)
-class FlowMessage:
-    """One chunk-boundary control message.
-
-    A deny carries nothing more; a confirm also carries the l-bit list index
-    of the true block. The tree code hashes whole messages (:meth:`token`),
-    so the two lengths need no serialization to bits.
-    """
-
-    confirm: bool
-    index: int = 0
-
-    def __post_init__(self):
-        if self.index < 0:
-            raise DomainError("disambiguation index must be >= 0")
-        if not self.confirm and self.index != 0:
-            raise DomainError("deny messages carry no disambiguation index")
-
-    def token(self) -> bytes:
-        return b"1:%d" % self.index if self.confirm else b"0"
 
 
 @dataclass(frozen=True)
@@ -328,6 +310,11 @@ def _list_index(scores: np.ndarray, truth: int) -> int:
 
 # -- flow-control tree code --------------------------------------------------
 
+def _token(symbol: int) -> bytes:
+    """The bytes the tree code hashes for one flow symbol."""
+    return b"1:%d" % (symbol - 1) if symbol != DENY else b"0"
+
+
 def _hash_uniforms(digests, chunk_index: int, count: int) -> np.ndarray:
     """One row of ``count`` uniforms in [0, 1) per digest, all at one chunk.
 
@@ -369,14 +356,14 @@ class FlowCode:
         self._root = blake2b(_FLOW_SALT + (int(seed) & (2 ** 64 - 1)).to_bytes(8, "little"),
                              digest_size=16).digest()
 
-    def extend(self, digest: bytes, message: FlowMessage) -> bytes:
-        return blake2b(digest + message.token(), digest_size=16).digest()
+    def extend(self, digest: bytes, symbol: int) -> bytes:
+        return blake2b(digest + _token(symbol), digest_size=16).digest()
 
     def context_digest(self, history) -> bytes:
-        """Digest of the trailing ``memory`` messages of a history sequence."""
+        """Digest of the trailing ``memory`` symbols of a history sequence."""
         digest = self._root
-        for message in history[-self.memory:]:
-            digest = self.extend(digest, message)
+        for symbol in history[-self.memory:]:
+            digest = self.extend(digest, symbol)
         return digest
 
     def letters(self, digest: bytes, chunk_index: int) -> np.ndarray:
@@ -394,8 +381,8 @@ class FlowDecoder:
     The window is the code's memory. Each step appends one chunk of flow
     outputs. Once the window is full, appending first freezes the oldest
     chunk's message under the current best path (decision feedback); the
-    search then covers only the trailing window. Ties prefer the
-    enumeration order deny, confirm(0), confirm(1), ...
+    search then covers only the trailing window. Ties prefer the lower
+    symbol: deny, then confirm(0), confirm(1), ...
 
     The window hypotheses form a tree with one layer per pending chunk,
     each layer's nodes in enumeration order. A node's letters depend only
@@ -406,7 +393,7 @@ class FlowDecoder:
     that layer's context is its own hypothesis path, never a frozen
     message, so its digests are the same leaves of one tree grown from the
     code's root, one level per warm-up step. ``step`` returns each frozen
-    message once; the decoder keeps none of them, nor any outputs.
+    symbol once; the decoder keeps none of them, nor any outputs.
     """
 
     def __init__(self, code: FlowCode, ch: Channel, l: int):
@@ -416,10 +403,10 @@ class FlowDecoder:
                 f"{FLOW_HYPOTHESIS_BITS_MAX} hypothesis bits")
         self.code = code
         self.logp = _log_likelihoods(ch)
-        self.alphabet = (FlowMessage(False),) + tuple(FlowMessage(True, j) for j in range(1 << l))
+        self.symbols = range(1 + (1 << l))
         self.base_chunk = 0
         self._layers: list[np.ndarray] = []  # per-node log-likelihood of each pending chunk
-        self._best: list[int] = []           # alphabet indices of the best path
+        self._best: list[int] = []           # symbols of the best path
         self._leaves = [code.context_digest(())]  # digests of the deepest layer's nodes
 
     def _search(self, outputs) -> list[int]:
@@ -429,31 +416,31 @@ class FlowDecoder:
         depth = len(self._layers) + 1
         letters = self.code.letter_rows(self._leaves, self.base_chunk + depth - 1)
         self._layers.append(self.logp[letters, outputs].sum(axis=1))
-        k = len(self.alphabet)
+        k = len(self.symbols)
         score = np.zeros(1)
         for layer in self._layers:
             score = np.repeat(score, k) + layer
         return [int(i) for i in np.unravel_index(int(np.argmax(score)), (k,) * depth)]
 
-    def step(self, outputs) -> tuple[list[FlowMessage], list[FlowMessage]]:
+    def step(self, outputs) -> tuple[list[int], list[int]]:
         """Consume one chunk of flow outputs.
 
-        Returns (newly frozen messages, current best estimate for the
-        pending window). The full history estimate is every message frozen
+        Returns (newly frozen symbols, current best estimate for the
+        pending window). The full history estimate is every symbol frozen
         so far plus the window estimate.
         """
-        newly: list[FlowMessage] = []
+        newly: list[int] = []
         if len(self._layers) == self.code.memory:
             head = self._best[0]
-            newly.append(self.alphabet[head])
+            newly.append(head)
             self.base_chunk += 1
-            k = len(self.alphabet)
+            k = len(self.symbols)
             self._layers = [layer[head * (len(layer) // k):(head + 1) * (len(layer) // k)]
                             for layer in self._layers[1:]]
         else:
-            self._leaves = [self.code.extend(d, m) for d in self._leaves for m in self.alphabet]
+            self._leaves = [self.code.extend(d, m) for d in self._leaves for m in self.symbols]
         self._best = self._search(outputs)
-        return newly, [self.alphabet[i] for i in self._best]
+        return newly, list(self._best)
 
 
 # -- the data-stream parse ---------------------------------------------------
@@ -494,9 +481,9 @@ class _ParseState:
         self.scores += codebook.logp[letters, outputs].sum(axis=1)
         self.pos += letters.shape[1]
 
-    def apply(self, message: FlowMessage, list_len: int) -> None:
+    def apply(self, symbol: int, list_len: int) -> None:
         """On a confirm, close the block in flight as the list entry it names."""
-        if not message.confirm:
+        if symbol == DENY:
             return
         if not self.active:
             # A confirm with no block in flight is impossible under this
@@ -504,21 +491,21 @@ class _ParseState:
             self.spurious += 1
             return
         order = _ranked(self.scores, list_len)
-        self.values.append(int(order[min(message.index, len(order) - 1)]))
+        self.values.append(int(order[min(symbol - 1, len(order) - 1)]))
         self.active = False
         self.next_block += 1
 
 
 def _walk_chunk(state: _ParseState, cfg: SchemeConfig, codebook: BlockCodebook,
-                chunk_index: int, message: FlowMessage, data_outputs: np.ndarray,
+                chunk_index: int, symbol: int, data_outputs: np.ndarray,
                 list_len: int) -> None:
-    """Advance a parse by one chunk under one (estimated) flow message."""
+    """Advance a parse by one chunk under one (estimated) flow symbol."""
     state.open_block(cfg, chunk_index)
     span = cfg.data_uses_per_chunk
     if state.active:
         state.score(codebook, codebook.candidates_range(state.next_block, state.pos, span),
                     data_outputs)
-    state.apply(message, list_len)
+    state.apply(symbol, list_len)
 
 
 # -- the fortified scheme ----------------------------------------------------
@@ -606,7 +593,7 @@ def fortified_run(cfg: SchemeConfig, ch: Channel, horizon: int, delays,
 # -- the synthesized scheme --------------------------------------------------
 
 def synthesized_run(cfg: SchemeConfig, ch: Channel, horizon: int, delays,
-                    seed: int, noiseless_flow: bool = False) -> SchemeRunResult:
+                    seed: int) -> SchemeRunResult:
     """Closed-loop run with flow control on the shared channel.
 
     Each chunk sends c - theta data uses followed by theta tree-coded flow
@@ -616,14 +603,10 @@ def synthesized_run(cfg: SchemeConfig, ch: Channel, horizon: int, delays,
     boundary not after it (unresolved bits count 1/2, wrongly decoded bits
     count 1).
 
-    With ``noiseless_flow`` the reserved flow slots are pointless: with an
-    error-free flow link they carry no risk and no information the
-    fortified model does not already deliver, so the idealized scheme is
-    exactly the fortified one on the same config with theta returned to the
-    data stream, and the call delegates accordingly.
+    The ideal-flow twin is :func:`fortified_run` on the same config with
+    theta 0: an error-free flow link carries nothing the fortified model
+    does not already deliver, so its reserved slots return to the data.
     """
-    if noiseless_flow:
-        return fortified_run(replace(cfg, theta=0), ch, horizon, delays, seed)
     if cfg.theta < 1:
         raise DomainError("synthesized mode requires theta >= 1")
     chunks = int(horizon) // cfg.c
@@ -652,15 +635,13 @@ def synthesized_run(cfg: SchemeConfig, ch: Channel, horizon: int, delays,
     noise = _NoiseSource(ch, span, seed)
 
     encoder = _ParseState(codebook.n_candidates)  # truth-side block timeline
-    true_messages: list[FlowMessage] = []
+    true_symbols: list[int] = []
     settled = _ParseState(codebook.n_candidates)
     settled_chunks = 0
     punctuation_errors = 0
     data_block_errors = 0
 
     arrivals = _arrival_times(n_bits, cfg.rate_bits)
-    blocks_of_bits, offsets = np.divmod(np.arange(n_bits), payload)
-    truth_bits = (values[blocks_of_bits] >> (payload - 1 - offsets)) & 1
     eligible = grid.eligible(arrivals)
     trials = int(np.count_nonzero(eligible))
     wrong_weight = {d: 0.0 for d in grid.delays}
@@ -687,21 +668,21 @@ def synthesized_run(cfg: SchemeConfig, ch: Channel, horizon: int, delays,
         data_rows[k] = row
         if encoder.active and _confirmable(encoder.scores, value, list_len):
             # The list index puts the true block at the confirmed position.
-            message = FlowMessage(True, _list_index(encoder.scores, value))
+            symbol = 1 + _list_index(encoder.scores, value)
         else:
-            message = FlowMessage(False)
-        encoder.apply(message, list_len)
-        true_messages.append(message)
-        # Flow portion, tree-coded over the recent true message history.
-        flow_letters = flow_code.letters(flow_code.context_digest(true_messages), k)
+            symbol = DENY
+        encoder.apply(symbol, list_len)
+        true_symbols.append(symbol)
+        # Flow portion, tree-coded over the recent true symbol history.
+        flow_letters = flow_code.letters(flow_code.context_digest(true_symbols), k)
         flow_out = noise.emit_batch(flow_letters, base + data_len + 1)
 
         newly_frozen, window_best = flow_dec.step(flow_out)
-        for frozen_msg in newly_frozen:
-            if frozen_msg != true_messages[settled_chunks]:
+        for frozen in newly_frozen:
+            if frozen != true_symbols[settled_chunks]:
                 punctuation_errors += 1
             before = len(settled.values)
-            _walk_chunk(settled, cfg, codebook, settled_chunks, frozen_msg,
+            _walk_chunk(settled, cfg, codebook, settled_chunks, frozen,
                         data_rows[settled_chunks], list_len)
             if len(settled.values) > before:
                 slot = len(settled.values) - 1
@@ -710,8 +691,8 @@ def synthesized_run(cfg: SchemeConfig, ch: Channel, horizon: int, delays,
             settled_chunks += 1
         # Provisional parse: settled prefix plus the current window estimate.
         provisional = settled.copy()
-        for j, message_hat in enumerate(window_best):
-            _walk_chunk(provisional, cfg, codebook, settled_chunks + j, message_hat,
+        for j, symbol_hat in enumerate(window_best):
+            _walk_chunk(provisional, cfg, codebook, settled_chunks + j, symbol_hat,
                         data_rows[settled_chunks + j], list_len)
         decoded = provisional.values
         # Emit every (bit, delay) whose last boundary at or before its
@@ -720,10 +701,10 @@ def synthesized_run(cfg: SchemeConfig, ch: Channel, horizon: int, delays,
             for i in range(lo, hi):
                 if not eligible[i]:
                     continue
-                b = blocks_of_bits[i]
+                b, offset = divmod(i, payload)
                 if b >= len(decoded):
                     miss_weight[d] += MISS_WEIGHT
-                elif (decoded[b] >> (payload - 1 - offsets[i])) & 1 != truth_bits[i]:
+                elif (decoded[b] ^ int(values[b])) >> (payload - 1 - offset) & 1:
                     wrong_weight[d] += 1.0
 
     totals = [wrong_weight[d] + miss_weight[d] for d in grid.delays]

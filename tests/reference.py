@@ -12,10 +12,10 @@ import numpy as np
 from delayexp.channel import SYMMETRY_ATOL, OutOfRangeError
 from delayexp.exponents import _e0_from_powers, _powers, _simplex_grid
 from delayexp.sim_anytime import (
+    DENY,
     IDLE_LETTER,
     FlowCode,
     FlowDecoder,
-    FlowMessage,
     _arrival_count,
     _confirmable,
     _list_index,
@@ -62,7 +62,7 @@ class FortifiedEncoder:
 
     def observe(self, t, y):
         if not self.active:
-            return FlowMessage(False)
+            return DENY
         self.scores += self.codebook.logp[self.letters, y]
         self.pos += 1
         truth = int(self.block_values[self.next_block])
@@ -71,11 +71,11 @@ class FortifiedEncoder:
             self.delivery_uses.append(t)
             self.active = False
             self.next_block += 1
-            return FlowMessage(True, index)
-        return FlowMessage(False)
+            return 1 + index
+        return DENY
 
 
-def parse_history(cfg, codebook, messages, data_outputs):
+def parse_history(cfg, codebook, symbols, data_outputs):
     """Parse the data stream from scratch under a punctuation estimate.
 
     ``data_outputs`` holds one row of c - theta outputs per chunk. The
@@ -85,13 +85,13 @@ def parse_history(cfg, codebook, messages, data_outputs):
     """
     list_len = min(1 << cfg.l, 1 << cfg.payload_bits)
     state = _ParseState(1 << cfg.payload_bits)
-    for k, message in enumerate(messages):
-        _walk_chunk(state, cfg, codebook, k, message, data_outputs[k], list_len)
+    for k, symbol in enumerate(symbols):
+        _walk_chunk(state, cfg, codebook, k, symbol, data_outputs[k], list_len)
     return state
 
 
 def flow_decode(ch, chunk_outputs, theta, l, redecode_window, seed):
-    """Decode a whole flow-output stream; returns the full message estimate.
+    """Decode a whole flow-output stream; returns the full symbol estimate.
 
     The code's memory is the window, as the synthesized scheme sets it.
     """
@@ -107,11 +107,11 @@ def flow_decode(ch, chunk_outputs, theta, l, redecode_window, seed):
 def exhaustive_window_search(decoder, frozen, window_outputs):
     """The ML window path after a ``FlowDecoder``'s latest step, by brute force.
 
-    ``frozen`` is every message the decoder's steps have frozen so far and
+    ``frozen`` is every symbol the decoder's steps have frozen so far and
     ``window_outputs`` the flow outputs of the chunks after them, one row
     each. Depth-first over every hypothesis path of that window, hashing
-    each node's letters from its own history suffix, frozen messages
-    included; ties go to the enumeration-least path. ``FlowDecoder.step``
+    each node's letters from its own history suffix, frozen symbols
+    included; ties go to the lowest-symbol path. ``FlowDecoder.step``
     must return the same path.
     """
     memory = decoder.code.memory
@@ -130,8 +130,8 @@ def exhaustive_window_search(decoder, frozen, window_outputs):
         y = window_outputs[depth]
         # Push in reverse so the canonical order is explored first and
         # strict improvement keeps the enumeration-least tie winner.
-        for message in reversed(decoder.alphabet):
-            extended = path + (message,)
+        for symbol in reversed(decoder.symbols):
+            extended = path + (symbol,)
             digest = decoder.code.context_digest(context + extended)
             letters = decoder.code.letters(digest, len(frozen) + depth)
             s = float(decoder.logp[letters, y].sum())

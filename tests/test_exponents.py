@@ -377,17 +377,24 @@ class TestHaroutunianOracle:
         rate = 0.5 * chan.capacity(c)
         oracle = ex.haroutunian_oracle(c, rate, grid_steps=60)
         sp = ex.sphere_packing(c, rate).value
-        assert abs(oracle - sp) <= 5e-3
+        assert abs(oracle.value - sp) <= 5e-3
+        assert oracle.flags == ()
 
     def test_dominates_sphere_packing_on_bec(self, bec04):
         # Restricting the minimization to a grid can only raise the value,
         # so even a coarse run must stay above the parametric bound.
         rate = 0.6 * chan.capacity(bec04)
-        oracle = ex.haroutunian_oracle(bec04, rate, grid_steps=10)
+        oracle = ex.haroutunian_oracle(bec04, rate, grid_steps=10).value
         assert oracle >= ex.sphere_packing(bec04, rate).value - 1e-6
 
     def test_zero_above_capacity(self, bsc04):
-        assert ex.haroutunian_oracle(bsc04, 1.0, grid_steps=10) == 0.0
+        oracle = ex.haroutunian_oracle(bsc04, 1.0, grid_steps=10)
+        assert oracle.value == 0.0
+        assert oracle.flags == (ex.FLAG_RATE_ABOVE_CAPACITY,)
+
+    def test_zero_capacity_is_domain_error(self):
+        with pytest.raises(ex.DegenerateChannelError):
+            ex.haroutunian_oracle(chan.make_bsc(0.5), 0.1, grid_steps=10)
 
     def test_alphabet_restrictions(self):
         wide = chan.make_dmc(np.full((2, 4), 0.25))

@@ -21,7 +21,6 @@ PUBLIC_NAMES = [
     "FitResult",
     "FlowCode",
     "FlowDecoder",
-    "FlowMessage",
     "ParametricPoint",
     "SchemeConfig",
     "SchemeRunResult",

@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -12,10 +12,10 @@ from delayexp.channel import make_bec, make_bsc, make_dmc
 from delayexp.errors import BadInputError, DomainError
 from delayexp.sim_anytime import (
     _CODE_SLAB,
+    DENY,
     BlockCodebook,
     FlowCode,
     FlowDecoder,
-    FlowMessage,
     PayloadTooLargeError,
     SchemeConfig,
     SchemeRunResult,
@@ -29,6 +29,7 @@ from delayexp.sim_anytime import (
     _ParseState,
     _ranked,
     _serve_blocks,
+    _token,
     fortified_run,
     synthesized_run,
 )
@@ -128,15 +129,11 @@ class TestArrivalClock:
         assert [_arrival_count(t, 0.5) for t in (1, 2, 3, 4)] == [0, 1, 1, 2]
 
 
-class TestFlowMessage:
-    def test_deny_carries_no_index(self):
-        with pytest.raises(DomainError):
-            FlowMessage(False, 1)
-
+class TestFlowSymbols:
     def test_tokens_distinct(self):
-        tokens = {FlowMessage(False).token(), FlowMessage(True, 0).token(),
-                  FlowMessage(True, 1).token()}
-        assert len(tokens) == 3
+        ch = make_bsc(0.1)
+        tokens = [_token(s) for s in FlowDecoder(FlowCode(ch, 2, 0, memory=1), ch, l=2).symbols]
+        assert tokens == [b"0", b"1:0", b"1:1", b"1:2", b"1:3"]
 
 
 class TestBlockCodebook:
@@ -264,7 +261,7 @@ class TestFlowCode:
     def test_letters_deterministic_and_in_range(self):
         ch = make_bsc(0.1)
         code = FlowCode(ch, 5, seed=3, memory=2)
-        d = code.context_digest([FlowMessage(True, 0), FlowMessage(False)])
+        d = code.context_digest([1, DENY])
         a = code.letters(d, 7)
         assert np.array_equal(a, code.letters(d, 7))
         assert a.shape == (5,)
@@ -272,12 +269,18 @@ class TestFlowCode:
 
     def test_context_forgets_old_history(self):
         code = FlowCode(make_bsc(0.1), 4, seed=0, memory=3)
-        tail = [FlowMessage(False), FlowMessage(True, 1), FlowMessage(False)]
-        early_a = [FlowMessage(True, 0)] * 2
-        early_b = [FlowMessage(False)] * 5
+        tail = [DENY, 2, DENY]
+        early_a = [1] * 2
+        early_b = [DENY] * 5
         assert code.context_digest(early_a + tail) == code.context_digest(early_b + tail)
-        bent = tail[:1] + [FlowMessage(True, 0)] + tail[2:]
+        bent = tail[:1] + [1] + tail[2:]
         assert code.context_digest(early_a + tail) != code.context_digest(early_a + bent)
+
+    def test_digest_pinned(self):
+        # Every flow letter hangs on the token bytes a symbol hashes as, so a
+        # change of encoding would move every synthesized table.
+        code = FlowCode(make_bsc(0.05), 12, 0, 4)
+        assert code.context_digest([DENY, 1, 2, DENY]).hex() == "ace0cdb5403dfad22a89d6595778ad73"
 
     def test_distinct_histories_collide_half_the_time(self):
         # Uniform binary letters: two independent digests agree on a slot
@@ -286,8 +289,8 @@ class TestFlowCode:
         rng = np.random.default_rng(7)
         coll = total = 0
         for k in range(10_000):
-            ha = [FlowMessage(bool(b)) for b in rng.integers(0, 2, size=6)]
-            hb = ha[:-1] + [FlowMessage(not ha[-1].confirm)]
+            ha = [int(b) for b in rng.integers(0, 2, size=6)]
+            hb = ha[:-1] + [1 - ha[-1]]
             la = code.letters(code.context_digest(ha), k)
             lb = code.letters(code.context_digest(hb), k)
             coll += int(np.count_nonzero(la == lb))
@@ -312,8 +315,7 @@ class TestFlowDecoder:
     def test_noiseless_stream_decodes_exactly(self):
         ch = IDENTITY
         rng = np.random.default_rng(4)
-        truth = [FlowMessage(bool(c), int(c and rng.integers(0, 2)))
-                 for c in rng.integers(0, 2, size=30)]
+        truth = [int(c and 1 + rng.integers(0, 2)) for c in rng.integers(0, 2, size=30)]
         code = FlowCode(ch, 6, seed=2, memory=3)
         outputs = [code.letters(code.context_digest(truth[:k + 1]), k) for k in range(30)]
         assert flow_decode(ch, outputs, theta=6, l=1, redecode_window=3, seed=2) == truth
@@ -326,7 +328,7 @@ class TestFlowDecoder:
         theta, l = 3, 0
         code = FlowCode(ch, theta, seed=5, memory=1)
         rng = np.random.default_rng(6)
-        truth = [FlowMessage(bool(b)) for b in rng.integers(0, 2, size=60)]
+        truth = [int(b) for b in rng.integers(0, 2, size=60)]
         outputs = []
         for k in range(60):
             letters = code.letters(code.context_digest(truth[:k + 1]), k)
@@ -337,7 +339,7 @@ class TestFlowDecoder:
         frozen = []
         for k, y in enumerate(outputs):
             best, best_score = None, -math.inf
-            for cand in (FlowMessage(False), FlowMessage(True, 0)):
+            for cand in (DENY, 1):
                 letters = code.letters(code.context_digest([cand]), k)
                 score = float(logp[letters, y].sum())
                 if score > best_score:
@@ -357,7 +359,7 @@ class TestFlowDecoder:
         truth = []
         mismatch, count = np.zeros(w), np.zeros(w)
         for k in range(3000):
-            truth.append(FlowMessage(bool(rng.random() < 1 / 3)))
+            truth.append(int(rng.random() < 1 / 3))
             letters = code.letters(code.context_digest(truth), k)
             y = letters ^ (rng.random(theta) < p).astype(np.int64)
             _, best = dec.step(y)
@@ -390,7 +392,7 @@ class TestFlowDecoder:
         truth, frozen, outputs = [], [], []
         for k in range(40):
             confirm = bool(rng.random() < 0.5)
-            truth.append(FlowMessage(confirm, int(rng.integers(0, 1 << l)) if confirm else 0))
+            truth.append(1 + int(rng.integers(0, 1 << l)) if confirm else DENY)
             letters = code.letters(code.context_digest(truth), k)
             y = np.sum(cdf[letters] <= rng.random(theta)[:, None], axis=1)
             if channel == "bec" and rng.random() < erase_chunk:
@@ -403,22 +405,21 @@ class TestFlowDecoder:
     @pytest.mark.parametrize("l,window", [(0, 4), (1, 3), (2, 2)])
     def test_all_erased_chunks_decode_as_denies(self, l, window):
         # Every hypothesis has the same likelihood, so the
-        # enumeration-least path, all denies, wins every step.
+        # lowest-symbol path, all denies, wins every step.
         ch = FLOW_CHANNELS["bec"]
         dec = FlowDecoder(FlowCode(ch, 3, seed=1, memory=window), ch, l)
-        deny = FlowMessage(False)
         erased = np.full(3, BEC_ERASURE)
         frozen = []
         for k in range(40):
             newly, best = dec.step(erased)
             frozen += newly
-            assert best == [deny] * min(k + 1, window) == exhaustive_window_search(
+            assert best == [DENY] * min(k + 1, window) == exhaustive_window_search(
                 dec, frozen, [erased] * len(best))
-            assert newly == ([deny] if k >= window else [])
+            assert newly == ([DENY] if k >= window else [])
 
 
 def _noiseless_truth_side(cfg, chunks):
-    """True messages and data rows of a run over the identity channel."""
+    """True flow symbols and data rows of a run over the identity channel."""
     cb = BlockCodebook(IDENTITY, cfg.payload_bits, cfg.seed)
     values = _block_values(cfg, chunks)
     state = parse_history(cfg, cb, [], np.empty((0, cfg.data_uses_per_chunk)))
@@ -443,12 +444,12 @@ def _noiseless_truth_side(cfg, chunks):
             confirm = False
         rows.append(row)
         if confirm:
-            messages.append(FlowMessage(True, 0))
+            messages.append(1)
             state.values.append(value)
             state.active = False
             state.next_block += 1
         else:
-            messages.append(FlowMessage(False))
+            messages.append(DENY)
     return cb, values, messages, np.asarray(rows), list(state.values)
 
 
@@ -464,9 +465,9 @@ class TestParseHistory:
 
     def test_dropped_confirm_shifts_then_recovers(self):
         cb, values, messages, rows, confirmed = _noiseless_truth_side(self.CFG, 40)
-        hit = next(k for k, m in enumerate(messages) if m.confirm and 5 < k < 30)
+        hit = next(k for k, m in enumerate(messages) if m != DENY and 5 < k < 30)
         corrupted = list(messages)
-        corrupted[hit] = FlowMessage(False)
+        corrupted[hit] = DENY
         shifted = parse_history(self.CFG, cb, corrupted, rows)
         assert len(shifted.values) < len(confirmed)
         # Re-parsing under the corrected estimate is full recovery.
@@ -477,8 +478,8 @@ class TestParseHistory:
         cb, values, messages, rows, confirmed = _noiseless_truth_side(self.CFG, 40)
         # Chunk 0 has no block in flight yet at rate 1/4: a confirm there
         # is dynamically impossible and must not consume a block.
-        assert not messages[0].confirm
-        corrupted = [FlowMessage(True, 0)] + list(messages[1:])
+        assert messages[0] == DENY
+        corrupted = [1] + list(messages[1:])
         state = parse_history(self.CFG, cb, corrupted, rows)
         assert state.spurious == 1
         assert state.values == confirmed
@@ -604,13 +605,6 @@ class TestSynthesizedScheme:
     def test_deterministic_by_seed(self):
         a = synthesized_run(self.CFG, make_bsc(0.05), 30_000, (24, 48), 2)
         b = synthesized_run(self.CFG, make_bsc(0.05), 30_000, (24, 48), 2)
-        assert a == b
-
-    def test_ideal_flow_reduces_to_fortified(self):
-        a = synthesized_run(self.CFG, make_bsc(0.05), 30_000, (24, 48), 2,
-                            noiseless_flow=True)
-        b = fortified_run(replace(self.CFG, theta=0), make_bsc(0.05), 30_000,
-                          (24, 48), 2)
         assert a == b
 
     def test_clean_channel_resolves_all_but_window_edge(self):
