@@ -152,7 +152,24 @@ def _rate_nats(args) -> float:
 
 # -- exponent ----------------------------------------------------------------
 
+# The bound-specific flags of ``exponent``, each with the one bound that reads it.
+BOUND_FLAGS = {"rho": "achieved", "list_size": "list", "grid_steps": "haroutunian"}
+LIST_SIZE_DEFAULT = 2
+GRID_STEPS_DEFAULT = 100
+
+
+def _check_bound_flags(args) -> None:
+    """Refuse the flags the chosen bound would not read, naming them."""
+    unread = [f"--{name.replace('_', '-')}" for name, bound in BOUND_FLAGS.items()
+              if getattr(args, name) is not None and args.bound != bound]
+    if unread:
+        raise BadInputError(f"--bound {args.bound} does not read {', '.join(unread)}")
+    if args.rho is not None and args.rate_bits is not None:
+        raise BadInputError("--bound achieved with --rho does not read --rate-bits")
+
+
 def cmd_exponent(args) -> int:
+    _check_bound_flags(args)
     ch = _build_channel(args)
     unit = args.unit
     if args.bound == "achieved" and args.rho is not None:
@@ -162,9 +179,11 @@ def cmd_exponent(args) -> int:
         print(f"param {point.rho:.9f}")
         return EXIT_OK
     if args.bound == "haroutunian":
-        result = haroutunian_oracle(ch, _rate_nats(args), grid_steps=args.grid_steps)
+        grid_steps = GRID_STEPS_DEFAULT if args.grid_steps is None else args.grid_steps
+        result = haroutunian_oracle(ch, _rate_nats(args), grid_steps=grid_steps)
     else:
-        result = bound_at_rate(ch, args.bound, _rate_nats(args), args.list_size)
+        list_size = LIST_SIZE_DEFAULT if args.list_size is None else args.list_size
+        result = bound_at_rate(ch, args.bound, _rate_nats(args), list_size)
     print(f"exponent {_scale(result.value, unit):.9f} {unit}")
     if result.param is not None:
         print(f"param {result.param:.9f}")
@@ -276,10 +295,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="rate in bits per channel use")
     p_exp.add_argument("--rho", type=float,
                        help="curve parameter for --bound achieved")
-    p_exp.add_argument("--list-size", type=int, default=2,
-                       help="list size for --bound list (default 2)")
-    p_exp.add_argument("--grid-steps", type=int, default=100,
-                       help="grid refinement for --bound haroutunian")
+    p_exp.add_argument("--list-size", type=int,
+                       help=f"list size for --bound list (default {LIST_SIZE_DEFAULT})")
+    p_exp.add_argument("--grid-steps", type=int,
+                       help=f"grid refinement for --bound haroutunian "
+                            f"(default {GRID_STEPS_DEFAULT})")
     p_exp.add_argument("--unit", choices=("nats", "bits"), default="nats")
 
     p_fig = sub.add_parser("figure", help="sweep the three bounds over a rate grid")

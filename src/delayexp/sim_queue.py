@@ -6,6 +6,11 @@ use). The backlog then forms a birth-death chain whose geometric tail sets
 the delay exponent; this module simulates the system, estimates per-delay
 error probabilities, and fits the exponent for comparison with the closed
 form ln((1-delta)/delta) of ``exponents.bec_feedback_exponent``.
+
+The simulation serves the run in windows of ``WINDOW`` uses drawn in turn
+from one random stream, so its memory is set by the window and the live
+backlog, not by the horizon; the result is the same as serving the whole
+run at once.
 """
 
 from __future__ import annotations
@@ -25,6 +30,10 @@ QUEUE_STREAM = 0x51
 # A bit that misses its deadline is resolved by a fair guess; the deterministic
 # estimator counts it wrong with exactly this weight.
 MISS_WEIGHT = 0.5
+
+# Uses drawn and served per step of the queue simulation. It bounds the
+# simulation's working memory (a few MiB) whatever the horizon.
+WINDOW = 1 << 16
 
 Z95 = 1.96
 
@@ -98,24 +107,41 @@ class DeadlineGrid:
             raise HorizonTooShortError(
                 f"horizon {self.horizon} is too short for max delay {self.dmax}; need >= {need}")
 
+    def _clear(self, arrivals: np.ndarray) -> np.ndarray:
+        return (arrivals > self.dmax) & (arrivals <= self.horizon - self.dmax)
+
     def eligible(self, arrivals: np.ndarray) -> np.ndarray:
         """Mask of the bits arriving clear of the burn-in at both ends."""
-        mask = (arrivals > self.dmax) & (arrivals <= self.horizon - self.dmax)
+        mask = self._clear(arrivals)
         if not mask.any():
             raise HorizonTooShortError("no bits survive the burn-in exclusion")
         return mask
 
-    def miss_weights(self, arrivals: np.ndarray, deliveries: np.ndarray):
-        """Per-delay error weights of bits undelivered by their deadline, and the trials.
+    def miss_counts(self, arrivals: np.ndarray, deliveries: np.ndarray):
+        """Per-delay counts of eligible bits undelivered by their deadline, and the trials.
 
         A bit misses delay d when it is still undelivered at its arrival
-        time plus d; the decoder then guesses, so it counts with weight 1/2.
+        time plus d (``+inf`` marks a bit never delivered). Counts over
+        disjoint batches of bits add up to the count over their union.
         """
-        eligible = self.eligible(arrivals)
-        arr, dlv = arrivals[eligible], deliveries[eligible]
-        weights = tuple(MISS_WEIGHT * float(np.count_nonzero(dlv > arr + d))
-                        for d in self.delays)
-        return weights, int(arr.size)
+        clear = self._clear(arrivals)
+        lateness = deliveries[clear] - arrivals[clear]
+        counts = np.array([np.count_nonzero(lateness > d) for d in self.delays], dtype=np.int64)
+        return counts, int(lateness.size)
+
+    def weigh(self, counts, trials: int):
+        """Per-delay error weights of the miss ``counts``, and the trials.
+
+        A missed bit is resolved by the decoder's fair guess, so it counts
+        with weight 1/2.
+        """
+        if trials == 0:
+            raise HorizonTooShortError("no bits survive the burn-in exclusion")
+        return tuple(MISS_WEIGHT * float(c) for c in counts), trials
+
+    def miss_weights(self, arrivals: np.ndarray, deliveries: np.ndarray):
+        """Per-delay error weights of bits undelivered by their deadline, and the trials."""
+        return self.weigh(*self.miss_counts(arrivals, deliveries))
 
     def table(self, weights, trials: int, kind=DelayErrorTable, **fields) -> DelayErrorTable:
         """The ``kind`` table of per-delay error weights over ``trials`` bits."""
@@ -131,26 +157,45 @@ class FitResult:
     excluded_delays: tuple[int, ...] = ()
 
 
-def _service_times(delta: float, horizon: int, seed: int):
-    """Delivery time of every bit arriving within the horizon (+inf if never).
+def _served_batches(delta: float, horizon: int, seed: int):
+    """Yield (arrivals, deliveries) of every bit arriving within the horizon.
 
-    Bit i (1-based) arrives at use 2i and is served by the first surviving
-    use at or after its arrival that is not consumed by an earlier bit.
+    Bit k (0-based) arrives at use 2(k + 1) and is served by the first
+    surviving use at or after its arrival that no earlier bit consumed. The
+    uses are drawn ``WINDOW`` at a time from one stream, which gives the
+    same draws as one call over the horizon. Each window yields the bits
+    whose serving use it holds (integer deliveries); the bits still queued
+    at the horizon come last, with delivery ``+inf``.
+
+    The state carried from window to window is the number of surviving uses
+    so far, the running maximum of (first eligible success - bit index) as
+    one integer, and the queued bits with their service indices. FIFO
+    service gives bit k the service index k plus that running maximum, so
+    the indices increase strictly and the queued bits whose success the
+    window holds are split off by one search.
     """
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), QUEUE_STREAM)))
-    survived = rng.random(horizon) < (1.0 - delta)
-    succ_times = np.flatnonzero(survived) + 1  # 1-based use indices
-    n_bits = horizon // 2
-    arrivals = 2 * np.arange(1, n_bits + 1, dtype=np.int64)
-    first_free = np.searchsorted(succ_times, arrivals)
-    order = np.arange(n_bits, dtype=np.int64)
-    # FIFO: each bit consumes one surviving use, so the service index is the
-    # running maximum of (first eligible success) shifted by the backlog.
-    idx = order + np.maximum.accumulate(first_free - order)
-    delivery = np.full(n_bits, np.inf)
-    ok = idx < len(succ_times)
-    delivery[ok] = succ_times[idx[ok]]
-    return arrivals, delivery
+    successes = 0      # surviving uses before the window
+    lead = 0           # running max of (first eligible success - bit index)
+    queued_arrivals = np.empty(0, dtype=np.int64)
+    queued_idx = np.empty(0, dtype=np.int64)
+    for start in range(0, horizon, WINDOW):
+        stop = min(start + WINDOW, horizon)
+        # 1-based use indices of the window's surviving uses.
+        succ_times = np.flatnonzero(rng.random(stop - start) < (1.0 - delta)) + (start + 1)
+        order = np.arange(start // 2, stop // 2, dtype=np.int64)
+        if order.size:
+            arrivals = 2 * (order + 1)
+            first_free = successes + np.searchsorted(succ_times, arrivals)
+            shift = np.maximum(np.maximum.accumulate(first_free - order), lead)
+            lead = int(shift[-1])
+            queued_arrivals = np.concatenate((queued_arrivals, arrivals))
+            queued_idx = np.concatenate((queued_idx, order + shift))
+        served = int(np.searchsorted(queued_idx, successes + succ_times.size))
+        yield queued_arrivals[:served], succ_times[queued_idx[:served] - successes]
+        queued_arrivals, queued_idx = queued_arrivals[served:], queued_idx[served:]
+        successes += succ_times.size
+    yield queued_arrivals, np.full(queued_arrivals.size, np.inf)
 
 
 def simulate_bec_feedback(delta: float, horizon: int, delays, seed: int) -> DelayErrorTable:
@@ -161,12 +206,22 @@ def simulate_bec_feedback(delta: float, horizon: int, delays, seed: int) -> Dela
     guess, taken deterministically). Bits arriving within max(delays) uses
     of either end of the run are excluded so estimates reflect the
     stationary chain.
+
+    The run is served in windows of ``WINDOW`` uses (see
+    ``_served_batches``): each window's served bits add their integer miss
+    counts, and bits still queued at the horizon count as undelivered, so
+    memory is bounded by the window plus the backlog at any horizon.
     """
     if not 0.0 < delta < 0.5:
         raise OutOfRangeError(f"erasure probability must lie in (0, 1/2), got {delta}")
     grid = DeadlineGrid(delays, horizon)
-    arrivals, delivery = _service_times(delta, grid.horizon, seed)
-    return grid.table(*grid.miss_weights(arrivals, delivery))
+    counts = np.zeros(len(grid.delays), dtype=np.int64)
+    trials = 0
+    for arrivals, deliveries in _served_batches(delta, grid.horizon, seed):
+        batch_counts, batch_trials = grid.miss_counts(arrivals, deliveries)
+        counts += batch_counts
+        trials += batch_trials
+    return grid.table(*grid.weigh(counts, trials))
 
 
 def fit_exponent(table: DelayErrorTable) -> FitResult:

@@ -22,7 +22,7 @@ from delayexp.sim_anytime import (
     _ParseState,
     _walk_chunk,
 )
-from delayexp.sim_queue import _service_times
+from delayexp.sim_queue import MISS_WEIGHT, QUEUE_STREAM, DeadlineGrid
 
 
 class FortifiedEncoder:
@@ -149,11 +149,46 @@ def grid_e0_max(p, rho, steps=32):
     return max(_e0_from_powers(pa, rho, q) for q in _simplex_grid(p.shape[0], steps))
 
 
+def service_times(delta, horizon, seed):
+    """Delivery time of every bit arriving within the horizon (+inf if never).
+
+    The whole-horizon form of ``sim_queue._served_batches``: all uses are
+    drawn at once and every bit is served in one pass. Bit i (1-based)
+    arrives at use 2i and is served by the first surviving use at or after
+    its arrival that is not consumed by an earlier bit.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence((int(seed), QUEUE_STREAM)))
+    survived = rng.random(horizon) < (1.0 - delta)
+    succ_times = np.flatnonzero(survived) + 1  # 1-based use indices
+    n_bits = horizon // 2
+    arrivals = 2 * np.arange(1, n_bits + 1, dtype=np.int64)
+    first_free = np.searchsorted(succ_times, arrivals)
+    order = np.arange(n_bits, dtype=np.int64)
+    # FIFO: each bit consumes one surviving use, so the service index is the
+    # running maximum of (first eligible success) shifted by the backlog.
+    idx = order + np.maximum.accumulate(first_free - order)
+    delivery = np.full(n_bits, np.inf)
+    ok = idx < len(succ_times)
+    delivery[ok] = succ_times[idx[ok]]
+    return arrivals, delivery
+
+
+def queue_table(delta, horizon, delays, seed):
+    """``simulate_bec_feedback``'s table from the whole-horizon service times,
+    weighing each delay's misses over all eligible bits at once."""
+    grid = DeadlineGrid(delays, horizon)
+    arrivals, delivery = service_times(delta, grid.horizon, seed)
+    eligible = grid.eligible(arrivals)
+    arr, dlv = arrivals[eligible], delivery[eligible]
+    weights = [MISS_WEIGHT * float(np.count_nonzero(dlv > arr + d)) for d in grid.delays]
+    return grid.table(weights, int(arr.size))
+
+
 def queue_level_frequencies(delta, horizon, seed, max_level=12):
     """Occupancy counts of backlog levels sampled at every bit arrival."""
     if not 0.0 < delta < 0.5:
         raise OutOfRangeError(f"erasure probability must lie in (0, 1/2), got {delta}")
-    arrivals, delivery = _service_times(delta, int(horizon), seed)
+    arrivals, delivery = service_times(delta, int(horizon), seed)
     finite = np.sort(delivery[np.isfinite(delivery)])
     # Backlog just after an arrival = bits arrived so far minus bits delivered.
     delivered = np.searchsorted(finite, arrivals, side="right")

@@ -214,12 +214,35 @@ class TestExponentCommand:
 
     @pytest.mark.parametrize("bound", BOUNDS_AT_RATE)
     def test_exponent_prints_the_dispatched_bound(self, capsys, bound):
+        list_size = ["--list-size", "3"] if bound == "list" else []
         code, out, _ = run(capsys, ["exponent", "--bound", bound, "--bsc", "0.1",
-                                    "--rate-bits", "0.3", "--list-size", "3"])
+                                    "--rate-bits", "0.3", *list_size])
         expected = bound_at_rate(make_bsc(0.1), bound, 0.3 * LN2, 3)
         assert code == 0
         assert out.splitlines() == [f"exponent {expected.value:.9f} nats",
                                     f"param {expected.param:.9f}"]
+
+    @pytest.mark.parametrize("argv, unread", [
+        (["--bound", "achieved", "--rho", "1", "--rate-bits", "0.01"], "--rate-bits"),
+        (["--bound", "sp", "--rate-bits", "0.5", "--rho", "3", "--grid-steps", "7",
+          "--list-size", "9"], "--rho, --list-size, --grid-steps"),
+        (["--bound", "list", "--rate-bits", "0.3", "--grid-steps", "7"], "--grid-steps"),
+        (["--bound", "haroutunian", "--rate-bits", "0.3", "--list-size", "2"], "--list-size"),
+        (["--bound", "focusing", "--rate-bits", "0.3", "--rho", "1"], "--rho"),
+    ])
+    def test_flags_the_bound_does_not_read_are_refused(self, capsys, argv, unread):
+        # A flag the bound ignores would answer a question nobody asked.
+        code, out, err = run(capsys, ["exponent", "--bsc", "0.1", *argv])
+        assert code == 2
+        assert out == ""
+        [line] = err.splitlines()
+        assert line.startswith("error: --bound ") and line.endswith(f"does not read {unread}")
+
+    def test_list_size_defaults_to_two(self, capsys):
+        argv = ["exponent", "--bound", "list", "--bsc", "0.1", "--rate-bits", "0.3"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert run(capsys, [*argv, "--list-size", "2"])[1] == out
 
 
 class TestFigureCommand:
@@ -595,18 +618,33 @@ CHANNEL = st.sampled_from(["--bsc", "--bec"]).flatmap(
 UNIT = _flag("--unit", ("nats", "bits", "nan"))
 
 
-@given(bound=st.sampled_from(["sp", "rc", "list", "haroutunian", "focusing", "achieved"]),
+RATE = _flag("--rate-bits", FUZZ_NUMBERS, usual="0.1")
+
+
+def _bound_args(bound):
+    """``--bound`` with a rate and the flags that bound reads, and no others,
+    so that every example reaches the bound's own code."""
+    if bound == "achieved":
+        # The point at --rho, or else the curve solved at --rate-bits.
+        rest = st.one_of(st.sampled_from(FUZZ_NUMBERS).map(lambda v: [f"--rho={v}"]), RATE)
+    elif bound == "list":
+        rest = st.tuples(RATE, _flag("--list-size", FUZZ_COUNTS)).map(lambda t: t[0] + t[1])
+    elif bound == "haroutunian":
+        # Always given: the oracle's default of 100 steps is slow on three outputs.
+        grid_steps = _flag("--grid-steps", FUZZ_COUNTS + ("20",), usual="4")
+        rest = st.tuples(RATE, grid_steps).map(lambda t: t[0] + t[1])
+    else:
+        rest = RATE
+    return rest.map(lambda flags: ["--bound", bound, *flags])
+
+
+@given(bound=st.sampled_from(["sp", "rc", "list", "haroutunian", "focusing", "achieved"])
+       .flatmap(_bound_args),
        channel=CHANNEL,
-       rate=_flag("--rate-bits", FUZZ_NUMBERS, usual="0.1"),
-       rho=_flag("--rho", FUZZ_NUMBERS),
-       list_size=_flag("--list-size", FUZZ_COUNTS),
-       # Always given: the oracle's default of 100 steps is slow on three outputs.
-       grid_steps=_flag("--grid-steps", FUZZ_COUNTS + ("20",), usual="4"),
        unit=UNIT)
 @settings(max_examples=150, deadline=None)
-def test_exponent_fuzz_exits_cleanly(bound, channel, rate, rho, list_size, grid_steps, unit):
-    _fuzz_main(["exponent", "--bound", bound, *channel, *rate, *rho, *list_size,
-                *grid_steps, *unit], flagged_ok=True)
+def test_exponent_fuzz_exits_cleanly(bound, channel, unit):
+    _fuzz_main(["exponent", *bound, *channel, *unit], flagged_ok=True)
 
 
 @given(points=_flag("--points", FUZZ_COUNTS, usual="8"), channel=CHANNEL, unit=UNIT,

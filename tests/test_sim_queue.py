@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from delayexp import exponents as ex
 from delayexp import sim_queue as sq
 from delayexp.channel import OutOfRangeError
 from delayexp.errors import DomainError
-from reference import queue_level_frequencies
+from reference import queue_level_frequencies, queue_table
 
 LN15 = math.log(1.5)
 
@@ -79,6 +80,51 @@ class TestSimulate:
     def test_delays_sorted_and_deduped(self):
         t = sq.simulate_bec_feedback(0.4, 100_000, [12, 4, 8, 4], 2)
         assert t.delays == (4, 8, 12)
+
+
+W = sq.WINDOW
+# Horizons an odd number of uses long, shorter than one window, an exact
+# multiple of the window, and one use past a multiple.
+HORIZONS = st.one_of(st.integers(200, 100_000).map(lambda n: 2 * n + 1),
+                     st.integers(400, W - 1),
+                     st.integers(1, 3).map(lambda k: k * W),
+                     st.integers(1, 3).map(lambda k: k * W + 1))
+DELTAS = st.floats(min_value=0.0, max_value=0.5, exclude_min=True, exclude_max=True)
+SEEDS = st.integers(0, 2 ** 32 - 1)
+DELAY_SETS = st.lists(st.integers(0, 40), min_size=1, max_size=6)
+
+
+class TestWindowedService:
+    @given(delta=DELTAS, horizon=HORIZONS, delays=DELAY_SETS, seed=SEEDS)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_whole_horizon_reference(self, delta, horizon, delays, seed):
+        assert sq.simulate_bec_feedback(delta, horizon, delays, seed) == \
+            queue_table(delta, horizon, delays, seed)
+
+    @given(delta=DELTAS, horizon=st.integers(400, 12_000), window=st.integers(1, 3_000),
+           delays=DELAY_SETS, seed=SEEDS)
+    @settings(max_examples=40, deadline=None)
+    def test_any_window_matches_reference(self, delta, horizon, window, delays, seed):
+        # Short windows, odd ones included, carry a backlog across many steps.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sq, "WINDOW", window)
+            streamed = sq.simulate_bec_feedback(delta, horizon, delays, seed)
+        assert streamed == queue_table(delta, horizon, delays, seed)
+
+    def test_peak_memory_does_not_grow_with_horizon(self):
+        # tracemalloc sees numpy's buffers: the peak is the window's working
+        # set plus the backlog, a few MiB whatever the horizon.
+        def traced_peak(horizon):
+            tracemalloc.start()
+            try:
+                sq.simulate_bec_feedback(0.4, horizon, (2, 6, 10, 14, 18, 22, 26), 0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = traced_peak(1_000_000), traced_peak(4_000_000)
+        assert large < 6 * 2 ** 20
+        assert large <= small + 2 ** 18
 
 
 class TestTable:
