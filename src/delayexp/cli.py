@@ -13,7 +13,8 @@ Three subcommands:
   write a run record of their failure counters.
 
 Exit codes: 0 success, 2 malformed input, 3 domain violation or a request
-too large for memory, 4 when the printed result carries a numerical flag.
+too large for memory, 4 when the printed result carries a numerical flag,
+141 when the reader closed stdout before the output was written.
 Rates are accepted in bits (``--rate-bits``); ``--unit`` rescales
 displayed rates and exponents by exactly ln 2 and leaves dimensionless
 fields untouched. All file outputs are deterministic functions of the full
@@ -67,6 +68,8 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_DOMAIN = 3
 EXIT_FLAGGED = 4
+# What a shell reports for a process ended by SIGPIPE (128 + 13).
+EXIT_PIPE_CLOSED = 141
 
 RECORD_NAME = "run_record.json"
 SCHEME_COUNTERS = ("blocks_confirmed", "punctuation_chunk_errors", "data_block_errors",
@@ -333,9 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
+def _run(argv) -> int:
     args = build_parser().parse_args(argv)
     command_line = shlex.join(["delayexp", *argv])
     try:
@@ -362,6 +363,23 @@ def main(argv=None) -> int:
         # Every command computes before it writes, so no files are left behind.
         print(f"error: out of memory: {exc or 'allocation refused'}", file=sys.stderr)
         return EXIT_DOMAIN
+
+
+def main(argv=None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    try:
+        try:
+            return _run(argv)
+        finally:
+            # Flushed here, a pipe the reader has closed raises inside the
+            # outer try, not at interpreter shutdown.
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # Files are written before anything is printed, so they are complete.
+        # Point stdout at devnull so that the flush at shutdown cannot raise.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE_CLOSED
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import Channel, capacity
+from .channel import Channel
 from .errors import DelayexpError, DomainError
 from . import exponents as ex
 
@@ -75,9 +75,7 @@ def sweep(ch: Channel, rate_min: float, rate_max: float, points: int,
     if not points >= 2:
         raise DomainError(f"points must be >= 2, got {points}")
     # Capacity first: a zero-capacity channel makes every rate interval empty.
-    cap = capacity(ch)
-    if cap < ex.DEGENERATE_CAPACITY:
-        raise ex.DegenerateChannelError(f"channel capacity {cap!r} is numerically zero")
+    cap = ex._positive_capacity(ch)
     if not 0.0 < rate_min < rate_max:
         raise DomainError(f"need 0 < rate_min < rate_max, got [{rate_min}, {rate_max}]")
     if rate_max > cap * (1.0 + 1e-12):

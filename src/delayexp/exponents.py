@@ -62,7 +62,6 @@ ORACLE_MAX_PAIRS = 10 ** 6
 # thousands of entries.
 E0_MAX_CACHE_SIZE = 256
 _ORACLE_CHUNK = 1 << 18
-_BIG = 1e300
 
 FLAG_RATE_ABOVE_CAPACITY = "rate_above_capacity"
 FLAG_RATE_OUT_OF_RANGE = "rate_out_of_range"
@@ -272,31 +271,42 @@ def _positive_capacity(ch: Channel) -> float:
     return cap
 
 
-def _has_full_support_column(ch: Channel) -> bool:
-    return bool(np.any(np.all(ch.p > 0, axis=0)))
-
-
-def _parametric_bound(ch: Channel, rate: float, rho_hi: float,
-                      edge_flags: bool) -> ExponentValue:
-    """max over rho in [RHO_MIN, rho_hi] of max_q E0(rho, q) - rho * rate."""
+def _above_capacity(ch: Channel, rate: float) -> ExponentValue | None:
+    """The flagged zero every bound answers at or above capacity, else None;
+    raises for a rate that is not positive or a channel of zero capacity."""
     _require_positive_rate(rate)
-    cap = _positive_capacity(ch)
-    if rate >= cap:
+    if rate >= _positive_capacity(ch):
         return ExponentValue(0.0, None, None, (FLAG_RATE_ABOVE_CAPACITY,))
+    return None
+
+
+def _at_rho_max(ch: Channel, value: float, param: float, q: np.ndarray) -> ExponentValue:
+    """The answer of a rho search that runs into RHO_MAX.
+
+    With no output letter reachable from every input, E0 grows linearly in
+    rho and the true value is +inf, flagged ``unbounded``; otherwise
+    ``value`` stands, flagged ``bracket_edge``.
+    """
+    if not np.any(np.all(ch.p > 0, axis=0)):
+        return ExponentValue(math.inf, math.inf, q, (FLAG_UNBOUNDED,))
+    return ExponentValue(value, param, q, (FLAG_BRACKET_EDGE,))
+
+
+def _parametric_bound(ch: Channel, rate: float, rho_hi: float) -> ExponentValue:
+    """max over rho in [RHO_MIN, min(rho_hi, RHO_MAX)] of max_q E0(rho, q) - rho * rate."""
+    if (above := _above_capacity(ch, rate)) is not None:
+        return above
 
     def objective(rho):
         return e0_max(ch, rho).value - rho * rate
 
-    rho_star, val = _golden_max(objective, RHO_MIN, rho_hi)
+    top = min(rho_hi, RHO_MAX)
+    rho_star, val = _golden_max(objective, RHO_MIN, top)
     ev = e0_max(ch, rho_star)
-    flags = ()
-    if edge_flags and rho_hi - rho_star < 1e-4:
-        if not _has_full_support_column(ch):
-            # No output letter is reachable from every input, so the
-            # objective grows without bound in rho: the true value is +inf.
-            return ExponentValue(math.inf, math.inf, ev.q, (FLAG_UNBOUNDED,))
-        flags = (FLAG_BRACKET_EDGE,)
-    return ExponentValue(max(val, 0.0), rho_star, ev.q, flags)
+    value = max(val, 0.0)
+    if top == RHO_MAX and RHO_MAX - rho_star < 1e-4:
+        return _at_rho_max(ch, value, rho_star, ev.q)
+    return ExponentValue(value, rho_star, ev.q)
 
 
 def sphere_packing(ch: Channel, rate: float) -> ExponentValue:
@@ -307,19 +317,24 @@ def sphere_packing(ch: Channel, rate: float) -> ExponentValue:
     ``bracket_edge`` flag, or as +inf with an ``unbounded`` flag when the
     channel structure makes the supremum infinite (zero-error regime).
     """
-    return _parametric_bound(ch, rate, RHO_MAX, edge_flags=True)
+    return _parametric_bound(ch, rate, RHO_MAX)
 
 
 def random_coding(ch: Channel, rate: float) -> ExponentValue:
     """Random-coding exponent: same objective as sphere packing, rho capped at 1."""
-    return _parametric_bound(ch, rate, 1.0, edge_flags=False)
+    return _parametric_bound(ch, rate, 1.0)
 
 
 def list_random_coding(ch: Channel, rate: float, list_size) -> ExponentValue:
-    """Random-coding exponent with list decoding; rho is capped at the list size."""
+    """Random-coding exponent with list decoding; rho is capped at the list size.
+
+    The cap meets RHO_MAX at a list size of 64, and from there on this is
+    the sphere-packing search, flags included.
+    """
     if isinstance(list_size, bool) or not isinstance(list_size, Integral) or list_size < 1:
         raise BadListSizeError(f"list size must be an integer >= 1, got {list_size!r}")
-    return _parametric_bound(ch, rate, float(int(list_size)), edge_flags=False)
+    # An int, not a float, so that a list size past the float range still compares.
+    return _parametric_bound(ch, rate, int(list_size))
 
 
 # -- change-of-channel oracle ------------------------------------------------
@@ -361,18 +376,7 @@ def _kl_rows(rows: np.ndarray, p_row: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _max_over_r_grid(d0: np.ndarray, d1: np.ndarray, steps: int) -> np.ndarray:
-    # The objective is linear in the input law, so a 1-D grid over binary
-    # input laws is exhaustive enough; infinities ride along as a large
-    # finite sentinel to keep 0 * inf out of the products.
-    t = np.arange(steps + 1) / steps
-    a = np.where(np.isfinite(d0), d0, _BIG)
-    b = np.where(np.isfinite(d1), d1, _BIG)
-    return np.max(t[None, :] * a[:, None] + (1.0 - t)[None, :] * b[:, None], axis=1)
-
-
-def _oracle_pass(p: np.ndarray, rate: float, rows0: np.ndarray,
-                 rows1: np.ndarray, steps: int):
+def _oracle_pass(p: np.ndarray, rate: float, rows0: np.ndarray, rows1: np.ndarray):
     """Best (lowest) worst-case divergence over feasible row pairs on a grid."""
     d0 = _kl_rows(rows0, p[0])
     d1 = _kl_rows(rows1, p[1])
@@ -387,9 +391,9 @@ def _oracle_pass(p: np.ndarray, rate: float, rows0: np.ndarray,
         feasible = capacity_below(mats, rate)
         if not np.any(feasible):
             continue
-        obj = _max_over_r_grid(d0[i0[feasible]], d1[i1[feasible]], steps)
-        # A sentinel in the max marks a row pair with an infinite divergence.
-        obj[obj >= _BIG] = math.inf
+        # D(G || P | r) is linear in the input law r, so its maximum over r
+        # sits at a vertex: the larger of the two row divergences.
+        obj = np.maximum(d0[i0[feasible]], d1[i1[feasible]])
         k = int(np.argmin(obj))
         if obj[k] < best_val:
             best_val = float(obj[k])
@@ -403,7 +407,8 @@ def haroutunian_oracle(ch: Channel, rate: float, grid_steps: int = 100) -> Expon
 
     Minimizes, over channels G on a per-row simplex grid with capacity
     below ``rate``, the worst-case (over input laws) conditional divergence
-    D(G || P | r). A second pass refines the grid in a window of two coarse
+    D(G || P | r), which is the larger row divergence max_x D(G_x || P_x).
+    A second pass refines the grid in a window of two coarse
     cells around the first incumbent. Binary input alphabets with at most
     three outputs only; this is a deliberately direct oracle for
     cross-checking the parametric sphere-packing route. Feasibility
@@ -426,15 +431,14 @@ def haroutunian_oracle(ch: Channel, rate: float, grid_steps: int = 100) -> Expon
         raise DomainError(
             f"grid_steps {grid_steps} on {ch.outputs} outputs makes {pairs} row pairs, "
             f"over the cap of {ORACLE_MAX_PAIRS}; the largest grid_steps that fits is {fits}")
-    _require_positive_rate(rate)
-    if rate >= _positive_capacity(ch):
-        return ExponentValue(0.0, None, None, (FLAG_RATE_ABOVE_CAPACITY,))
+    if (above := _above_capacity(ch, rate)) is not None:
+        return above
     rows = _simplex_grid(ch.outputs, grid_steps)
-    val, pair = _oracle_pass(ch.p, rate, rows, rows, grid_steps)
+    val, pair = _oracle_pass(ch.p, rate, rows, rows)
     if pair is None:
         return ExponentValue(math.inf, None, None, (FLAG_UNBOUNDED,))
     refined, _ = _oracle_pass(ch.p, rate, _window_grid(pair[0], grid_steps),
-                              _window_grid(pair[1], grid_steps), grid_steps)
+                              _window_grid(pair[1], grid_steps))
     return ExponentValue(min(val, refined))
 
 
@@ -451,10 +455,8 @@ def focusing_bound(ch: Channel, rate: float) -> ExponentValue:
     sphere-packing bound standing in for the change-of-channel converse;
     the result then carries a ``surrogate`` flag.
     """
-    _require_positive_rate(rate)
-    cap = _positive_capacity(ch)
-    if rate >= cap:
-        return ExponentValue(0.0, None, None, (FLAG_RATE_ABOVE_CAPACITY,))
+    if (above := _above_capacity(ch, rate)) is not None:
+        return above
     if is_symmetric(ch):
         return _focusing_parametric(ch, rate)
     return _focusing_surrogate(ch, rate)
@@ -466,12 +468,7 @@ def _focusing_parametric(ch: Channel, rate: float) -> ExponentValue:
 
     if gap(RHO_MAX) > 0:
         ev = e0_max(ch, RHO_MAX)
-        if not _has_full_support_column(ch):
-            # As in _parametric_bound: with no output reachable from every
-            # input, E0 grows linearly in eta, and a root past the bracket
-            # is taken to be at +inf.
-            return ExponentValue(math.inf, math.inf, ev.q, (FLAG_UNBOUNDED,))
-        return ExponentValue(ev.value, RHO_MAX, ev.q, (FLAG_BRACKET_EDGE,))
+        return _at_rho_max(ch, ev.value, RHO_MAX, ev.q)
     eta = _bisect_root(gap, RHO_MIN, RHO_MAX)
     ev = e0_max(ch, eta)
     return ExponentValue(ev.value, eta, ev.q)

@@ -3,17 +3,20 @@ import contextlib
 import io
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from delayexp.channel import make_bsc
 from delayexp import cli
-from delayexp.cli import HORIZON_MAX, POINTS_MAX, SCHEME_COUNTERS, main
+from delayexp.cli import EXIT_PIPE_CLOSED, HORIZON_MAX, POINTS_MAX, SCHEME_COUNTERS, main
 from delayexp.exponents import BOUNDS_AT_RATE, bound_at_rate
 from delayexp.sim_anytime import SchemeConfig, synthesized_run
 
@@ -243,6 +246,69 @@ class TestExponentCommand:
         code, out, _ = run(capsys, argv)
         assert code == 0
         assert run(capsys, [*argv, "--list-size", "2"])[1] == out
+
+    @pytest.mark.parametrize("channel", [["--bsc", "0"], ["--bsc", "-0.0"], ["--bec", "0"]])
+    def test_huge_list_size_on_noiseless_channel_is_unbounded(self, capsys, channel):
+        # The rho bracket stops at 64, where E0 still has its linear growth;
+        # at rho = 10**12 it would underflow to the log of 0.
+        code, out, err = run(capsys, ["exponent", "--bound", "list", *channel,
+                                      "--rate-bits", "0.1", "--list-size", str(10 ** 12)])
+        assert code == 4
+        assert out.splitlines() == ["exponent inf nats", "param inf"]
+        assert err.startswith("flag unbounded:")
+
+    def test_list_size_past_the_float_range_is_sphere_packing(self, capsys):
+        argv = ["exponent", "--bsc", "0.1", "--rate-bits", "0.1"]
+        code, out, _ = run(capsys, [*argv, "--bound", "list", "--list-size", str(10 ** 400)])
+        assert code == 0
+        assert out == run(capsys, [*argv, "--bound", "sp"])[1]
+
+
+def _run_into_closed_pipe(argv, env_overrides):
+    """Run the CLI in a child process whose stdout is a pipe with no reader
+    left, as under ``| head -0``; return the exit code and stderr.
+
+    The read end is closed before the child starts, so the child's first
+    write fails whatever the timing.
+    """
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    env.pop("PYTHONUNBUFFERED", None)
+    env.update(env_overrides)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "delayexp.cli", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=300)
+    finally:
+        os.close(write_end)
+    return proc.returncode, proc.stderr.decode()
+
+
+# Block-buffered stdout meets the closed pipe at the final flush, unbuffered
+# stdout at the first print.
+PIPE_BUFFERING = pytest.mark.parametrize("env_overrides", [{}, {"PYTHONUNBUFFERED": "1"}],
+                                         ids=["buffered", "unbuffered"])
+
+
+class TestClosedStdout:
+    @PIPE_BUFFERING
+    def test_exponent(self, env_overrides):
+        code, err = _run_into_closed_pipe(
+            ["exponent", "--bound", "sp", "--bsc", "0.1", "--rate-bits", "0.2"], env_overrides)
+        assert (code, err) == (EXIT_PIPE_CLOSED, "")
+
+    @PIPE_BUFFERING
+    def test_bec_queue_leaves_a_complete_manifest(self, env_overrides, tmp_path):
+        code, err = _run_into_closed_pipe(
+            ["simulate", "bec-queue", "--delta", "0.4", "--horizon", "100000",
+             "--delays", "4,8,12", "--outdir", str(tmp_path)], env_overrides)
+        assert (code, err) == (EXIT_PIPE_CLOSED, "")
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["artifacts"] == [str(tmp_path / "table.csv"),
+                                         str(tmp_path / "manifest.json")]
+        assert len((tmp_path / "table.csv").read_text().splitlines()) == 4
 
 
 class TestFigureCommand:
@@ -643,6 +709,8 @@ def _bound_args(bound):
        channel=CHANNEL,
        unit=UNIT)
 @settings(max_examples=150, deadline=None)
+@example(bound=["--bound", "list", "--rate-bits=0.1", "--list-size=1000000000000"],
+         channel=["--bsc=-0.0"], unit=[])
 def test_exponent_fuzz_exits_cleanly(bound, channel, unit):
     _fuzz_main(["exponent", *bound, *channel, *unit], flagged_ok=True)
 

@@ -65,6 +65,33 @@ Z_FOCUSING_ASCENT_BUDGET = 1_500
 # capacity (inputs 0 and 2 never confuse) equals the capacity, 1 bit.
 NOISY_TYPEWRITER = [[.5, .5, 0, 0], [0, .5, .5, 0], [0, 0, .5, .5], [.5, 0, 0, .5]]
 
+NAMED_CHANNELS = {"bsc0.1": chan.make_bsc(0.1), "bec0.4": chan.make_bec(0.4),
+                  "z": chan.make_dmc([[1.0, 0.0], [0.3, 0.7]]), "bsc0": chan.make_bsc(0.0)}
+# The list bound's bracket tops out at min(L, RHO_MAX). Below 64 these are
+# the exact (value, param) pairs at 0.3 C, none flagged, even where rho
+# sits at the list size; from 64 on the search is sphere packing's.
+LIST_AT_03C = {
+    ("bsc0.1", 2): (0.11471196500791081, 1.2031094828021058),
+    ("bsc0.1", 8): (0.11471196500791067, 1.2031094805631857),
+    ("bsc0.1", 63): (0.11471196500791053, 1.2031094975440053),
+    ("bec0.4", 2): (0.3483040157517564, 1.9999999999644682),
+    ("bec0.4", 8): (0.3719135256045913, 2.772589493109642),
+    ("bec0.4", 63): (0.37191352560459123, 2.7725894518717027),
+    ("z", 2): (0.1999327414912504, 1.9999999999644682),
+    ("z", 8): (0.2041661017851621, 2.467739265983741),
+    ("z", 63): (0.20416610178516215, 2.467739151598998),
+    ("bsc0", 2): (0.9704060527666836, 1.9999999999644682),
+    ("bsc0", 8): (3.8816242111194144, 7.999999999966448),
+    ("bsc0", 63): (30.56779066267488, 62.999999999961446),
+}
+
+# Exact oracle values: (channel, rate in nats, grid steps, value).
+ORACLE_EXACT = [
+    ("bsc0.1", 0.11041926215054913, 100, 0.11487167662088596),  # 0.3 C
+    ("bec0.4", 0.5 * LN2, 40, 0.021437160082481796),
+    ("z", 0.3 * LN2, 100, 0.11246985423432712),
+]
+
 CURV_BSC04 = -0.03945648305106565
 SLOPE_FOCUSING_BSC04 = 1.020644111875295
 SLOPE_ACHIEVED_BSC04 = 0.3375072848839657
@@ -370,6 +397,25 @@ class TestListRandomCoding:
             with pytest.raises(ex.BadListSizeError):
                 ex.list_random_coding(bsc04, 0.01, bad)
 
+    @pytest.mark.parametrize("name, list_size", sorted(LIST_AT_03C))
+    def test_below_64_exact(self, name, list_size):
+        c = NAMED_CHANNELS[name]
+        res = ex.list_random_coding(c, 0.3 * chan.capacity(c), list_size)
+        assert (res.value, res.param, res.flags) == (*LIST_AT_03C[name, list_size], ())
+
+    @pytest.mark.parametrize("list_size", [64, 1000, 10 ** 12, 10 ** 400],
+                             ids=["64", "1000", "1e12", "1e400"])
+    @pytest.mark.parametrize("name", sorted(NAMED_CHANNELS))
+    def test_from_64_on_is_sphere_packing(self, name, list_size):
+        # The bracket stops at RHO_MAX, so the list size never reaches E0:
+        # at 10**12 a noiseless channel's E0 would underflow, and 10**400
+        # is past the float range.
+        c = NAMED_CHANNELS[name]
+        for frac in (0.1, 0.5):
+            rate = frac * chan.capacity(c)
+            res, sp = ex.list_random_coding(c, rate, list_size), ex.sphere_packing(c, rate)
+            assert (res.value, res.param, res.flags) == (sp.value, sp.param, sp.flags)
+
 
 class TestHaroutunianOracle:
     def test_agrees_with_sphere_packing_on_bsc(self):
@@ -386,6 +432,11 @@ class TestHaroutunianOracle:
         rate = 0.6 * chan.capacity(bec04)
         oracle = ex.haroutunian_oracle(bec04, rate, grid_steps=10).value
         assert oracle >= ex.sphere_packing(bec04, rate).value - 1e-6
+
+    @pytest.mark.parametrize("name, rate, grid_steps, value", ORACLE_EXACT)
+    def test_exact_values(self, name, rate, grid_steps, value):
+        res = ex.haroutunian_oracle(NAMED_CHANNELS[name], rate, grid_steps)
+        assert (res.value, res.param, res.flags) == (value, None, ())
 
     def test_zero_above_capacity(self, bsc04):
         oracle = ex.haroutunian_oracle(bsc04, 1.0, grid_steps=10)
