@@ -11,11 +11,11 @@ The exponent functions come in two families:
 * fixed-blocklength bounds: the Gallager function ``E0``, the
   sphere-packing bound (converse), the random-coding and list-decoding
   achievability bounds, and a grid-search oracle for the change-of-channel
-  converse that upper-bounds fixed-delay performance;
-* fixed-delay quantities for feedback schemes: the rate-focusing converse,
-  the exponent achieved by a confirm/deny repeat strategy, the fraction of
-  channel uses such a strategy spends on confirmations, and the slopes of
-  both curves at capacity.
+  exponent E+, the fixed-length converse with feedback;
+* fixed-delay quantities for feedback schemes: the rate-focusing converse
+  built from E+ (the only fixed-delay bound here), the exponent achieved by
+  a confirm/deny repeat strategy, the fraction of channel uses it spends on
+  confirmations, and the slopes of both curves at capacity.
 """
 
 from __future__ import annotations

@@ -12,8 +12,8 @@ entry) a block is resolved.
 * ``synthesized_run``: control rides the same channel. Each chunk of
   ``c`` uses ends with ``theta`` flow-control uses carrying a tree-coded
   confirm/deny stream; the decoder maximum-likelihood-decodes a sliding
-  window of that stream and re-parses the data stream under its current
-  punctuation estimate at every chunk boundary.
+  window of that stream and parses the data stream under its current
+  punctuation estimate, walking again only the chunks whose estimate moved.
 
 Everything is deterministic given the config seed (code randomness) and
 the run seed (channel noise). Desk-scale caps keep all decoding searches
@@ -584,7 +584,7 @@ def fortified_run(cfg: SchemeConfig, ch: Channel, horizon: int, delays,
     deliveries[:len(delivery_uses)] = delivery_uses
     arrivals = _arrival_times(n_bits, cfg.rate_bits)
     delivered_at = deliveries[np.arange(n_bits) // cfg.payload_bits]
-    weights, trials = grid.miss_weights(arrivals, delivered_at)
+    weights, trials = grid.weigh(*grid.miss_counts(arrivals, delivered_at))
     return grid.table(weights, trials, SchemeRunResult,
                       blocks_confirmed=len(delivery_uses),
                       missed_bit_weight=sum(weights))
@@ -598,10 +598,9 @@ def synthesized_run(cfg: SchemeConfig, ch: Channel, horizon: int, delays,
 
     Each chunk sends c - theta data uses followed by theta tree-coded flow
     uses. The decoder ML-decodes the flow stream over a sliding window,
-    re-parses the data stream under the resulting punctuation estimate at
-    every chunk boundary, and resolves each bit's deadline at the last
-    boundary not after it (unresolved bits count 1/2, wrongly decoded bits
-    count 1).
+    parses the data stream once per chunk and window estimate, and
+    resolves each bit's deadline at the last boundary not after it
+    (unresolved bits count 1/2, wrongly decoded bits count 1).
 
     The ideal-flow twin is :func:`fortified_run` on the same config with
     theta 0: an error-free flow link carries nothing the fortified model
@@ -635,23 +634,19 @@ def synthesized_run(cfg: SchemeConfig, ch: Channel, horizon: int, delays,
     noise = _NoiseSource(ch, span, seed)
 
     encoder = _ParseState(codebook.n_candidates)  # truth-side block timeline
-    true_symbols: list[int] = []
-    settled = _ParseState(codebook.n_candidates)
-    settled_chunks = 0
+    # The pending chunks' data rows and true symbols, oldest first, and the
+    # window estimate with the parse after each of its chunks; parses[0] is
+    # the settled parse, the head of every window parse.
+    rows: list[np.ndarray] = []
+    sent: list[int] = []
+    estimate: list[int] = []
+    parses = [_ParseState(codebook.n_candidates)]
     punctuation_errors = 0
     data_block_errors = 0
 
-    arrivals = _arrival_times(n_bits, cfg.rate_bits)
-    eligible = grid.eligible(arrivals)
-    trials = int(np.count_nonzero(eligible))
+    bits = grid.clear_range(lambda t: _arrival_count(t, cfg.rate_bits))
     wrong_weight = {d: 0.0 for d in grid.delays}
     miss_weight = {d: 0.0 for d in grid.delays}
-    # The bits judged at delay d on boundary (k + 1) * c are those arriving
-    # in [(k + 1) * c - d, (k + 2) * c - d): rows k and k + 1 of ``edges``.
-    edges = np.searchsorted(arrivals, np.arange(1, chunks + 2)[:, None] * cfg.c
-                            - np.asarray(grid.delays), side="left").tolist()
-
-    data_rows = np.empty((chunks, data_len), dtype=np.int64)
 
     for k in range(chunks):
         base = k * cfg.c
@@ -665,42 +660,48 @@ def synthesized_run(cfg: SchemeConfig, ch: Channel, horizon: int, delays,
             encoder.score(codebook, letters, row)
         else:
             row = noise.emit_batch(np.full(data_len, IDLE_LETTER, dtype=np.int64), base + 1)
-        data_rows[k] = row
+        rows.append(row)
         if encoder.active and _confirmable(encoder.scores, value, list_len):
             # The list index puts the true block at the confirmed position.
             symbol = 1 + _list_index(encoder.scores, value)
         else:
             symbol = DENY
         encoder.apply(symbol, list_len)
-        true_symbols.append(symbol)
+        sent.append(symbol)
         # Flow portion, tree-coded over the recent true symbol history.
-        flow_letters = flow_code.letters(flow_code.context_digest(true_symbols), k)
+        flow_letters = flow_code.letters(flow_code.context_digest(sent), k)
         flow_out = noise.emit_batch(flow_letters, base + data_len + 1)
 
         newly_frozen, window_best = flow_dec.step(flow_out)
-        for frozen in newly_frozen:
-            if frozen != true_symbols[settled_chunks]:
+        if newly_frozen:
+            # The decoder froze the head of its last estimate, so the parse
+            # after that chunk is the new settled parse.
+            if newly_frozen[0] != sent[0]:
                 punctuation_errors += 1
-            before = len(settled.values)
-            _walk_chunk(settled, cfg, codebook, settled_chunks, frozen,
-                        data_rows[settled_chunks], list_len)
-            if len(settled.values) > before:
-                slot = len(settled.values) - 1
-                if slot >= len(encoder.values) or settled.values[-1] != encoder.values[slot]:
-                    data_block_errors += 1
-            settled_chunks += 1
-        # Provisional parse: settled prefix plus the current window estimate.
-        provisional = settled.copy()
-        for j, symbol_hat in enumerate(window_best):
-            _walk_chunk(provisional, cfg, codebook, settled_chunks + j, symbol_hat,
-                        data_rows[settled_chunks + j], list_len)
-        decoded = provisional.values
-        # Emit every (bit, delay) whose last boundary at or before its
-        # deadline is this one.
-        for d, lo, hi in zip(grid.delays, edges[k], edges[k + 1]):
+            del sent[0], rows[0], estimate[0]
+            before, settled = parses.pop(0), parses[0]
+            slot = len(before.values)  # the block the settled chunk closes, if any
+            if settled.values[slot:] and settled.values[slot:] != encoder.values[slot:slot + 1]:
+                data_block_errors += 1
+        # Keep the parses of the prefix the new estimate shares with the old
+        # one and walk only the rest.
+        keep = 0
+        while keep < len(estimate) and estimate[keep] == window_best[keep]:
+            keep += 1
+        del parses[keep + 1:]
+        first = k + 1 - len(window_best)  # the oldest pending chunk
+        for j in range(keep, len(window_best)):
+            state = parses[-1].copy()
+            _walk_chunk(state, cfg, codebook, first + j, window_best[j], rows[j], list_len)
+            parses.append(state)
+        estimate = window_best
+        decoded = parses[-1].values
+        # Emit every clear (bit, delay) whose last boundary at or before its
+        # deadline is this one: bits arriving in [(k + 1) * c - d, (k + 2) * c - d).
+        for d in grid.delays:
+            lo = max(_arrival_count(base + cfg.c - d - 1, cfg.rate_bits), bits.start)
+            hi = min(_arrival_count(base + 2 * cfg.c - d - 1, cfg.rate_bits), bits.stop)
             for i in range(lo, hi):
-                if not eligible[i]:
-                    continue
                 b, offset = divmod(i, payload)
                 if b >= len(decoded):
                     miss_weight[d] += MISS_WEIGHT
@@ -708,10 +709,10 @@ def synthesized_run(cfg: SchemeConfig, ch: Channel, horizon: int, delays,
                     wrong_weight[d] += 1.0
 
     totals = [wrong_weight[d] + miss_weight[d] for d in grid.delays]
-    return grid.table(totals, trials, SchemeRunResult,
+    return grid.table(totals, len(bits), SchemeRunResult,
                       blocks_confirmed=len(encoder.values),
                       punctuation_chunk_errors=punctuation_errors,
                       data_block_errors=data_block_errors,
-                      spurious_confirms=settled.spurious,
+                      spurious_confirms=parses[0].spurious,
                       wrong_bit_weight=sum(wrong_weight.values()),
                       missed_bit_weight=sum(miss_weight.values()))

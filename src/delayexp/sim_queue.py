@@ -110,12 +110,13 @@ class DeadlineGrid:
     def _clear(self, arrivals: np.ndarray) -> np.ndarray:
         return (arrivals > self.dmax) & (arrivals <= self.horizon - self.dmax)
 
-    def eligible(self, arrivals: np.ndarray) -> np.ndarray:
-        """Mask of the bits arriving clear of the burn-in at both ends."""
-        mask = self._clear(arrivals)
-        if not mask.any():
+    def clear_range(self, arrived) -> range:
+        """Indices, in arrival order, of the bits arriving clear of the burn-in
+        at both ends; ``arrived(t)`` is the number of bits arrived by use t."""
+        bits = range(arrived(self.dmax), arrived(self.horizon - self.dmax))
+        if not bits:
             raise HorizonTooShortError("no bits survive the burn-in exclusion")
-        return mask
+        return bits
 
     def miss_counts(self, arrivals: np.ndarray, deliveries: np.ndarray):
         """Per-delay counts of eligible bits undelivered by their deadline, and the trials.
@@ -138,10 +139,6 @@ class DeadlineGrid:
         if trials == 0:
             raise HorizonTooShortError("no bits survive the burn-in exclusion")
         return tuple(MISS_WEIGHT * float(c) for c in counts), trials
-
-    def miss_weights(self, arrivals: np.ndarray, deliveries: np.ndarray):
-        """Per-delay error weights of bits undelivered by their deadline, and the trials."""
-        return self.weigh(*self.miss_counts(arrivals, deliveries))
 
     def table(self, weights, trials: int, kind=DelayErrorTable, **fields) -> DelayErrorTable:
         """The ``kind`` table of per-delay error weights over ``trials`` bits."""

@@ -178,7 +178,7 @@ def queue_table(delta, horizon, delays, seed):
     weighing each delay's misses over all eligible bits at once."""
     grid = DeadlineGrid(delays, horizon)
     arrivals, delivery = service_times(delta, grid.horizon, seed)
-    eligible = grid.eligible(arrivals)
+    eligible = grid._clear(arrivals)
     arr, dlv = arrivals[eligible], delivery[eligible]
     weights = [MISS_WEIGHT * float(np.count_nonzero(dlv > arr + d)) for d in grid.delays]
     return grid.table(weights, int(arr.size))

@@ -22,6 +22,7 @@ from delayexp.sim_anytime import (
     WindowTooLargeError,
     _arrival_count,
     _arrival_time,
+    _arrival_times,
     _block_values,
     _cdf,
     _code_input_dist,
@@ -127,6 +128,16 @@ class TestArrivalClock:
     def test_half_bit_clock(self):
         assert [_arrival_time(i, 0.5) for i in (1, 2, 3)] == [2, 4, 6]
         assert [_arrival_count(t, 0.5) for t in (1, 2, 3, 4)] == [0, 1, 1, 2]
+
+    @pytest.mark.parametrize("rate", [1.0, 0.5, 0.25, 0.125, 3 / 14, 1 / 6, 0.3, 2 / 3,
+                                      0.15, 1 / 3])
+    def test_count_is_search_of_arrival_times(self, rate):
+        # The synthesized judge takes its bit ranges from the count alone.
+        n = _arrival_count(2_000, rate)
+        times = np.arange(4_001)
+        counts = np.array([min(_arrival_count(int(t), rate), n) for t in times])
+        np.testing.assert_array_equal(
+            np.searchsorted(_arrival_times(n, rate), times, side="right"), counts)
 
 
 class TestFlowSymbols:
@@ -633,14 +644,34 @@ class TestSynthesizedScheme:
         assert table.blocks_confirmed == 199
         assert table.missed_bit_weight == 1090.5
 
+    def test_flow_link_errors_are_pinned(self):
+        # One flow use per chunk at window 4: the flow link errs often, so
+        # the settled parse takes wrong punctuation and wrong blocks.
+        cfg = SchemeConfig(n=2, c=5, l=1, theta=1, rate_bits=0.3, redecode_window=4, seed=0)
+        table = synthesized_run(cfg, make_bsc(0.05), 20_000, (5, 10, 20), 0)
+        assert table.to_csv() == (
+            "delay,error,trials,half_width\n"
+            "5,4.9983299933e-01,5988,1.2664415646e-02\n"
+            "10,4.9974949900e-01,5988,1.2664414763e-02\n"
+            "20,5.0016700067e-01,5988,1.2664415646e-02\n")
+        assert table.blocks_confirmed == 1999
+        assert table.punctuation_chunk_errors == 2196
+        assert table.data_block_errors == 1615
+        assert table.spurious_confirms == 1
+        assert table.wrong_bit_weight == 13.0
+        assert table.missed_bit_weight == 8967.5
+
     def test_flow_decoder_hashes_only_new_leaves(self, monkeypatch):
         # Work guard: once the window is full a step hashes the letter rows
         # of the 3^4 new leaves only (l = 1, window 4), and the encoder one
         # row per chunk; the digest tree of the leaves grows one level per
-        # warm-up step and is then kept.
-        rows = extends = 0
+        # warm-up step and is then kept. The data stream is parsed once per
+        # chunk and estimate: a chunk is walked again only when a newer
+        # estimate changes a symbol at or before it.
+        rows = extends = walks = 0
         hash_uniforms = sim_anytime._hash_uniforms
         extend = FlowCode.extend
+        walk_chunk = sim_anytime._walk_chunk
 
         def counting_hash(digests, chunk_index, count):
             nonlocal rows
@@ -652,8 +683,14 @@ class TestSynthesizedScheme:
             extends += 1
             return extend(self, digest, message)
 
+        def counting_walk(*args):
+            nonlocal walks
+            walks += 1
+            return walk_chunk(*args)
+
         monkeypatch.setattr(sim_anytime, "_hash_uniforms", counting_hash)
         monkeypatch.setattr(FlowCode, "extend", counting_extend)
+        monkeypatch.setattr(sim_anytime, "_walk_chunk", counting_walk)
         horizon = 12_000
         synthesized_run(self.CFG, make_bsc(0.05), horizon, (24, 48), 0)
         chunks = horizon // self.CFG.c
@@ -662,6 +699,7 @@ class TestSynthesizedScheme:
         # The encoder's context is the last 4 messages. The leaves' digest
         # tree adds one level per warm-up step: 3, 9, 27 and 81 nodes.
         assert extends <= 4 * chunks + 3 + 9 + 27 + 81
+        assert walks <= chunks + chunks // 10
 
     def test_requires_flow_uses(self):
         with pytest.raises(DomainError):
