@@ -179,7 +179,7 @@ class _NoiseSource:
         u = self.u[t0 - 1:t0 - 1 + len(letters)]
         # Row-wise searchsorted(..., side="right"); each cdf row ends at 1 > u,
         # so every output is a valid letter.
-        return np.sum(self.cdf[letters] <= u[:, None], axis=1)
+        return (self.cdf[letters] <= u[:, None]).sum(axis=1)
 
 
 def _block_values(cfg: SchemeConfig, count: int) -> np.ndarray:
@@ -204,6 +204,15 @@ def _arrival_time(i: int, rate_bits: float) -> int:
 def _arrival_times(n_bits: int, rate_bits: float) -> np.ndarray:
     """Arrival use of bits 1..n_bits, as :func:`_arrival_time` gives each."""
     return np.ceil(np.arange(1, n_bits + 1) / rate_bits - _ARRIVAL_EPS).astype(np.int64)
+
+
+def _uint32_words(value: int) -> list[int]:
+    """The 32-bit words of a nonnegative int, least significant first (at least one)."""
+    words = [value & 0xFFFFFFFF]
+    while value >> 32:
+        value >>= 32
+        words.append(value & 0xFFFFFFFF)
+    return words
 
 
 def _cdf(probs: np.ndarray) -> np.ndarray:
@@ -239,6 +248,10 @@ class BlockCodebook:
             raise DomainError("payload must hold at least one bit")
         self.n_candidates = 1 << payload_bits
         self.seed = int(seed)
+        # SeedSequence((seed, _CODE_STREAM, block, slab)) reads each int as its
+        # 32-bit words, least significant first; handing it those words as one
+        # uint32 array gives the same generator without its per-int conversion.
+        self._entropy_head = [*_uint32_words(self.seed), _CODE_STREAM]
         q = _code_input_dist(ch)
         self.logp = _log_likelihoods(ch)
         self.coset = ch.inputs == 2 and np.max(np.abs(q - 0.5)) < 1e-9
@@ -247,47 +260,60 @@ class BlockCodebook:
             for i in range(1, self.n_candidates):
                 par[i] = par[i >> 1] ^ (i & 1)
             self._parity = par
+            self._candidates = np.arange(self.n_candidates, dtype=np.int64)[:, None]
+            self._unit_masks = np.ones(_CODE_SLAB, dtype=np.int64)
         else:
             self._qcdf = _cdf(q)
         self._slabs: dict[tuple[int, int], tuple] = {}
 
     def _slab(self, block_id: int, slab_idx: int):
+        """The cached draws of one block's slab; read-only, since callers get views."""
         key = (block_id, slab_idx)
         slab = self._slabs.get(key)
         if slab is None:
-            rng = np.random.default_rng(
-                np.random.SeedSequence((self.seed, _CODE_STREAM, block_id, slab_idx)))
+            entropy = np.array([*self._entropy_head, *_uint32_words(block_id),
+                                *_uint32_words(slab_idx)], dtype=np.uint32)
+            rng = np.random.default_rng(np.random.SeedSequence(entropy))
             if self.coset:
-                g = rng.integers(1, self.n_candidates, size=_CODE_SLAB, dtype=np.int64)
+                # One-bit payloads have the single mask 1, which numpy draws
+                # without touching the stream; skip the call.
+                g = (rng.integers(1, self.n_candidates, size=_CODE_SLAB, dtype=np.int64)
+                     if self.n_candidates > 2 else self._unit_masks)
                 s = rng.integers(0, 2, size=_CODE_SLAB, dtype=np.int8)
                 slab = (g, s)
             else:
                 u = rng.random((self.n_candidates, _CODE_SLAB))
                 slab = (np.searchsorted(self._qcdf, u, side="right")
                         .astype(np.int8, copy=False),)
+            for part in slab:
+                part.flags.writeable = False
             if len(self._slabs) > 64:
                 self._slabs.pop(next(iter(self._slabs)))
             self._slabs[key] = slab
         return slab
 
+    def _columns(self, block_id: int, slab_idx: int, lo: int, hi: int) -> np.ndarray:
+        """Letters of every candidate over offsets [lo, hi) of one slab."""
+        slab = self._slab(block_id, slab_idx)
+        if self.coset:
+            g, s = slab
+            return self._parity[self._candidates & g[lo:hi]] ^ s[lo:hi]
+        return slab[0][:, lo:hi]
+
     def candidates_range(self, block_id: int, start: int, count: int) -> np.ndarray:
-        """Letters of every candidate over positions [start, start+count)."""
-        out = np.empty((self.n_candidates, count), dtype=np.int64)
-        pos = start
-        col = 0
-        while col < count:
-            slab = self._slab(block_id, pos // _CODE_SLAB)
-            off = pos % _CODE_SLAB
-            take = min(_CODE_SLAB - off, count - col)
-            if self.coset:
-                g, s = slab
-                idx = np.arange(self.n_candidates, dtype=np.int64)[:, None] & g[off:off + take]
-                out[:, col:col + take] = self._parity[idx] ^ s[off:off + take]
-            else:
-                out[:, col:col + take] = slab[0][:, off:off + take]
-            pos += take
-            col += take
-        return out
+        """Letters (int8) of every candidate over positions [start, start+count).
+
+        A range inside one slab of an i.i.d. codebook is a read-only view of
+        the cached slab.
+        """
+        first, off = divmod(start, _CODE_SLAB)
+        if off + count <= _CODE_SLAB:
+            return self._columns(block_id, first, off, off + count)
+        last = (start + count - 1) // _CODE_SLAB
+        return np.concatenate(
+            [self._columns(block_id, i, max(start - i * _CODE_SLAB, 0),
+                           min(start + count - i * _CODE_SLAB, _CODE_SLAB))
+             for i in range(first, last + 1)], axis=1)
 
 
 def _ranked(scores: np.ndarray, k: int) -> np.ndarray:
@@ -300,7 +326,7 @@ def _confirmable(scores: np.ndarray, truth: int, list_len: int):
     # must all fit in the list, so the confirmed index is unambiguous under
     # any tie ordering. An all-tied chunk (e.g. all-erased outputs) denies.
     # Candidates run along axis 0; a 2-D block gives one verdict per column.
-    return np.count_nonzero(scores >= scores[truth], axis=0) <= list_len
+    return (scores >= scores[truth]).sum(axis=0) <= list_len
 
 
 def _list_index(scores: np.ndarray, truth: int) -> int:
@@ -525,38 +551,36 @@ def _serve_blocks(cfg: SchemeConfig, codebook: BlockCodebook, values: np.ndarray
     """
     payload = cfg.payload_bits
     list_len = min(1 << cfg.l, codebook.n_candidates)
+    logp = codebook.logp
     deliveries: list[int] = []
     t_free = 1
-    block = 0
-    while True:
+    for block in range(len(values)):
         t_start = max(_arrival_time((block + 1) * payload, cfg.rate_bits), t_free)
         if t_start > horizon:
             break
         value = int(values[block])
-        scores = np.zeros(codebook.n_candidates)
+        scores = None  # the candidates' scores before the stride, as a column
         pos = 0
         t = t_start
         stride = _SERVE_STRIDE_MIN
-        delivered = False
         while t <= horizon:
             take = min(stride, horizon - t + 1)
             stride = min(stride * 4, _SERVE_STRIDE_MAX)
             letters = codebook.candidates_range(block, pos, take)
-            y = noise.emit_batch(letters[value], t)
-            cum = scores[:, None] + np.cumsum(codebook.logp[letters, y], axis=1)
-            ok = np.flatnonzero(_confirmable(cum, value, list_len))
-            if ok.size:
-                j = int(ok[0])
+            cum = logp[letters, noise.emit_batch(letters[value], t)].cumsum(axis=1)
+            if scores is not None:
+                cum += scores
+            ok = _confirmable(cum, value, list_len)
+            j = int(ok.argmax())
+            if ok[j]:
                 deliveries.append(t + j)
                 t_free = t + j + 1
-                delivered = True
                 break
-            scores = cum[:, -1]
+            scores = cum[:, -1:]
             pos += take
             t += take
-        if not delivered:
+        if t > horizon:  # the horizon ended with the block still in flight
             break
-        block += 1
     return deliveries
 
 
@@ -646,7 +670,11 @@ def synthesized_run(cfg: SchemeConfig, ch: Channel, horizon: int, delays,
 
     bits = grid.clear_range(lambda t: _arrival_count(t, cfg.rate_bits))
     wrong_weight = {d: 0.0 for d in grid.delays}
-    miss_weight = {d: 0.0 for d in grid.delays}
+    miss_weight = {}
+    for d in grid.delays:
+        # A bit whose deadline falls before the first boundary is never resolved.
+        unjudged = min(_arrival_count(cfg.c - d - 1, cfg.rate_bits), bits.stop) - bits.start
+        miss_weight[d] = MISS_WEIGHT * max(unjudged, 0)
 
     for k in range(chunks):
         base = k * cfg.c

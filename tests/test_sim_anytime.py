@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 
 from delayexp import sim_anytime
 from delayexp.channel import make_bec, make_bsc, make_dmc
+from delayexp.cli import HORIZON_MAX
 from delayexp.errors import BadInputError, DomainError
 from delayexp.sim_anytime import (
     _CODE_SLAB,
+    _CODE_STREAM,
     DENY,
     BlockCodebook,
     FlowCode,
@@ -204,6 +206,55 @@ class TestBlockCodebook:
         letters = cb.candidates_range(0, 0, 4000)
         assert not np.any(letters == 2)
         assert abs(np.mean(letters) - 0.5) < 0.05
+
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 5])
+    @pytest.mark.parametrize("payload,channel", [
+        (1, make_bec(0.4)), (4, make_bsc(0.1)),
+        (2, make_dmc([[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]])),
+    ])
+    def test_slab_is_the_tuple_seeded_stream(self, seed, payload, channel):
+        # Each slab holds the draws of a generator seeded with the tuple
+        # (seed, _CODE_STREAM, block, slab), up to the horizon cap's block ids.
+        cb = BlockCodebook(channel, payload, seed)
+        for block_id, slab_idx in [(0, 0), (1, 3), (2**16 + 1, 1), (HORIZON_MAX, 0)]:
+            rng = np.random.default_rng(
+                np.random.SeedSequence((seed, _CODE_STREAM, block_id, slab_idx)))
+            if cb.coset:
+                g = rng.integers(1, cb.n_candidates, size=_CODE_SLAB, dtype=np.int64)
+                s = rng.integers(0, 2, size=_CODE_SLAB, dtype=np.int8)
+                want = (g, s)
+            else:
+                u = rng.random((cb.n_candidates, _CODE_SLAB))
+                want = (np.searchsorted(cb._qcdf, u, side="right").astype(np.int8),)
+            got = cb._slab(block_id, slab_idx)
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype
+                assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("channel", [
+        make_bsc(0.1), make_dmc([[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]]),
+    ])
+    def test_cached_slabs_are_read_only(self, channel):
+        # A range inside one slab may be a view of the cache: writing into it
+        # must fail rather than change the letters of later calls.
+        cb = BlockCodebook(channel, 3, 5)
+        before = cb.candidates_range(2, 10, 20).copy()
+        for part in cb._slab(2, 0):
+            assert not part.flags.writeable
+        inside = cb.candidates_range(2, 10, 20)
+        if not cb.coset:
+            assert np.shares_memory(inside, cb._slab(2, 0)[0])
+        if not inside.flags.writeable:
+            with pytest.raises(ValueError):
+                inside[0, 0] = 1 - inside[0, 0]
+        else:
+            inside[:] = 1 - inside
+        across = cb.candidates_range(2, 250, 12)
+        across[:] = 1 - across
+        assert np.array_equal(cb.candidates_range(2, 10, 20), before)
+        assert np.array_equal(cb.candidates_range(2, 250, 12),
+                              BlockCodebook(channel, 3, 5).candidates_range(2, 250, 12))
 
     def test_payload_caps(self):
         with pytest.raises(PayloadTooLargeError):
@@ -581,6 +632,55 @@ class TestFortifiedScheme:
             "10,3.6125817502e-02,6422,4.5639401067e-03\n"
             "14,1.4014325755e-03,6422,9.1496081340e-04\n")
 
+    # The three fortified configs the benchmark runs, at 20,000 uses and run
+    # seed 1; config seed 2**40 + 3 seeds each slab from a two-word int.
+    PINNED_CONFIGS = {
+        "bec": (make_bec(0.4), dict(n=1, c=2, l=0, rate_bits=0.5), (6, 10, 14, 18)),
+        "bsc": (make_bsc(0.05), dict(n=2, c=7, l=1, rate_bits=3 / 14), (6, 10, 14, 18)),
+        "z": (make_dmc([[1.0, 0.0], [0.3, 0.7]]), dict(n=1, c=2, l=0, rate_bits=0.5),
+              (1, 2, 3, 4)),
+    }
+
+    @pytest.mark.parametrize("name,code_seed,csv,confirmed,missed", [
+        ("bec", 0,
+         "6,2.7449408936e-02,9982,3.2053088917e-03\n"
+         "10,4.8587457423e-03,9982,1.3641173743e-03\n"
+         "14,9.5171308355e-04,9982,6.0491387792e-04\n"
+         "18,0.0000000000e+00,9982,0.0000000000e+00\n", 10000, 332.0),
+        ("bec", 2**40 + 3,
+         "6,2.7449408936e-02,9982,3.2053088917e-03\n"
+         "10,4.8587457423e-03,9982,1.3641173743e-03\n"
+         "14,9.5171308355e-04,9982,6.0491387792e-04\n"
+         "18,0.0000000000e+00,9982,0.0000000000e+00\n", 10000, 332.0),
+        ("bsc", 0,
+         "6,1.8758765778e-01,4278,1.1698389252e-02\n"
+         "10,4.0556334736e-02,4278,5.9111879817e-03\n"
+         "14,1.4025245442e-03,4278,1.1214660950e-03\n"
+         "18,0.0000000000e+00,4278,0.0000000000e+00\n", 1428, 982.0),
+        ("bsc", 2**40 + 3,
+         "6,1.8419822347e-01,4278,1.1616377668e-02\n"
+         "10,3.5998129967e-02,4278,5.5823182189e-03\n"
+         "14,1.8700327256e-03,4278,1.2946543414e-03\n"
+         "18,2.3375409070e-04,4278,4.5810446648e-04\n", 1428, 951.0),
+        ("z", 0,
+         "1,8.8285314126e-02,9996,5.5618164999e-03\n"
+         "2,4.0966386555e-02,9996,3.8857395840e-03\n"
+         "3,2.4159663866e-02,9996,3.0100781709e-03\n"
+         "4,1.3305322129e-02,9996,2.2461928331e-03\n", 9997, 1666.5),
+        ("z", 2**40 + 3,
+         "1,8.8385354142e-02,9996,5.5646614557e-03\n"
+         "2,4.1616646659e-02,9996,3.9151293947e-03\n"
+         "3,2.3959583834e-02,9996,2.9978954535e-03\n"
+         "4,1.2805122049e-02,9996,2.2041251771e-03\n", 10000, 1667.0),
+    ])
+    def test_tables_are_pinned_across_seed_widths(self, name, code_seed, csv, confirmed,
+                                                  missed):
+        ch, fields_, delays = self.PINNED_CONFIGS[name]
+        table = fortified_run(SchemeConfig(seed=code_seed, **fields_), ch, 20_000, delays, 1)
+        assert table.to_csv() == "delay,error,trials,half_width\n" + csv
+        assert table.blocks_confirmed == confirmed
+        assert table.missed_bit_weight == missed
+
     def test_requires_no_flow_uses(self):
         cfg = SchemeConfig(n=1, c=8, l=0, theta=4, rate_bits=0.125)
         with pytest.raises(DomainError):
@@ -660,6 +760,16 @@ class TestSynthesizedScheme:
         assert table.spurious_confirms == 1
         assert table.wrong_bit_weight == 13.0
         assert table.missed_bit_weight == 8967.5
+
+    def test_bits_due_before_the_first_boundary_are_misses(self):
+        # At delays 2 and 5 the deadlines of bits 0-2 (arrivals 6, 12, 18)
+        # fall before the first chunk boundary at use 24, so no parse ever
+        # resolves them: each counts 1/2 at both delays, like every later bit here.
+        table = synthesized_run(self.CFG, make_bsc(0.05), 2_400, (2, 5), 0)
+        assert table.trials == (399, 399)
+        assert [e * n for e, n in zip(table.errors, table.trials)] == [199.5, 199.5]
+        assert table.missed_bit_weight == 399.0
+        assert table.wrong_bit_weight == 0.0
 
     def test_flow_decoder_hashes_only_new_leaves(self, monkeypatch):
         # Work guard: once the window is full a step hashes the letter rows
