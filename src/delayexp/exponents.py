@@ -15,7 +15,8 @@ The exponent functions come in two families:
 * fixed-delay quantities for feedback schemes: the rate-focusing converse
   built from E+ (the only fixed-delay bound here), the exponent achieved by
   a confirm/deny repeat strategy, the fraction of channel uses it spends on
-  confirmations, and the slopes of both curves at capacity.
+  confirmations, and the slopes of both curves at capacity, which take the
+  exact curvature E0''(0) = -Var i(X;Y) of the Gallager function.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ import numpy as np
 
 from .channel import (
     Channel,
+    _density_variance,
+    _kl,
     as_input_dist,
     capacity,
     capacity_below,
@@ -46,12 +49,11 @@ BISECT_FTOL = 1e-12
 ASCENT_TOL = 1e-10
 ASCENT_SWEEPS_MAX = 200
 DEGENERATE_CAPACITY = 1e-9
-CURVATURE_STEP = 1e-4
-# Cancellation noise in the second difference is about eps / h^2 ~ 4e-8 at
-# the step above, so the flatness cutoff sits well clear of it; channels
-# that are not error free have |E0''(0)| larger than this by orders of
-# magnitude (even BSC(1e-6) is near 2e-4).
-FLAT_CURVATURE_TOL = 1e-6
+# E0''(0) = -Var i(X;Y) is computed exactly, so this cutoff absorbs rounding
+# only: where i is constant on the support (error-free channels, the noisy
+# typewriter) the variance is 0 up to about 1e-30. BEC(delta), at
+# ln^2(2) delta (1 - delta), reads as flat only for delta below about 2e-12.
+FLAT_CURVATURE_TOL = 1e-12
 ORACLE_MAX_GRID = 200
 # Row pairs of the oracle's coarse pass, each a capacity test: 10**6 pairs
 # take seconds, and three outputs at 100 grid steps (26.5M pairs) minutes.
@@ -364,22 +366,10 @@ def _window_grid(row: np.ndarray, steps: int) -> np.ndarray:
                        for x in row[:-1]])
 
 
-def _kl_rows(rows: np.ndarray, p_row: np.ndarray) -> np.ndarray:
-    """KL(row || p_row) for each row; +inf where the support leaks."""
-    sup = p_row > 0
-    vals = np.full(len(rows), math.inf)
-    ok = rows[:, ~sup].sum(axis=1) <= 0
-    r = rows[ok][:, sup]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(r > 0, r * np.log(np.where(r > 0, r / p_row[sup], 1.0)), 0.0)
-    vals[ok] = t.sum(axis=1)
-    return vals
-
-
 def _oracle_pass(p: np.ndarray, rate: float, rows0: np.ndarray, rows1: np.ndarray):
     """Best (lowest) worst-case divergence over feasible row pairs on a grid."""
-    d0 = _kl_rows(rows0, p[0])
-    d1 = _kl_rows(rows1, p[1])
+    d0 = _kl(rows0, p[0])
+    d1 = _kl(rows1, p[1])
     n0, n1 = len(rows0), len(rows1)
     best_val, best_pair = math.inf, None
     for start in range(0, n0 * n1, _ORACLE_CHUNK):
@@ -585,21 +575,15 @@ def capacity_slopes(ch: Channel) -> CapacitySlopes:
     Both slopes are reported as positive magnitudes:
     2 C / |E0''(0)| for the focusing converse and
     E0(1) / (C + E0(1) |E0''(0)| / (2 C)) for the repeat strategy.
-    The curvature is estimated by Richardson-extrapolated central
-    differences; a flat curvature (error-free channels) yields +inf slopes
-    and a ``flat_curvature`` flag.
+    The curvature is exact: E0''(0) is minus the variance of the
+    information density i(X;Y) = ln p(Y|X) / (q p)(Y) under the uniform
+    law q. A flat curvature (i constant on the support, as on error-free
+    channels) yields +inf slopes and a ``flat_curvature`` flag.
     """
     if not is_symmetric(ch):
         raise DomainError("capacity slopes are defined here for symmetric channels only")
     cap = _positive_capacity(ch)
-    q = np.full(ch.inputs, 1.0 / ch.inputs)
-
-    def second_diff(h):
-        return (_e0_raw(ch.p, h, q) - 2.0 * _e0_raw(ch.p, 0.0, q)
-                + _e0_raw(ch.p, -h, q)) / h ** 2
-
-    h = CURVATURE_STEP
-    d2 = (4.0 * second_diff(h / 2.0) - second_diff(h)) / 3.0
+    d2 = -_density_variance(ch.p, np.full(ch.inputs, 1.0 / ch.inputs))
     if abs(d2) < FLAT_CURVATURE_TOL:
         return CapacitySlopes(math.inf, math.inf, d2, (FLAG_FLAT_CURVATURE,))
     e0_one = e0_max(ch, 1.0).value

@@ -30,7 +30,7 @@ from hashlib import blake2b
 
 import numpy as np
 
-from .channel import Channel, is_symmetric
+from .channel import Channel
 from .errors import BadInputError, DomainError
 from .exponents import e0_max
 from .sim_queue import DeadlineGrid, DelayErrorTable, HorizonTooShortError, MISS_WEIGHT
@@ -188,8 +188,7 @@ def _block_values(cfg: SchemeConfig, count: int) -> np.ndarray:
 
 
 def _code_input_dist(ch: Channel) -> np.ndarray:
-    if is_symmetric(ch):
-        return np.full(ch.inputs, 1.0 / ch.inputs)
+    # Uniform, exactly, on symmetric channels: e0_max takes its shortcut there.
     return np.asarray(e0_max(ch, 1.0).q)
 
 
@@ -197,12 +196,9 @@ def _arrival_count(t: int, rate_bits: float) -> int:
     return int(t * rate_bits + _ARRIVAL_EPS)
 
 
-def _arrival_time(i: int, rate_bits: float) -> int:
-    return int(math.ceil(i / rate_bits - _ARRIVAL_EPS))
-
-
 def _arrival_times(n_bits: int, rate_bits: float) -> np.ndarray:
-    """Arrival use of bits 1..n_bits, as :func:`_arrival_time` gives each."""
+    """Arrival use of bits 1..n_bits: bit i arrives at the first use t with
+    ``_arrival_count(t) >= i``; block k is ready at entry (k + 1) * payload - 1."""
     return np.ceil(np.arange(1, n_bits + 1) / rate_bits - _ARRIVAL_EPS).astype(np.int64)
 
 
@@ -541,21 +537,22 @@ _SERVE_STRIDE_MAX = 512
 
 
 def _serve_blocks(cfg: SchemeConfig, codebook: BlockCodebook, values: np.ndarray,
-                  noise: _NoiseSource, horizon: int) -> list[int]:
+                  ready, noise: _NoiseSource, horizon: int) -> list[int]:
     """Block delivery uses under the ideal flow link, block by block.
 
-    Processes each in-flight block in vectorized strides; step-for-step
-    equivalent to an encoder that tests the confirm condition after every
-    use (the idle uses between blocks touch no state, and the noise
-    uniforms are indexed by absolute time either way).
+    Block k is sent from use ``ready[k]`` (its last bit's arrival, or 1 when
+    blocks are always backlogged) or after block k - 1 is confirmed. Each
+    block runs in vectorized strides; step-for-step equivalent to an encoder
+    that tests the confirm condition after every use (the idle uses between
+    blocks touch no state, and the noise uniforms are indexed by absolute
+    time either way).
     """
-    payload = cfg.payload_bits
     list_len = min(1 << cfg.l, codebook.n_candidates)
     logp = codebook.logp
     deliveries: list[int] = []
     t_free = 1
-    for block in range(len(values)):
-        t_start = max(_arrival_time((block + 1) * payload, cfg.rate_bits), t_free)
+    for block, t_ready in enumerate(ready):
+        t_start = max(int(t_ready), t_free)
         if t_start > horizon:
             break
         value = int(values[block])
@@ -602,11 +599,12 @@ def fortified_run(cfg: SchemeConfig, ch: Channel, horizon: int, delays,
     n_blocks = n_bits // cfg.payload_bits + 1
     values = _block_values(cfg, n_blocks)
     noise = _NoiseSource(ch, horizon, seed)
-    delivery_uses = _serve_blocks(cfg, codebook, values, noise, horizon)
+    arrivals = _arrival_times(n_bits, cfg.rate_bits)
+    ready = arrivals[cfg.payload_bits - 1::cfg.payload_bits]
+    delivery_uses = _serve_blocks(cfg, codebook, values, ready, noise, horizon)
 
     deliveries = np.full(n_blocks, np.inf)
     deliveries[:len(delivery_uses)] = delivery_uses
-    arrivals = _arrival_times(n_bits, cfg.rate_bits)
     delivered_at = deliveries[np.arange(n_bits) // cfg.payload_bits]
     weights, trials = grid.weigh(*grid.miss_counts(arrivals, delivered_at))
     return grid.table(weights, trials, SchemeRunResult,
@@ -670,12 +668,23 @@ def synthesized_run(cfg: SchemeConfig, ch: Channel, horizon: int, delays,
 
     bits = grid.clear_range(lambda t: _arrival_count(t, cfg.rate_bits))
     wrong_weight = {d: 0.0 for d in grid.delays}
-    miss_weight = {}
-    for d in grid.delays:
-        # A bit whose deadline falls before the first boundary is never resolved.
-        unjudged = min(_arrival_count(cfg.c - d - 1, cfg.rate_bits), bits.stop) - bits.start
-        miss_weight[d] = MISS_WEIGHT * max(unjudged, 0)
+    miss_weight = {d: 0.0 for d in grid.delays}
 
+    def judge(boundary: int, decoded: list[int]) -> None:
+        # Resolve every clear (bit, delay) whose last boundary at or before its
+        # deadline is use ``boundary``: bits arriving in [boundary - d, boundary + c - d).
+        for d in grid.delays:
+            lo = max(_arrival_count(boundary - d - 1, cfg.rate_bits), bits.start)
+            hi = min(_arrival_count(boundary + cfg.c - d - 1, cfg.rate_bits), bits.stop)
+            for i in range(lo, hi):
+                b, offset = divmod(i, payload)
+                if b >= len(decoded):
+                    miss_weight[d] += MISS_WEIGHT
+                elif (decoded[b] ^ int(values[b])) >> (payload - 1 - offset) & 1:
+                    wrong_weight[d] += 1.0
+
+    # Bits due before the first chunk ends meet use 0, with no block decoded.
+    judge(0, [])
     for k in range(chunks):
         base = k * cfg.c
         # Data portion: the encoder walks the true parse with the decoder's
@@ -723,18 +732,7 @@ def synthesized_run(cfg: SchemeConfig, ch: Channel, horizon: int, delays,
             _walk_chunk(state, cfg, codebook, first + j, window_best[j], rows[j], list_len)
             parses.append(state)
         estimate = window_best
-        decoded = parses[-1].values
-        # Emit every clear (bit, delay) whose last boundary at or before its
-        # deadline is this one: bits arriving in [(k + 1) * c - d, (k + 2) * c - d).
-        for d in grid.delays:
-            lo = max(_arrival_count(base + cfg.c - d - 1, cfg.rate_bits), bits.start)
-            hi = min(_arrival_count(base + 2 * cfg.c - d - 1, cfg.rate_bits), bits.stop)
-            for i in range(lo, hi):
-                b, offset = divmod(i, payload)
-                if b >= len(decoded):
-                    miss_weight[d] += MISS_WEIGHT
-                elif (decoded[b] ^ int(values[b])) >> (payload - 1 - offset) & 1:
-                    wrong_weight[d] += 1.0
+        judge(base + cfg.c, parses[-1].values)
 
     totals = [wrong_weight[d] + miss_weight[d] for d in grid.delays]
     return grid.table(totals, len(bits), SchemeRunResult,

@@ -75,6 +75,31 @@ class FortifiedEncoder:
         return DENY
 
 
+def backlogged_deliveries(cfg, codebook, block_values, noise, horizon):
+    """Delivery uses of blocks that are all ready at use 1, confirmed per use.
+
+    Each use sends the next letter of the block in flight, samples its
+    output by inverse CDF and tests the confirm condition; the use after a
+    confirmation starts the next block. ``sim_anytime._serve_blocks`` with
+    every ready use 1 must deliver at the same uses.
+    """
+    list_len = min(1 << cfg.l, codebook.n_candidates)
+    deliveries = []
+    block, pos = 0, 0
+    scores = np.zeros(codebook.n_candidates)
+    for t in range(1, horizon + 1):
+        letters = codebook.candidates_range(block, pos, 1)[:, 0]
+        truth = int(block_values[block])
+        y = int(np.searchsorted(noise.cdf[letters[truth]], noise.u[t - 1], side="right"))
+        scores += codebook.logp[letters, y]
+        pos += 1
+        if _confirmable(scores, truth, list_len):
+            deliveries.append(t)
+            block, pos = block + 1, 0
+            scores = np.zeros(codebook.n_candidates)
+    return deliveries
+
+
 def parse_history(cfg, codebook, symbols, data_outputs):
     """Parse the data stream from scratch under a punctuation estimate.
 

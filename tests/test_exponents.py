@@ -92,9 +92,11 @@ ORACLE_EXACT = [
     ("z", 0.3 * LN2, 100, 0.11246985423432712),
 ]
 
-CURV_BSC04 = -0.03945648305106565
-SLOPE_FOCUSING_BSC04 = 1.020644111875295
-SLOPE_ACHIEVED_BSC04 = 0.3375072848839657
+# E0''(0) = -Var i(X;Y): -delta (1 - delta) ln^2((1 - delta) / delta) on BSC(delta).
+CURV_BSC04 = -0.24 * math.log(1.5) ** 2
+SLOPE_FOCUSING_BSC04 = 1.0206444770405867
+SLOPE_ACHIEVED_BSC04 = 0.33750732481467505
+CURVATURE_DELTAS = (1e-6, 0.01, 0.1, 0.25, 0.4, 0.49)
 
 
 @pytest.fixture(scope="module")
@@ -666,20 +668,60 @@ class TestClosedFormsAndSlopes:
 
     def test_bsc_slopes_frozen(self, bsc04):
         s = ex.capacity_slopes(bsc04)
-        assert s.e0_curvature == pytest.approx(CURV_BSC04, rel=1e-4)
-        assert s.focusing_slope == pytest.approx(SLOPE_FOCUSING_BSC04, rel=1e-4)
-        assert s.achieved_slope == pytest.approx(SLOPE_ACHIEVED_BSC04, rel=1e-4)
+        assert s.e0_curvature == pytest.approx(CURV_BSC04, rel=1e-12)
+        assert s.focusing_slope == pytest.approx(SLOPE_FOCUSING_BSC04, rel=1e-12)
+        assert s.achieved_slope == pytest.approx(SLOPE_ACHIEVED_BSC04, rel=1e-12)
         assert s.focusing_slope > 0 and s.achieved_slope > 0
         assert s.flags == ()
 
     def test_bec_curvature_closed_form(self, bec04):
         s = ex.capacity_slopes(bec04)
-        assert s.e0_curvature == pytest.approx(-(LN2 ** 2) * 0.24, rel=1e-4)
+        assert s.e0_curvature == pytest.approx(-(LN2 ** 2) * 0.24, rel=1e-12)
+
+    @pytest.mark.parametrize("delta", CURVATURE_DELTAS)
+    def test_bsc_curvature_closed_form_across_crossovers(self, delta):
+        closed = -delta * (1.0 - delta) * math.log((1.0 - delta) / delta) ** 2
+        s = ex.capacity_slopes(chan.make_bsc(delta))
+        assert s.e0_curvature == pytest.approx(closed, rel=1e-12)
+        assert s.flags == ()
+
+    @pytest.mark.parametrize("delta", CURVATURE_DELTAS)
+    def test_bec_curvature_closed_form_across_erasures(self, delta):
+        closed = -(LN2 ** 2) * delta * (1.0 - delta)
+        s = ex.capacity_slopes(chan.make_bec(delta))
+        assert s.e0_curvature == pytest.approx(closed, rel=1e-12)
+        assert s.flags == ()
+
+    def test_bec_focusing_slope_is_exact(self, bec04):
+        # 2 C / |E0''(0)| = 2 (0.6 ln 2) / (0.24 ln^2 2) = 5 / ln 2.
+        assert ex.capacity_slopes(bec04).focusing_slope == pytest.approx(5.0 / LN2, rel=1e-12)
+
+    def test_curvature_matches_central_differences(self):
+        # A second route to E0''(0): central second differences of E0 under
+        # the uniform law, on random circulant (hence symmetric) channels.
+        rng = np.random.default_rng(7)
+        h = 1e-4
+        for k in (2, 3, 4, 5, 8):
+            for _ in range(8):
+                row = rng.dirichlet(np.ones(k))
+                c = chan.make_dmc([np.roll(row, i) for i in range(k)])
+                q = np.full(k, 1.0 / k)
+                diff = (ex._e0_raw(c.p, h, q) - 2.0 * ex._e0_raw(c.p, 0.0, q)
+                        + ex._e0_raw(c.p, -h, q)) / h ** 2
+                assert ex.capacity_slopes(c).e0_curvature == pytest.approx(diff, abs=1e-5)
 
     def test_flat_curvature_flag(self):
         s = ex.capacity_slopes(chan.make_dmc(np.eye(2)))
         assert ex.FLAG_FLAT_CURVATURE in s.flags
         assert s.focusing_slope == math.inf and s.achieved_slope == math.inf
+
+    def test_flat_curvature_without_error_free_rows(self):
+        # Noisy typewriter: each input splits evenly over two outputs, so
+        # i(X;Y) = ln(5/2) on the whole support and E0 is linear in rho.
+        c = chan.make_dmc([np.roll([0.5, 0.5, 0.0, 0.0, 0.0], i) for i in range(5)])
+        s = ex.capacity_slopes(c)
+        assert ex.FLAG_FLAT_CURVATURE in s.flags
+        assert abs(s.e0_curvature) < 1e-28
 
     def test_asymmetric_rejected(self):
         with pytest.raises(DomainError):

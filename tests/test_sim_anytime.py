@@ -23,7 +23,6 @@ from delayexp.sim_anytime import (
     SchemeRunResult,
     WindowTooLargeError,
     _arrival_count,
-    _arrival_time,
     _arrival_times,
     _block_values,
     _cdf,
@@ -37,7 +36,13 @@ from delayexp.sim_anytime import (
     synthesized_run,
 )
 from delayexp.sim_queue import HorizonTooShortError, fit_exponent
-from reference import FortifiedEncoder, exhaustive_window_search, flow_decode, parse_history
+from reference import (
+    FortifiedEncoder,
+    backlogged_deliveries,
+    exhaustive_window_search,
+    flow_decode,
+    parse_history,
+)
 
 LN15 = math.log(1.5)
 IDENTITY = make_dmc([[1.0, 0.0], [0.0, 1.0]])
@@ -47,6 +52,13 @@ BEC_ERASURE = 2
 
 # The repeat-until-confirm reduction of the fortified scheme on a BEC.
 BEC_CFG = SchemeConfig(n=1, c=2, l=0, theta=0, rate_bits=0.5, seed=0)
+
+
+def _ready_uses(cfg, horizon):
+    """The use at which each block fed at the config rate is ready, as
+    ``fortified_run`` hands them to ``_serve_blocks``."""
+    p = cfg.payload_bits
+    return _arrival_times(_arrival_count(horizon, cfg.rate_bits), cfg.rate_bits)[p - 1::p]
 
 
 class TestSchemeConfig:
@@ -123,12 +135,12 @@ class TestArrivalClock:
            st.integers(1, 500))
     @settings(max_examples=100, deadline=None)
     def test_arrival_time_is_first_time_with_count(self, rate, i):
-        t = _arrival_time(i, rate)
+        t = int(_arrival_times(i, rate)[i - 1])
         assert _arrival_count(t, rate) >= i
         assert t == 1 or _arrival_count(t - 1, rate) < i
 
     def test_half_bit_clock(self):
-        assert [_arrival_time(i, 0.5) for i in (1, 2, 3)] == [2, 4, 6]
+        assert _arrival_times(3, 0.5).tolist() == [2, 4, 6]
         assert [_arrival_count(t, 0.5) for t in (1, 2, 3, 4)] == [0, 1, 1, 2]
 
     @pytest.mark.parametrize("rate", [1.0, 0.5, 0.25, 0.125, 3 / 14, 1 / 6, 0.3, 2 / 3,
@@ -566,7 +578,9 @@ class TestFortifiedScheme:
         noise = _NoiseSource(make_bec(0.4), 12, 0)
         noise.u[:] = 0.0
         noise.u[[0, 1, 3, 6, 7, 8]] = 0.99  # erase uses 1, 2, 4, 7, 8, 9
-        deliveries = _serve_blocks(BEC_CFG, cb, _block_values(BEC_CFG, 8), noise, 12)
+        ready = _ready_uses(BEC_CFG, 12)
+        assert ready.tolist() == [2, 4, 6, 8, 10, 12]
+        deliveries = _serve_blocks(BEC_CFG, cb, _block_values(BEC_CFG, 8), ready, noise, 12)
         assert deliveries == [3, 5, 6, 10, 11, 12]
 
     @pytest.mark.parametrize("ch,cfg", [
@@ -586,9 +600,29 @@ class TestFortifiedScheme:
             # Queue accounting: arrived bits minus confirmed payloads.
             assert enc.queue_bits(t) == (_arrival_count(t, cfg.rate_bits)
                                          - cfg.payload_bits * len(enc.delivery_uses))
-        strided = _serve_blocks(cfg, cb, values, _NoiseSource(ch, horizon, 3), horizon)
+        strided = _serve_blocks(cfg, cb, values, _ready_uses(cfg, horizon),
+                                _NoiseSource(ch, horizon, 3), horizon)
         assert strided == enc.delivery_uses
         assert len(strided) > 1000
+
+    @pytest.mark.parametrize("cfg", [
+        BEC_CFG,
+        SchemeConfig(n=2, c=3, l=1, theta=0, rate_bits=0.5, seed=5),
+    ])
+    def test_backlogged_service_matches_per_use_confirm_loop(self, cfg):
+        # Every block is ready at use 1, so the encoder never idles: block k
+        # starts the use after block k - 1 is confirmed. On the erasure
+        # channel every candidate that fits the outputs has the same per-use
+        # log-likelihoods, so score ties are exact in any summation order.
+        ch = make_bec(0.4)
+        horizon = 20_000
+        cb = BlockCodebook(ch, cfg.payload_bits, cfg.seed)
+        values = _block_values(cfg, horizon + 1)
+        noise = _NoiseSource(ch, horizon, 3)
+        served = _serve_blocks(cfg, cb, values, np.ones(len(values), dtype=np.int64),
+                               noise, horizon)
+        assert served == backlogged_deliveries(cfg, cb, values, noise, horizon)
+        assert len(served) > 2000
 
     def test_bec_reduction_tracks_closed_form_exponent(self):
         table = fortified_run(BEC_CFG, make_bec(0.4), 120_000, (6, 10, 14, 18), 0)
