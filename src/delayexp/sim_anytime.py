@@ -33,7 +33,8 @@ import numpy as np
 from .channel import Channel
 from .errors import BadInputError, DomainError
 from .exponents import e0_max
-from .sim_queue import DeadlineGrid, DelayErrorTable, HorizonTooShortError, MISS_WEIGHT
+from .sim_queue import (MISS_WEIGHT, WINDOW, DeadlineGrid, DelayErrorTable, HorizonTooShortError,
+                        arrival, arrived)
 
 IDLE_LETTER = 0
 PAYLOAD_BITS_MAX = 14
@@ -51,7 +52,6 @@ DENY = 0
 
 _CODE_SLAB = 256
 _LOG_ZERO = -1e30
-_ARRIVAL_EPS = 1e-9
 
 
 class PayloadTooLargeError(DomainError):
@@ -190,16 +190,6 @@ def _block_values(cfg: SchemeConfig, count: int) -> np.ndarray:
 def _code_input_dist(ch: Channel) -> np.ndarray:
     # Uniform, exactly, on symmetric channels: e0_max takes its shortcut there.
     return np.asarray(e0_max(ch, 1.0).q)
-
-
-def _arrival_count(t: int, rate_bits: float) -> int:
-    return int(t * rate_bits + _ARRIVAL_EPS)
-
-
-def _arrival_times(n_bits: int, rate_bits: float) -> np.ndarray:
-    """Arrival use of bits 1..n_bits: bit i arrives at the first use t with
-    ``_arrival_count(t) >= i``; block k is ready at entry (k + 1) * payload - 1."""
-    return np.ceil(np.arange(1, n_bits + 1) / rate_bits - _ARRIVAL_EPS).astype(np.int64)
 
 
 def _uint32_words(value: int) -> list[int]:
@@ -492,7 +482,7 @@ class _ParseState:
 
     def open_block(self, cfg: SchemeConfig, chunk_index: int) -> None:
         """Start the next block if all its bits arrived by the chunk's first use."""
-        if not self.active and (_arrival_count(chunk_index * cfg.c + 1, cfg.rate_bits)
+        if not self.active and (arrived(chunk_index * cfg.c + 1, cfg.rate_bits)
                                 >= (self.next_block + 1) * cfg.payload_bits):
             self.active = True
             self.pos = 0
@@ -537,19 +527,21 @@ _SERVE_STRIDE_MAX = 512
 
 
 def _serve_blocks(cfg: SchemeConfig, codebook: BlockCodebook, values: np.ndarray,
-                  ready, noise: _NoiseSource, horizon: int) -> list[int]:
-    """Block delivery uses under the ideal flow link, block by block.
+                  ready, noise: _NoiseSource, horizon: int) -> np.ndarray:
+    """The delivery use of each block under the ideal flow link, ``+inf`` if
+    the horizon ends first.
 
     Block k is sent from use ``ready[k]`` (its last bit's arrival, or 1 when
     blocks are always backlogged) or after block k - 1 is confirmed. Each
-    block runs in vectorized strides; step-for-step equivalent to an encoder
-    that tests the confirm condition after every use (the idle uses between
-    blocks touch no state, and the noise uniforms are indexed by absolute
-    time either way).
+    block runs in vectorized strides that test the confirm condition after
+    every use, as a per-use encoder does, but add the log-likelihoods in
+    another order: float rounding can break a score tie that is exact in
+    real arithmetic the other way (not on the erasure channel, whose ties
+    are exact in floats too).
     """
     list_len = min(1 << cfg.l, codebook.n_candidates)
     logp = codebook.logp
-    deliveries: list[int] = []
+    deliveries = np.full(len(ready), np.inf)
     t_free = 1
     for block, t_ready in enumerate(ready):
         t_start = max(int(t_ready), t_free)
@@ -570,7 +562,7 @@ def _serve_blocks(cfg: SchemeConfig, codebook: BlockCodebook, values: np.ndarray
             ok = _confirmable(cum, value, list_len)
             j = int(ok.argmax())
             if ok[j]:
-                deliveries.append(t + j)
+                deliveries[block] = t + j
                 t_free = t + j + 1
                 break
             scores = cum[:, -1:]
@@ -587,29 +579,31 @@ def fortified_run(cfg: SchemeConfig, ch: Channel, horizon: int, delays,
 
     Control messages are never corrupted, so confirmed blocks are always
     correct and the only error events are deadlines missed while a block
-    is still in flight (weight 1/2 each, as in the queue simulator).
+    is still in flight (weight 1/2 each, as in the queue simulator). The
+    run keeps per-block state only; its bits are judged ``WINDOW`` at a time.
     """
     if cfg.theta != 0:
         raise DomainError("fortified mode requires theta == 0")
-    grid = DeadlineGrid(delays, horizon)
+    grid = DeadlineGrid(delays, horizon, cfg.rate_bits)
     horizon = grid.horizon
-    # The codebook caps the payload before any per-bit array is sized.
-    codebook = BlockCodebook(ch, cfg.payload_bits, cfg.seed)
-    n_bits = _arrival_count(horizon, cfg.rate_bits)
-    n_blocks = n_bits // cfg.payload_bits + 1
+    payload = cfg.payload_bits
+    # The codebook caps the payload before any per-block array is sized.
+    codebook = BlockCodebook(ch, payload, cfg.seed)
+    # One block more than the full ones: it holds the bits of the last,
+    # partial block and is ready only after the horizon.
+    n_blocks = arrived(horizon, cfg.rate_bits) // payload + 1
     values = _block_values(cfg, n_blocks)
+    ready = arrival(payload * np.arange(1, n_blocks + 1), cfg.rate_bits)
     noise = _NoiseSource(ch, horizon, seed)
-    arrivals = _arrival_times(n_bits, cfg.rate_bits)
-    ready = arrivals[cfg.payload_bits - 1::cfg.payload_bits]
-    delivery_uses = _serve_blocks(cfg, codebook, values, ready, noise, horizon)
+    deliveries = _serve_blocks(cfg, codebook, values, ready, noise, horizon)
 
-    deliveries = np.full(n_blocks, np.inf)
-    deliveries[:len(delivery_uses)] = delivery_uses
-    delivered_at = deliveries[np.arange(n_bits) // cfg.payload_bits]
-    weights, trials = grid.weigh(*grid.miss_counts(arrivals, delivered_at))
-    return grid.table(weights, trials, SchemeRunResult,
-                      blocks_confirmed=len(delivery_uses),
-                      missed_bit_weight=sum(weights))
+    step = max(WINDOW // payload, 1)
+    counts = sum(grid.misses(b * payload, np.repeat(deliveries[b:b + step], payload))
+                 for b in range(0, n_blocks, step))
+    weights = MISS_WEIGHT * counts
+    return grid.table(weights, SchemeRunResult,
+                      blocks_confirmed=int(np.count_nonzero(np.isfinite(deliveries))),
+                      missed_bit_weight=float(weights.sum()))
 
 
 # -- the synthesized scheme --------------------------------------------------
@@ -632,7 +626,7 @@ def synthesized_run(cfg: SchemeConfig, ch: Channel, horizon: int, delays,
         raise DomainError("synthesized mode requires theta >= 1")
     chunks = int(horizon) // cfg.c
     span = chunks * cfg.c
-    grid = DeadlineGrid(delays, span)
+    grid = DeadlineGrid(delays, span, cfg.rate_bits)
     if chunks < cfg.redecode_window + 1:
         raise HorizonTooShortError(
             f"horizon {horizon} holds {chunks} chunks of {cfg.c} uses; the flow "
@@ -642,8 +636,7 @@ def synthesized_run(cfg: SchemeConfig, ch: Channel, horizon: int, delays,
     # The codebook caps the payload before any per-bit array is sized.
     codebook = BlockCodebook(ch, payload, cfg.seed)
     list_len = min(1 << cfg.l, codebook.n_candidates)
-    n_bits = _arrival_count(span, cfg.rate_bits)
-    n_blocks = n_bits // payload + 1
+    n_blocks = arrived(span, cfg.rate_bits) // payload + 1
     data_len = cfg.data_uses_per_chunk
     values = _block_values(cfg, n_blocks)
     # Memory equal to the window keeps every window hypothesis pair fully
@@ -666,17 +659,14 @@ def synthesized_run(cfg: SchemeConfig, ch: Channel, horizon: int, delays,
     punctuation_errors = 0
     data_block_errors = 0
 
-    bits = grid.clear_range(lambda t: _arrival_count(t, cfg.rate_bits))
     wrong_weight = {d: 0.0 for d in grid.delays}
     miss_weight = {d: 0.0 for d in grid.delays}
 
     def judge(boundary: int, decoded: list[int]) -> None:
-        # Resolve every clear (bit, delay) whose last boundary at or before its
-        # deadline is use ``boundary``: bits arriving in [boundary - d, boundary + c - d).
+        # Resolve every judged (bit, delay) whose last boundary at or before its
+        # deadline is use ``boundary``: the deadline falls in [boundary, boundary + c).
         for d in grid.delays:
-            lo = max(_arrival_count(boundary - d - 1, cfg.rate_bits), bits.start)
-            hi = min(_arrival_count(boundary + cfg.c - d - 1, cfg.rate_bits), bits.stop)
-            for i in range(lo, hi):
+            for i in range(grid.due(d, boundary), grid.due(d, boundary + cfg.c)):
                 b, offset = divmod(i, payload)
                 if b >= len(decoded):
                     miss_weight[d] += MISS_WEIGHT
@@ -735,7 +725,7 @@ def synthesized_run(cfg: SchemeConfig, ch: Channel, horizon: int, delays,
         judge(base + cfg.c, parses[-1].values)
 
     totals = [wrong_weight[d] + miss_weight[d] for d in grid.delays]
-    return grid.table(totals, len(bits), SchemeRunResult,
+    return grid.table(totals, SchemeRunResult,
                       blocks_confirmed=len(encoder.values),
                       punctuation_chunk_errors=punctuation_errors,
                       data_block_errors=data_block_errors,

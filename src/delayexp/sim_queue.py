@@ -11,6 +11,9 @@ The simulation serves the run in windows of ``WINDOW`` uses drawn in turn
 from one random stream, so its memory is set by the window and the live
 backlog, not by the horizon; the result is the same as serving the whole
 run at once.
+
+Every simulator is judged by ``DeadlineGrid``, the one deadline rule: the
+arrival clock, the bits that count as trials and the per-delay misses.
 """
 
 from __future__ import annotations
@@ -34,6 +37,10 @@ MISS_WEIGHT = 0.5
 # Uses drawn and served per step of the queue simulation. It bounds the
 # simulation's working memory (a few MiB) whatever the horizon.
 WINDOW = 1 << 16
+
+# Slack in the arrival clock, so that a whole number of bits at a rate given
+# as a float arrives at the use exact arithmetic would give.
+_ARRIVAL_EPS = 1e-9
 
 Z95 = 1.96
 
@@ -79,22 +86,35 @@ class DelayErrorTable:
 
 def _error_columns(weights, trials: int):
     """(errors, trials, half_widths) from per-delay error weights over ``trials`` bits."""
-    errors = tuple(w / trials for w in weights)
+    errors = tuple(float(w) / trials for w in weights)
     half_widths = tuple(Z95 * math.sqrt(p * (1.0 - p) / trials) for p in errors)
     return errors, (trials,) * len(errors), half_widths
 
 
-class DeadlineGrid:
-    """The delays a run is judged at, and which of its bits count as trials.
+def arrived(t: int, rate_bits: float) -> int:
+    """The number of bits arrived by use t at ``rate_bits`` bits per use."""
+    return int(t * rate_bits + _ARRIVAL_EPS)
 
-    Every simulator's delay/error table follows the same rules: the delays
-    form a nonempty grid of nonnegative integers, the run spans at least ten
-    times the largest delay, and only bits arriving more than max(delays)
-    uses from either end of the run count, so estimates reflect the
-    stationary regime rather than the start-up and the cut-off.
+
+def arrival(i, rate_bits: float):
+    """The use at which bit i (1-based; an array gives one use per entry)
+    arrives: the first use t with ``arrived(t) >= i``."""
+    return np.ceil(np.divide(i, rate_bits) - _ARRIVAL_EPS).astype(np.int64)
+
+
+class DeadlineGrid:
+    """The deadline rule every simulator's delay/error table follows.
+
+    Bits arrive at ``rate_bits`` per use on the clock ``arrived``/``arrival``,
+    and a bit misses delay d unless delivered by its arrival plus d. The
+    delays are a nonempty grid of nonnegative integers, the run spans at
+    least ten times the largest, and only the bits ``bits`` (0-based) that
+    arrive more than max(delays) uses from either end of the run count as
+    trials, so estimates reflect the stationary regime. A grid without such
+    bits is refused at construction, before anything is simulated.
     """
 
-    def __init__(self, delays, horizon: int):
+    def __init__(self, delays, horizon: int, rate_bits: float):
         self.delays = tuple(sorted(set(int(d) for d in delays)))
         if not self.delays:
             raise DomainError("need at least one delay")
@@ -106,43 +126,34 @@ class DeadlineGrid:
         if self.horizon < need:
             raise HorizonTooShortError(
                 f"horizon {self.horizon} is too short for max delay {self.dmax}; need >= {need}")
-
-    def _clear(self, arrivals: np.ndarray) -> np.ndarray:
-        return (arrivals > self.dmax) & (arrivals <= self.horizon - self.dmax)
-
-    def clear_range(self, arrived) -> range:
-        """Indices, in arrival order, of the bits arriving clear of the burn-in
-        at both ends; ``arrived(t)`` is the number of bits arrived by use t."""
-        bits = range(arrived(self.dmax), arrived(self.horizon - self.dmax))
-        if not bits:
+        self.rate_bits = rate_bits
+        self.bits = range(arrived(self.dmax, rate_bits),
+                          arrived(self.horizon - self.dmax, rate_bits))
+        if not self.bits:
             raise HorizonTooShortError("no bits survive the burn-in exclusion")
-        return bits
 
-    def miss_counts(self, arrivals: np.ndarray, deliveries: np.ndarray):
-        """Per-delay counts of eligible bits undelivered by their deadline, and the trials.
+    def due(self, d: int, t: int) -> int:
+        """Where the bits of ``bits`` due at delay d before use t end: they
+        are the ones arriving by use t - d - 1."""
+        return min(max(arrived(t - d - 1, self.rate_bits), self.bits.start), self.bits.stop)
 
-        A bit misses delay d when it is still undelivered at its arrival
-        time plus d (``+inf`` marks a bit never delivered). Counts over
-        disjoint batches of bits add up to the count over their union.
+    def misses(self, first: int, deliveries: np.ndarray) -> np.ndarray:
+        """Per-delay counts of the bits of ``bits`` among bits first, first + 1,
+        ... that are delivered after their deadline.
+
+        ``deliveries`` holds each bit's delivery use (``+inf`` marks a bit
+        never delivered). Counts over consecutive batches of bits add up to
+        the count over their union.
         """
-        clear = self._clear(arrivals)
-        lateness = deliveries[clear] - arrivals[clear]
-        counts = np.array([np.count_nonzero(lateness > d) for d in self.delays], dtype=np.int64)
-        return counts, int(lateness.size)
+        lo = max(first, self.bits.start)
+        hi = max(min(first + len(deliveries), self.bits.stop), lo)
+        lateness = (deliveries[lo - first:hi - first]
+                    - arrival(np.arange(lo + 1, hi + 1), self.rate_bits))
+        return np.array([np.count_nonzero(lateness > d) for d in self.delays], dtype=np.int64)
 
-    def weigh(self, counts, trials: int):
-        """Per-delay error weights of the miss ``counts``, and the trials.
-
-        A missed bit is resolved by the decoder's fair guess, so it counts
-        with weight 1/2.
-        """
-        if trials == 0:
-            raise HorizonTooShortError("no bits survive the burn-in exclusion")
-        return tuple(MISS_WEIGHT * float(c) for c in counts), trials
-
-    def table(self, weights, trials: int, kind=DelayErrorTable, **fields) -> DelayErrorTable:
-        """The ``kind`` table of per-delay error weights over ``trials`` bits."""
-        return kind(self.delays, *_error_columns(weights, trials), **fields)
+    def table(self, weights, kind=DelayErrorTable, **fields) -> DelayErrorTable:
+        """The ``kind`` table of per-delay error weights over the bits of ``bits``."""
+        return kind(self.delays, *_error_columns(weights, len(self.bits)), **fields)
 
 
 @dataclass(frozen=True)
@@ -155,26 +166,27 @@ class FitResult:
 
 
 def _served_batches(delta: float, horizon: int, seed: int):
-    """Yield (arrivals, deliveries) of every bit arriving within the horizon.
+    """Yield (first bit, deliveries) for consecutive runs of the bits within the horizon.
 
     Bit k (0-based) arrives at use 2(k + 1) and is served by the first
     surviving use at or after its arrival that no earlier bit consumed. The
     uses are drawn ``WINDOW`` at a time from one stream, which gives the
-    same draws as one call over the horizon. Each window yields the bits
-    whose serving use it holds (integer deliveries); the bits still queued
-    at the horizon come last, with delivery ``+inf``.
+    same draws as one call over the horizon. Service is first in, first
+    out, so each window yields the run of bits whose serving use it holds
+    (integer deliveries); the bits still queued at the horizon come last,
+    with delivery ``+inf``.
 
     The state carried from window to window is the number of surviving uses
     so far, the running maximum of (first eligible success - bit index) as
-    one integer, and the queued bits with their service indices. FIFO
-    service gives bit k the service index k plus that running maximum, so
-    the indices increase strictly and the queued bits whose success the
-    window holds are split off by one search.
+    one integer, the number of bits served, and the queued bits' service
+    indices. FIFO service gives bit k the service index k plus that running
+    maximum, so the indices increase strictly and the queued bits whose
+    success the window holds are split off by one search.
     """
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), QUEUE_STREAM)))
     successes = 0      # surviving uses before the window
     lead = 0           # running max of (first eligible success - bit index)
-    queued_arrivals = np.empty(0, dtype=np.int64)
+    done = 0           # bits served before the window
     queued_idx = np.empty(0, dtype=np.int64)
     for start in range(0, horizon, WINDOW):
         stop = min(start + WINDOW, horizon)
@@ -182,17 +194,16 @@ def _served_batches(delta: float, horizon: int, seed: int):
         succ_times = np.flatnonzero(rng.random(stop - start) < (1.0 - delta)) + (start + 1)
         order = np.arange(start // 2, stop // 2, dtype=np.int64)
         if order.size:
-            arrivals = 2 * (order + 1)
-            first_free = successes + np.searchsorted(succ_times, arrivals)
+            first_free = successes + np.searchsorted(succ_times, 2 * (order + 1))
             shift = np.maximum(np.maximum.accumulate(first_free - order), lead)
             lead = int(shift[-1])
-            queued_arrivals = np.concatenate((queued_arrivals, arrivals))
             queued_idx = np.concatenate((queued_idx, order + shift))
         served = int(np.searchsorted(queued_idx, successes + succ_times.size))
-        yield queued_arrivals[:served], succ_times[queued_idx[:served] - successes]
-        queued_arrivals, queued_idx = queued_arrivals[served:], queued_idx[served:]
+        yield done, succ_times[queued_idx[:served] - successes]
+        done += served
+        queued_idx = queued_idx[served:]
         successes += succ_times.size
-    yield queued_arrivals, np.full(queued_arrivals.size, np.inf)
+    yield done, np.full(queued_idx.size, np.inf)
 
 
 def simulate_bec_feedback(delta: float, horizon: int, delays, seed: int) -> DelayErrorTable:
@@ -200,9 +211,9 @@ def simulate_bec_feedback(delta: float, horizon: int, delays, seed: int) -> Dela
 
     A bit errs at delay d exactly when it is undelivered at its arrival
     time plus d; such misses count with weight 1/2 (the decoder's fair
-    guess, taken deterministically). Bits arriving within max(delays) uses
-    of either end of the run are excluded so estimates reflect the
-    stationary chain.
+    guess, taken deterministically). The bits are judged by a
+    ``DeadlineGrid`` at one-half bit per use, whose clock gives bit k
+    (0-based) the arrival 2(k + 1) that the service uses.
 
     The run is served in windows of ``WINDOW`` uses (see
     ``_served_batches``): each window's served bits add their integer miss
@@ -211,14 +222,11 @@ def simulate_bec_feedback(delta: float, horizon: int, delays, seed: int) -> Dela
     """
     if not 0.0 < delta < 0.5:
         raise OutOfRangeError(f"erasure probability must lie in (0, 1/2), got {delta}")
-    grid = DeadlineGrid(delays, horizon)
+    grid = DeadlineGrid(delays, horizon, 0.5)
     counts = np.zeros(len(grid.delays), dtype=np.int64)
-    trials = 0
-    for arrivals, deliveries in _served_batches(delta, grid.horizon, seed):
-        batch_counts, batch_trials = grid.miss_counts(arrivals, deliveries)
-        counts += batch_counts
-        trials += batch_trials
-    return grid.table(*grid.weigh(counts, trials))
+    for first, deliveries in _served_batches(delta, grid.horizon, seed):
+        counts += grid.misses(first, deliveries)
+    return grid.table(MISS_WEIGHT * counts)
 
 
 def fit_exponent(table: DelayErrorTable) -> FitResult:

@@ -16,13 +16,19 @@ from delayexp.sim_anytime import (
     IDLE_LETTER,
     FlowCode,
     FlowDecoder,
-    _arrival_count,
     _confirmable,
     _list_index,
     _ParseState,
     _walk_chunk,
 )
-from delayexp.sim_queue import MISS_WEIGHT, QUEUE_STREAM, DeadlineGrid
+from delayexp.sim_queue import (
+    MISS_WEIGHT,
+    QUEUE_STREAM,
+    DeadlineGrid,
+    DelayErrorTable,
+    _error_columns,
+    arrived,
+)
 
 
 class FortifiedEncoder:
@@ -48,7 +54,7 @@ class FortifiedEncoder:
 
     def queue_bits(self, t):
         """Bits arrived but not yet confirmed, as of use t."""
-        return _arrival_count(t, self.cfg.rate_bits) - self.cfg.payload_bits * self.next_block
+        return arrived(t, self.cfg.rate_bits) - self.cfg.payload_bits * self.next_block
 
     def next_input(self, t):
         if not self.active and self.queue_bits(t) >= self.cfg.payload_bits:
@@ -200,13 +206,18 @@ def service_times(delta, horizon, seed):
 
 def queue_table(delta, horizon, delays, seed):
     """``simulate_bec_feedback``'s table from the whole-horizon service times,
-    weighing each delay's misses over all eligible bits at once."""
-    grid = DeadlineGrid(delays, horizon)
+    weighing each delay's misses over all eligible bits at once.
+
+    The grid only checks the delays and the horizon; the eligible bits are
+    the ones arriving more than max(delays) uses from either end of the run,
+    picked here by their arrival times rather than by the grid's clock.
+    """
+    grid = DeadlineGrid(delays, horizon, 0.5)
     arrivals, delivery = service_times(delta, grid.horizon, seed)
-    eligible = grid._clear(arrivals)
+    eligible = (arrivals > grid.dmax) & (arrivals <= grid.horizon - grid.dmax)
     arr, dlv = arrivals[eligible], delivery[eligible]
     weights = [MISS_WEIGHT * float(np.count_nonzero(dlv > arr + d)) for d in grid.delays]
-    return grid.table(weights, int(arr.size))
+    return DelayErrorTable(grid.delays, *_error_columns(weights, int(arr.size)))
 
 
 def queue_level_frequencies(delta, horizon, seed, max_level=12):

@@ -22,8 +22,6 @@ from delayexp.sim_anytime import (
     SchemeConfig,
     SchemeRunResult,
     WindowTooLargeError,
-    _arrival_count,
-    _arrival_times,
     _block_values,
     _cdf,
     _code_input_dist,
@@ -35,7 +33,7 @@ from delayexp.sim_anytime import (
     fortified_run,
     synthesized_run,
 )
-from delayexp.sim_queue import HorizonTooShortError, fit_exponent
+from delayexp.sim_queue import HorizonTooShortError, arrival, arrived, fit_exponent
 from reference import (
     FortifiedEncoder,
     backlogged_deliveries,
@@ -55,10 +53,18 @@ BEC_CFG = SchemeConfig(n=1, c=2, l=0, theta=0, rate_bits=0.5, seed=0)
 
 
 def _ready_uses(cfg, horizon):
-    """The use at which each block fed at the config rate is ready, as
-    ``fortified_run`` hands them to ``_serve_blocks``."""
+    """The use at which each full block fed at the config rate is ready: the
+    arrival of its last bit, taken here from every bit's arrival."""
     p = cfg.payload_bits
-    return _arrival_times(_arrival_count(horizon, cfg.rate_bits), cfg.rate_bits)[p - 1::p]
+    return arrival(np.arange(1, arrived(horizon, cfg.rate_bits) + 1), cfg.rate_bits)[p - 1::p]
+
+
+def _delivered(deliveries):
+    """The delivery uses of the blocks ``_serve_blocks`` delivered, after
+    checking that they come first and every other block reads ``+inf``."""
+    n = int(np.count_nonzero(np.isfinite(deliveries)))
+    assert np.isposinf(deliveries[n:]).all()
+    return deliveries[:n].astype(np.int64).tolist()
 
 
 class TestSchemeConfig:
@@ -135,23 +141,27 @@ class TestArrivalClock:
            st.integers(1, 500))
     @settings(max_examples=100, deadline=None)
     def test_arrival_time_is_first_time_with_count(self, rate, i):
-        t = int(_arrival_times(i, rate)[i - 1])
-        assert _arrival_count(t, rate) >= i
-        assert t == 1 or _arrival_count(t - 1, rate) < i
+        t = int(arrival(i, rate))
+        assert arrived(t, rate) >= i
+        assert t == 1 or arrived(t - 1, rate) < i
 
     def test_half_bit_clock(self):
-        assert _arrival_times(3, 0.5).tolist() == [2, 4, 6]
-        assert [_arrival_count(t, 0.5) for t in (1, 2, 3, 4)] == [0, 1, 1, 2]
+        assert arrival(np.arange(1, 4), 0.5).tolist() == [2, 4, 6]
+        assert [arrived(t, 0.5) for t in (1, 2, 3, 4)] == [0, 1, 1, 2]
+        # The queue's clock is exact up to the horizon cap: bit i at use 2i.
+        bits = np.arange(5 * 10 ** 7 - 1_000, 5 * 10 ** 7 + 1)
+        np.testing.assert_array_equal(arrival(bits, 0.5), 2 * bits)
+        assert all(arrived(t, 0.5) == t // 2 for t in range(HORIZON_MAX - 1_000, HORIZON_MAX + 1))
 
     @pytest.mark.parametrize("rate", [1.0, 0.5, 0.25, 0.125, 3 / 14, 1 / 6, 0.3, 2 / 3,
                                       0.15, 1 / 3])
     def test_count_is_search_of_arrival_times(self, rate):
-        # The synthesized judge takes its bit ranges from the count alone.
-        n = _arrival_count(2_000, rate)
+        # The deadline grid takes its bit ranges from the count alone.
+        n = arrived(2_000, rate)
         times = np.arange(4_001)
-        counts = np.array([min(_arrival_count(int(t), rate), n) for t in times])
+        counts = np.array([min(arrived(int(t), rate), n) for t in times])
         np.testing.assert_array_equal(
-            np.searchsorted(_arrival_times(n, rate), times, side="right"), counts)
+            np.searchsorted(arrival(np.arange(1, n + 1), rate), times, side="right"), counts)
 
 
 class TestFlowSymbols:
@@ -500,7 +510,7 @@ def _noiseless_truth_side(cfg, chunks):
     messages, rows = [], []
     for k in range(chunks):
         start = k * cfg.c + 1
-        if not state.active and (_arrival_count(start, cfg.rate_bits)
+        if not state.active and (arrived(start, cfg.rate_bits)
                                  >= (state.next_block + 1) * cfg.payload_bits):
             state.active = True
             state.pos = 0
@@ -580,8 +590,10 @@ class TestFortifiedScheme:
         noise.u[[0, 1, 3, 6, 7, 8]] = 0.99  # erase uses 1, 2, 4, 7, 8, 9
         ready = _ready_uses(BEC_CFG, 12)
         assert ready.tolist() == [2, 4, 6, 8, 10, 12]
-        deliveries = _serve_blocks(BEC_CFG, cb, _block_values(BEC_CFG, 8), ready, noise, 12)
-        assert deliveries == [3, 5, 6, 10, 11, 12]
+        # A seventh block, ready after the horizon, is never delivered.
+        deliveries = _serve_blocks(BEC_CFG, cb, _block_values(BEC_CFG, 8),
+                                   np.append(ready, 14), noise, 12)
+        assert deliveries.tolist() == [3, 5, 6, 10, 11, 12, math.inf]
 
     @pytest.mark.parametrize("ch,cfg", [
         (make_bec(0.4), BEC_CFG),
@@ -598,12 +610,12 @@ class TestFortifiedScheme:
             # Sampled here by inverse CDF, independently of emit_batch.
             enc.observe(t, int(np.searchsorted(noise.cdf[x], noise.u[t - 1], side="right")))
             # Queue accounting: arrived bits minus confirmed payloads.
-            assert enc.queue_bits(t) == (_arrival_count(t, cfg.rate_bits)
+            assert enc.queue_bits(t) == (arrived(t, cfg.rate_bits)
                                          - cfg.payload_bits * len(enc.delivery_uses))
         strided = _serve_blocks(cfg, cb, values, _ready_uses(cfg, horizon),
                                 _NoiseSource(ch, horizon, 3), horizon)
-        assert strided == enc.delivery_uses
-        assert len(strided) > 1000
+        assert _delivered(strided) == enc.delivery_uses
+        assert len(enc.delivery_uses) > 1000
 
     @pytest.mark.parametrize("cfg", [
         BEC_CFG,
@@ -621,8 +633,9 @@ class TestFortifiedScheme:
         noise = _NoiseSource(ch, horizon, 3)
         served = _serve_blocks(cfg, cb, values, np.ones(len(values), dtype=np.int64),
                                noise, horizon)
-        assert served == backlogged_deliveries(cfg, cb, values, noise, horizon)
-        assert len(served) > 2000
+        expected = backlogged_deliveries(cfg, cb, values, noise, horizon)
+        assert _delivered(served) == expected
+        assert len(expected) > 2000
 
     def test_bec_reduction_tracks_closed_form_exponent(self):
         table = fortified_run(BEC_CFG, make_bec(0.4), 120_000, (6, 10, 14, 18), 0)
@@ -723,6 +736,44 @@ class TestFortifiedScheme:
     def test_horizon_guard(self):
         with pytest.raises(HorizonTooShortError):
             fortified_run(BEC_CFG, make_bec(0.4), 100, (20,), 0)
+
+    @pytest.mark.parametrize("window", [1, 5, 64, 1 << 16])
+    @pytest.mark.parametrize("horizon", [1_003, 1_007, 1_021])
+    def test_judges_every_bit_with_its_block(self, monkeypatch, window, horizon):
+        # Each bit is delivered with its block, and the bits of the last,
+        # partial block never are; at the smallest delays some of those
+        # count. A bit misses delay d when it is delivered more than d uses
+        # after its arrival, the first use whose count reaches it.
+        cfg, ch, delays = self.BSC_CFG, make_bsc(0.05), (0, 1, 3)
+        monkeypatch.setattr(sim_anytime, "WINDOW", window)
+        table = fortified_run(cfg, ch, horizon, delays, 4)
+        p = cfg.payload_bits
+        n_bits = arrived(horizon, cfg.rate_bits)
+        blocks = _serve_blocks(cfg, BlockCodebook(ch, p, cfg.seed),
+                               _block_values(cfg, n_bits // p + 1), _ready_uses(cfg, horizon),
+                               _NoiseSource(ch, horizon, 4), horizon)
+        delivered = np.full(n_bits, np.inf)
+        delivered[:len(blocks) * p] = np.repeat(blocks, p)
+        arrivals = np.array([next(t for t in range(1, horizon + 1)
+                                  if arrived(t, cfg.rate_bits) >= i)
+                             for i in range(1, n_bits + 1)])
+        clear = (arrivals > 3) & (arrivals <= horizon - 3)
+        assert n_bits % p and clear[-1] and np.isinf(delivered[-1])
+        trials = int(np.count_nonzero(clear))
+        assert table.trials == (trials,) * 3
+        assert table.errors == tuple(
+            0.5 * np.count_nonzero(clear & (delivered > arrivals + d)) / trials for d in delays)
+
+    def test_no_clear_bits_fails_before_serving(self, monkeypatch):
+        # At 1/1000 bit per use no bit arrives clear of the burn-in, so the
+        # run must stop before a single block is served.
+        def serve(*args):
+            raise AssertionError("served blocks for a run with no clear bits")
+
+        monkeypatch.setattr(sim_anytime, "_serve_blocks", serve)
+        cfg = SchemeConfig(n=1, c=1000, l=0, rate_bits=0.001)
+        with pytest.raises(HorizonTooShortError):
+            fortified_run(cfg, make_bsc(0.1), 50, (5,), 0)
 
 
 class TestSynthesizedScheme:
@@ -854,3 +905,14 @@ class TestSynthesizedScheme:
             synthesized_run(self.CFG, make_bsc(0.05), 200, (24,), 0)
         with pytest.raises(HorizonTooShortError):
             synthesized_run(self.CFG, make_bsc(0.05), 2_000, (600,), 0)
+
+    def test_no_clear_bits_fails_before_drawing_noise(self, monkeypatch):
+        # Two chunks fit the window, but at 1/10000 bit per use no bit
+        # arrives clear of the burn-in.
+        def noise(*args):
+            raise AssertionError("drew noise for a run with no clear bits")
+
+        monkeypatch.setattr(sim_anytime, "_NoiseSource", noise)
+        cfg = SchemeConfig(n=10, c=1000, l=0, theta=1, rate_bits=1e-4, redecode_window=1)
+        with pytest.raises(HorizonTooShortError):
+            synthesized_run(cfg, make_bsc(0.1), 2_000, (5,), 0)

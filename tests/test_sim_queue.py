@@ -127,6 +127,74 @@ class TestWindowedService:
         assert large <= small + 2 ** 18
 
 
+# The rates of the arrival-clock tests, the queue's 1/2 among them.
+RATES = [1.0, 0.5, 0.25, 0.125, 3 / 14, 1 / 6, 0.3, 2 / 3, 0.15, 1 / 3]
+
+
+def _brute_arrivals(rate, horizon):
+    """Each bit's arrival within the horizon, as the first use whose count reaches it."""
+    arrivals = []
+    for t in range(1, horizon + 1):
+        while len(arrivals) < sq.arrived(t, rate):
+            arrivals.append(t)
+    return np.array(arrivals, dtype=np.int64)
+
+
+def _brute_clear(grid, arrivals):
+    return (arrivals > grid.dmax) & (arrivals <= grid.horizon - grid.dmax)
+
+
+class TestDeadlineGrid:
+    @given(rate=st.sampled_from(RATES), horizon=st.integers(200, 3_000),
+           delays=DELAY_SETS.map(lambda ds: [d % 20 for d in ds]),
+           cuts=st.lists(st.integers(0, 1_200), max_size=5), seed=SEEDS)
+    @settings(max_examples=60, deadline=None)
+    def test_misses_over_any_split_equal_one_call_and_brute_force(self, rate, horizon, delays,
+                                                                  cuts, seed):
+        grid = sq.DeadlineGrid(delays, horizon, rate)
+        arrivals = _brute_arrivals(rate, horizon)
+        clear = _brute_clear(grid, arrivals)
+        assert len(grid.bits) == np.count_nonzero(clear)
+        assert grid.bits.start == np.argmax(clear)
+        lateness = np.random.default_rng(seed).integers(0, 26, size=len(arrivals))
+        deliveries = (arrivals + lateness).astype(float)
+        deliveries[deliveries > horizon] = np.inf
+        brute = [int(np.count_nonzero(clear & (deliveries > arrivals + d))) for d in grid.delays]
+        np.testing.assert_array_equal(grid.misses(0, deliveries), brute)
+        bounds = [0, *sorted(min(c, len(arrivals)) for c in cuts), len(arrivals)]
+        split = sum(grid.misses(a, deliveries[a:b]) for a, b in zip(bounds, bounds[1:]))
+        np.testing.assert_array_equal(split, brute)
+        # Batches wholly before or after the trial bits count nothing.
+        never = np.full(len(arrivals), np.inf)
+        assert not grid.misses(0, never[:grid.bits.start]).any()
+        assert not grid.misses(grid.bits.stop, never).any()
+
+    @pytest.mark.parametrize("rate", RATES)
+    def test_due_counts_the_bits_whose_deadline_has_passed(self, rate):
+        horizon = 1_000
+        arrivals = _brute_arrivals(rate, horizon)
+        for delays in ((0,), (3, 17), (40,)):
+            grid = sq.DeadlineGrid(delays, horizon, rate)
+            clear = _brute_clear(grid, arrivals)
+            for d in grid.delays:
+                for t in range(0, horizon + 60):
+                    due = np.count_nonzero(clear & (arrivals + d < t))
+                    assert grid.due(d, t) == grid.bits.start + due
+
+    def test_refuses_a_run_without_clear_bits(self):
+        # Ten times the largest delay, but at 1/1000 bit per use no bit
+        # arrives between uses 5 and 45.
+        with pytest.raises(sq.HorizonTooShortError, match="no bits survive"):
+            sq.DeadlineGrid((5,), 50, 0.001)
+
+    @given(st.integers(0, 10_000))
+    def test_queue_rate_always_leaves_clear_bits(self, dmax):
+        # At one-half bit per use every horizon the grid accepts has clear
+        # bits, so the queue has no input that fails only after serving.
+        grid = sq.DeadlineGrid((dmax,), 10 * max(dmax, 1), 0.5)
+        assert len(grid.bits) >= 4
+
+
 class TestTable:
     def test_validation(self):
         with pytest.raises(DomainError):
