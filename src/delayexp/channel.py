@@ -116,11 +116,12 @@ def make_dmc(matrix, label: str = "") -> Channel:
         raise BadInputError("transition matrix contains non-finite entries")
     if np.any(p < 0):
         raise NegativeEntryError("transition matrix contains a negative entry")
-    sums = p.sum(axis=1)
+    with np.errstate(over="ignore"):  # a row of huge entries sums to inf and is refused
+        sums = p.sum(axis=1)
     bad = np.abs(sums - 1.0) > ROW_SUM_SLACK
     if np.any(bad):
         row = int(np.argmax(bad))
-        raise NonStochasticError(f"row {row} sums to {sums[row]!r}, expected 1")
+        raise NonStochasticError(f"row {row} sums to {float(sums[row])!r}, expected 1")
     return Channel(p / sums[:, None], label)
 
 
@@ -152,6 +153,9 @@ def load_channel(path) -> Channel:
         raise BadInputError(f"cannot read channel file {path}: {exc}") from exc
     if not isinstance(payload, dict) or "matrix" not in payload:
         raise BadInputError(f"channel file {path} must be a JSON object with a 'matrix' key")
+    extra = set(payload) - {"matrix", "label"}
+    if extra:
+        raise BadInputError(f"channel file {path} has unknown keys: {sorted(extra)}")
     label = payload.get("label", "")
     if not isinstance(label, str):
         raise BadInputError("channel label must be a string")
@@ -172,7 +176,8 @@ def as_input_dist(r, n: int) -> np.ndarray:
         raise DimensionMismatchError(f"input distribution has shape {q.shape}, expected ({n},)")
     if np.any(q < 0):
         raise NegativeEntryError("input distribution contains a negative entry")
-    total = q.sum()
+    with np.errstate(over="ignore"):
+        total = float(q.sum())
     if abs(total - 1.0) > ROW_SUM_SLACK:
         raise NonStochasticError(f"input distribution sums to {total!r}, expected 1")
     return q / total

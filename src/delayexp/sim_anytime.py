@@ -23,6 +23,7 @@ windows of at most 24 bits.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import MISSING, dataclass, fields
@@ -185,6 +186,14 @@ class _NoiseSource:
 def _block_values(cfg: SchemeConfig, count: int) -> np.ndarray:
     rng = np.random.default_rng(np.random.SeedSequence((int(cfg.seed), _BITS_STREAM)))
     return rng.integers(0, 1 << cfg.payload_bits, size=max(count, 1), dtype=np.int64)
+
+
+def _blocks(cfg: SchemeConfig, span: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each block's value and ready use (its last bit's arrival) in a run of ``span``
+    uses, plus one block for the last, partial block's bits, ready after the run."""
+    n_blocks = arrived(span, cfg.rate_bits) // cfg.payload_bits + 1
+    ready = arrival(cfg.payload_bits * np.arange(1, n_blocks + 1), cfg.rate_bits)
+    return _block_values(cfg, n_blocks), ready
 
 
 def _code_input_dist(ch: Channel) -> np.ndarray:
@@ -457,67 +466,56 @@ class FlowDecoder:
 
 # -- the data-stream parse ---------------------------------------------------
 
+@dataclass(slots=True)
 class _ParseState:
-    """Decoder-side reconstruction of the encoder's block timeline."""
+    """Decoder-side reconstruction of the encoder's block timeline. ``scores``
+    is ``None`` until the block in flight scores a chunk; ``score`` rebinds it
+    rather than adding in place, so a shallow copy is an independent state."""
 
-    __slots__ = ("next_block", "active", "pos", "scores", "values", "spurious")
+    next_block: int = 0
+    active: bool = False
+    pos: int = 0
+    scores: np.ndarray | None = None
+    spurious: int = 0
 
-    def __init__(self, n_candidates: int):
-        self.next_block = 0
-        self.active = False
-        self.pos = 0
-        self.scores = np.zeros(n_candidates)
-        self.values: list[int] = []
-        self.spurious = 0
-
-    def copy(self) -> "_ParseState":
-        twin = _ParseState(len(self.scores))
-        twin.next_block = self.next_block
-        twin.active = self.active
-        twin.pos = self.pos
-        twin.scores = self.scores.copy()
-        twin.values = list(self.values)
-        twin.spurious = self.spurious
-        return twin
-
-    def open_block(self, cfg: SchemeConfig, chunk_index: int) -> None:
-        """Start the next block if all its bits arrived by the chunk's first use."""
-        if not self.active and (arrived(chunk_index * cfg.c + 1, cfg.rate_bits)
-                                >= (self.next_block + 1) * cfg.payload_bits):
+    def open_block(self, ready: np.ndarray, t: int) -> None:
+        """Start the next block if it is ready by use t, the chunk's first use."""
+        if not self.active and t >= ready[self.next_block]:
             self.active = True
             self.pos = 0
-            self.scores = np.zeros(len(self.scores))
+            self.scores = None
 
     def score(self, codebook: BlockCodebook, letters: np.ndarray, outputs) -> None:
         """Add one chunk's data-use log-likelihoods to every candidate's score."""
-        self.scores += codebook.logp[letters, outputs].sum(axis=1)
+        chunk = codebook.logp[letters, outputs].sum(axis=1)
+        self.scores = chunk if self.scores is None else self.scores + chunk
         self.pos += letters.shape[1]
 
-    def apply(self, symbol: int, list_len: int) -> None:
-        """On a confirm, close the block in flight as the list entry it names."""
+    def apply(self, symbol: int, list_len: int) -> int | None:
+        """On a confirm, close the block in flight as the list entry it names; return its value."""
         if symbol == DENY:
-            return
+            return None
         if not self.active:
             # A confirm with no block in flight is impossible under this
             # parse; ignore it and remember that the estimate disagreed.
             self.spurious += 1
-            return
+            return None
         order = _ranked(self.scores, list_len)
-        self.values.append(int(order[min(symbol - 1, len(order) - 1)]))
         self.active = False
         self.next_block += 1
+        return int(order[min(symbol - 1, len(order) - 1)])
 
 
 def _walk_chunk(state: _ParseState, cfg: SchemeConfig, codebook: BlockCodebook,
-                chunk_index: int, symbol: int, data_outputs: np.ndarray,
-                list_len: int) -> None:
-    """Advance a parse by one chunk under one (estimated) flow symbol."""
-    state.open_block(cfg, chunk_index)
+                ready: np.ndarray, chunk_index: int, symbol: int, data_outputs: np.ndarray,
+                list_len: int) -> int | None:
+    """Advance a parse by one chunk under one (estimated) flow symbol; return what it decodes."""
+    state.open_block(ready, chunk_index * cfg.c + 1)
     span = cfg.data_uses_per_chunk
     if state.active:
         state.score(codebook, codebook.candidates_range(state.next_block, state.pos, span),
                     data_outputs)
-    state.apply(symbol, list_len)
+    return state.apply(symbol, list_len)
 
 
 # -- the fortified scheme ----------------------------------------------------
@@ -589,17 +587,13 @@ def fortified_run(cfg: SchemeConfig, ch: Channel, horizon: int, delays,
     payload = cfg.payload_bits
     # The codebook caps the payload before any per-block array is sized.
     codebook = BlockCodebook(ch, payload, cfg.seed)
-    # One block more than the full ones: it holds the bits of the last,
-    # partial block and is ready only after the horizon.
-    n_blocks = arrived(horizon, cfg.rate_bits) // payload + 1
-    values = _block_values(cfg, n_blocks)
-    ready = arrival(payload * np.arange(1, n_blocks + 1), cfg.rate_bits)
+    values, ready = _blocks(cfg, horizon)
     noise = _NoiseSource(ch, horizon, seed)
     deliveries = _serve_blocks(cfg, codebook, values, ready, noise, horizon)
 
     step = max(WINDOW // payload, 1)
     counts = sum(grid.misses(b * payload, np.repeat(deliveries[b:b + step], payload))
-                 for b in range(0, n_blocks, step))
+                 for b in range(0, len(deliveries), step))
     weights = MISS_WEIGHT * counts
     return grid.table(weights, SchemeRunResult,
                       blocks_confirmed=int(np.count_nonzero(np.isfinite(deliveries))),
@@ -636,9 +630,8 @@ def synthesized_run(cfg: SchemeConfig, ch: Channel, horizon: int, delays,
     # The codebook caps the payload before any per-bit array is sized.
     codebook = BlockCodebook(ch, payload, cfg.seed)
     list_len = min(1 << cfg.l, codebook.n_candidates)
-    n_blocks = arrived(span, cfg.rate_bits) // payload + 1
     data_len = cfg.data_uses_per_chunk
-    values = _block_values(cfg, n_blocks)
+    values, ready = _blocks(cfg, span)
     # Memory equal to the window keeps every window hypothesis pair fully
     # separated while letting a rare settled error age out of the hash
     # context as fast as possible (resync after window - 1 clean commits).
@@ -648,14 +641,15 @@ def synthesized_run(cfg: SchemeConfig, ch: Channel, horizon: int, delays,
     flow_dec = FlowDecoder(flow_code, ch, cfg.l)
     noise = _NoiseSource(ch, span, seed)
 
-    encoder = _ParseState(codebook.n_candidates)  # truth-side block timeline
+    encoder = _ParseState()  # truth-side block timeline; its confirms decode to ``values``
     # The pending chunks' data rows and true symbols, oldest first, and the
     # window estimate with the parse after each of its chunks; parses[0] is
     # the settled parse, the head of every window parse.
     rows: list[np.ndarray] = []
     sent: list[int] = []
     estimate: list[int] = []
-    parses = [_ParseState(codebook.n_candidates)]
+    parses = [_ParseState()]
+    decoded: list[int] = []  # the newest parse's values, parses[-1].next_block of them
     punctuation_errors = 0
     data_block_errors = 0
 
@@ -679,7 +673,7 @@ def synthesized_run(cfg: SchemeConfig, ch: Channel, horizon: int, delays,
         base = k * cfg.c
         # Data portion: the encoder walks the true parse with the decoder's
         # steps, transmitting the active block's codeword on the way.
-        encoder.open_block(cfg, k)
+        encoder.open_block(ready, base + 1)
         value = int(values[encoder.next_block])
         if encoder.active:
             letters = codebook.candidates_range(encoder.next_block, encoder.pos, data_len)
@@ -707,8 +701,9 @@ def synthesized_run(cfg: SchemeConfig, ch: Channel, horizon: int, delays,
                 punctuation_errors += 1
             del sent[0], rows[0], estimate[0]
             before, settled = parses.pop(0), parses[0]
-            slot = len(before.values)  # the block the settled chunk closes, if any
-            if settled.values[slot:] and settled.values[slot:] != encoder.values[slot:slot + 1]:
+            slot = before.next_block  # the block the settled chunk closes, if any
+            if settled.next_block > slot and (slot >= encoder.next_block
+                                              or decoded[slot] != values[slot]):
                 data_block_errors += 1
         # Keep the parses of the prefix the new estimate shares with the old
         # one and walk only the rest.
@@ -716,17 +711,21 @@ def synthesized_run(cfg: SchemeConfig, ch: Channel, horizon: int, delays,
         while keep < len(estimate) and estimate[keep] == window_best[keep]:
             keep += 1
         del parses[keep + 1:]
+        del decoded[parses[keep].next_block:]
         first = k + 1 - len(window_best)  # the oldest pending chunk
         for j in range(keep, len(window_best)):
-            state = parses[-1].copy()
-            _walk_chunk(state, cfg, codebook, first + j, window_best[j], rows[j], list_len)
+            state = copy.copy(parses[-1])
+            closed = _walk_chunk(state, cfg, codebook, ready, first + j, window_best[j], rows[j],
+                                 list_len)
+            if closed is not None:
+                decoded.append(closed)
             parses.append(state)
         estimate = window_best
-        judge(base + cfg.c, parses[-1].values)
+        judge(base + cfg.c, decoded)
 
     totals = [wrong_weight[d] + miss_weight[d] for d in grid.delays]
     return grid.table(totals, SchemeRunResult,
-                      blocks_confirmed=len(encoder.values),
+                      blocks_confirmed=encoder.next_block,
                       punctuation_chunk_errors=punctuation_errors,
                       data_block_errors=data_block_errors,
                       spurious_confirms=parses[0].spurious,

@@ -17,6 +17,7 @@ from delayexp.sim_anytime import (
     FlowCode,
     FlowDecoder,
     _confirmable,
+    _blocks,
     _list_index,
     _ParseState,
     _walk_chunk,
@@ -109,16 +110,20 @@ def backlogged_deliveries(cfg, codebook, block_values, noise, horizon):
 def parse_history(cfg, codebook, symbols, data_outputs):
     """Parse the data stream from scratch under a punctuation estimate.
 
-    ``data_outputs`` holds one row of c - theta outputs per chunk. The
-    returned state carries the decoded block values in confirmation order;
-    feeding a corrected estimate re-derives the block boundaries, which is
-    exactly the decoder's recovery path after a punctuation error.
+    ``data_outputs`` holds one row of c - theta outputs per chunk. Returns
+    the final parse state and the decoded block values in confirmation
+    order; feeding a corrected estimate re-derives the block boundaries,
+    which is exactly the decoder's recovery path after a punctuation error.
     """
     list_len = min(1 << cfg.l, 1 << cfg.payload_bits)
-    state = _ParseState(1 << cfg.payload_bits)
+    _, ready = _blocks(cfg, len(symbols) * cfg.c)
+    state = _ParseState()
+    decoded = []
     for k, symbol in enumerate(symbols):
-        _walk_chunk(state, cfg, codebook, k, symbol, data_outputs[k], list_len)
-    return state
+        value = _walk_chunk(state, cfg, codebook, ready, k, symbol, data_outputs[k], list_len)
+        if value is not None:
+            decoded.append(value)
+    return state, decoded
 
 
 def flow_decode(ch, chunk_outputs, theta, l, redecode_window, seed):

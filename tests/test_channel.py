@@ -49,6 +49,14 @@ class TestConstruction:
         with pytest.raises(ch.NonStochasticError):
             ch.make_dmc([[0.6, 0.5], [0.5, 0.5]])
 
+    def test_overflowing_row_sum_is_rejected_as_a_plain_float(self):
+        # Pytest turns numpy's overflow warning into an error, so the sum
+        # must overflow quietly; the message names it as a plain float.
+        with pytest.raises(ch.NonStochasticError, match=r"^row 0 sums to inf, expected 1$"):
+            ch.make_dmc([[1e308, 1e308], [0.5, 0.5]])
+        with pytest.raises(ch.NonStochasticError, match=r"^row 1 sums to 1\.1, expected 1$"):
+            ch.make_dmc([[0.5, 0.5], [0.6, 0.5]])
+
     def test_negative_entry_rejected(self):
         with pytest.raises(ch.NegativeEntryError):
             ch.make_dmc([[1.1, -0.1], [0.5, 0.5]])
@@ -82,6 +90,15 @@ class TestConstruction:
         path.write_text(json.dumps({"rows": [[1.0, 0.0]]}))
         with pytest.raises(BadInputError):
             ch.load_channel(path)
+
+    def test_load_channel_refuses_unknown_keys(self, tmp_path):
+        # As a scheme config does: a misspelt key is an error, not ignored.
+        path = tmp_path / "typo.json"
+        path.write_text(json.dumps({"matrix": [[0.9, 0.1], [0.1, 0.9]], "lable": "typo"}))
+        with pytest.raises(BadInputError, match=r"unknown keys: \['lable'\]$"):
+            ch.load_channel(path)
+        path.write_text(json.dumps({"matrix": [[0.9, 0.1], [0.1, 0.9]], "label": "ok"}))
+        assert ch.load_channel(path).label == "ok"
 
 
 class TestCapacity:
@@ -225,6 +242,9 @@ class TestMeasures:
             ch.mutual_information([1.2, -0.2], c)
         with pytest.raises(ch.NonStochasticError):
             ch.mutual_information([0.7, 0.7], c)
+        with pytest.raises(ch.NonStochasticError,
+                           match=r"^input distribution sums to inf, expected 1$"):
+            ch.mutual_information([1e308, 1e308], c)
 
 
 # Two 2x2 blocks of BSC(0.2) at half weight: one class of four columns that

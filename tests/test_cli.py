@@ -190,6 +190,24 @@ class TestExponentCommand:
         assert out == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("payload,message", [
+        ({"matrix": [[1e308, 1e308], [0.5, 0.5]]}, "row 0 sums to inf, expected 1"),
+        ({"matrix": [[0.9, 0.1], [0.1, 0.9]], "lable": "typo"},
+         "channel file {path} has unknown keys: ['lable']"),
+    ], ids=["row-sum-overflows", "unknown-key"])
+    def test_refused_matrix_file_gives_one_plain_line(self, tmp_path, payload, message):
+        # In a fresh process, without pytest's warning filters: numpy's
+        # overflow warning would add lines, and its repr would show as np.
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(payload))
+        proc = subprocess.run([sys.executable, "-m", "delayexp.cli", "exponent", "--bound", "sp",
+                               "--matrix", str(path), "--rate-bits", "0.3"],
+                              capture_output=True, text=True, env=_child_env(), timeout=120)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: {message.format(path=path)}\n"
+        assert "np." not in proc.stderr
+
     @pytest.mark.parametrize("channel", [
         ["--bsc", "0"],
         ["--matrix", "typewriter.json"],
@@ -264,6 +282,13 @@ class TestExponentCommand:
         assert out == run(capsys, [*argv, "--bound", "sp"])[1]
 
 
+def _child_env():
+    """The environment of a CLI child process that imports this package."""
+    src = Path(cli.__file__).resolve().parents[1]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+
+
 def _run_into_closed_pipe(argv, env_overrides):
     """Run the CLI in a child process whose stdout is a pipe with no reader
     left, as under ``| head -0``; return the exit code and stderr.
@@ -271,9 +296,7 @@ def _run_into_closed_pipe(argv, env_overrides):
     The read end is closed before the child starts, so the child's first
     write fails whatever the timing.
     """
-    src = Path(cli.__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    env = _child_env()
     env.pop("PYTHONUNBUFFERED", None)
     env.update(env_overrides)
     read_end, write_end = os.pipe()
@@ -736,6 +759,91 @@ def test_bec_queue_fuzz_exits_cleanly(delta, horizon, delays, seed, blocked):
         out_dir = _out_dir(tmp, blocked)
         _fuzz_main(["simulate", "bec-queue", *delta, *horizon, *delays, *seed,
                     "--outdir", str(out_dir)], out_dir)
+
+
+# Channel-file entries at the edges: a row's main mass may be one rounding
+# step short of 1, or so large that the row sum is refused (or overflows,
+# next to a second such entry), and its other entries subnormal-scale.
+MAIN_MASSES = (1 - 1e-16, 1.0, 1e308)
+SIDE_MASSES = (1e-300, 0.0, 1e-16)
+MALFORMED_CHANNEL_FILES = ("", "{", '{"matrix": [[0.5, 0.5], [0.5', "[[0.5, 0.5], [0.5, 0.5]]",
+                           "null", '{"matrix": NaN}', '{"matrix": [[0.5, 0.5], [0.5, 0.5]],}')
+# Focusing and the figure are seconds per call on an asymmetric channel of
+# more than two inputs, so they get two-input matrices only, and fewer
+# examples: a two-point figure still takes about half a second.
+MATRIX_COMMANDS = ("sp", "rc", "achieved", "fortified")
+TWO_INPUT_COMMANDS = ("focusing", "figure")
+
+
+def _matrix_argv(command, tmp):
+    """``command`` on the channel file ``tmp/m.json``; a command that writes
+    files writes them under ``tmp/out``."""
+    matrix, out = ["--matrix", str(tmp / "m.json")], ["--outdir", str(tmp / "out")]
+    if command == "fortified":
+        return ["simulate", "fortified", *matrix, "--config", str(tmp / "cfg.json"),
+                "--horizon", "2000", "--delays", "2,4", "--seed", "0", *out]
+    if command == "figure":
+        return ["figure", *matrix, "--points", "2", *out]
+    return ["exponent", "--bound", command, *matrix, "--rate-bits", "0.1"]
+
+
+@st.composite
+def _matrix_file(draw, inputs):
+    """The text of a ``--matrix`` file: a matrix with a row count drawn from
+    ``inputs`` and two to four columns, each row either normalized integer
+    weights with some zeros or one main mass among side masses, and rows
+    sometimes repeated; or an unknown key next to the matrix; or malformed
+    JSON. Hypothesis leans to the first of sampled values and to small
+    integers, so a repeat is drawn on the largest integer and the weights
+    start nonzero: equal rows would make most examples zero-capacity."""
+    kind = draw(st.sampled_from(["matrix"] * 4 + ["unknown key", "malformed"]))
+    if kind == "malformed":
+        return draw(st.sampled_from(MALFORMED_CHANNEL_FILES))
+    cols = draw(st.integers(2, 4))
+    rows = []
+    for _ in range(draw(inputs)):
+        if rows and draw(st.integers(0, 3)) == 3:
+            rows.append(draw(st.sampled_from(rows)))
+        elif draw(st.booleans()):
+            weights = draw(st.lists(st.sampled_from([1, 0, 2, 0, 3]), min_size=cols,
+                                    max_size=cols))
+            weights[draw(st.integers(0, cols - 1))] += 1
+            rows.append([w / sum(weights) for w in weights])
+        else:
+            row = draw(st.lists(st.sampled_from(SIDE_MASSES), min_size=cols, max_size=cols))
+            row[draw(st.integers(0, cols - 1))] = draw(st.sampled_from(MAIN_MASSES))
+            rows.append(row)
+    payload = {"matrix": rows, "label": "fuzz"}
+    if kind == "unknown key":
+        payload["lable"] = "typo"
+    return json.dumps(payload)
+
+
+def _fuzz_matrix_command(command, text):
+    """Run ``command`` on a channel file holding ``text``: it must end in a
+    documented exit code with no traceback, and a command that writes must
+    leave a manifest or no files at all."""
+    with tempfile.TemporaryDirectory() as name:
+        tmp = Path(name)
+        (tmp / "m.json").write_text(text)
+        (tmp / "cfg.json").write_text(json.dumps(FORTIFIED_CFG))
+        _fuzz_main(_matrix_argv(command, tmp), tmp / "out", parser_may_exit=False,
+                   flagged_ok=True)
+
+
+@given(command=st.sampled_from(MATRIX_COMMANDS),
+       text=_matrix_file(st.sampled_from([2, 3, 4, 1])))
+@settings(max_examples=60, deadline=None)
+@example(command="sp", text=json.dumps({"matrix": [[1e308, 1e308], [0.5, 0.5]]}))
+@example(command="sp", text=json.dumps({"matrix": [[0.9, 0.1], [0.1, 0.9]], "lable": "typo"}))
+def test_matrix_file_fuzz_exits_cleanly(command, text):
+    _fuzz_matrix_command(command, text)
+
+
+@given(command=st.sampled_from(TWO_INPUT_COMMANDS), text=_matrix_file(st.just(2)))
+@settings(max_examples=10, deadline=None)
+def test_two_input_matrix_file_fuzz_exits_cleanly(command, text):
+    _fuzz_matrix_command(command, text)
 
 
 def test_version_flag(capsys):

@@ -23,8 +23,11 @@ from delayexp.sim_anytime import (
     SchemeRunResult,
     WindowTooLargeError,
     _block_values,
+    _blocks,
     _cdf,
     _code_input_dist,
+    _confirmable,
+    _list_index,
     _NoiseSource,
     _ParseState,
     _ranked,
@@ -163,6 +166,21 @@ class TestArrivalClock:
         np.testing.assert_array_equal(
             np.searchsorted(arrival(np.arange(1, n + 1), rate), times, side="right"), counts)
 
+    @given(st.sampled_from([(1, 2, 0.5), (2, 7, 3 / 14), (2, 24, 1 / 6), (3, 4, 0.25),
+                            (2, 5, 0.3), (1, 1, 1.0)]),
+           st.integers(0, 3), st.integers(1, 3_000))
+    @settings(max_examples=60, deadline=None)
+    def test_block_schedule_is_the_arrival_of_each_last_bit(self, shape, seed, span):
+        # Both block schemes read one schedule: every full block is ready at
+        # its last bit's arrival, and one more block, ready after the run,
+        # holds the bits of the last, partial one.
+        n, c, rate = shape
+        cfg = SchemeConfig(n=n, c=c, l=0, rate_bits=rate, seed=seed)
+        values, ready = _blocks(cfg, span)
+        np.testing.assert_array_equal(ready[:-1], _ready_uses(cfg, span))
+        assert ready[-1] > span
+        np.testing.assert_array_equal(values, _block_values(cfg, len(ready)))
+
 
 class TestFlowSymbols:
     def test_tokens_distinct(self):
@@ -287,7 +305,7 @@ class TestBlockCodebook:
 
 def _block_scores(cb, block_id, outputs):
     """Every candidate's log-likelihood after one block's outputs, as the parse scores it."""
-    state = _ParseState(cb.n_candidates)
+    state = _ParseState()
     state.score(cb, cb.candidates_range(block_id, 0, len(outputs)), outputs)
     return state.scores
 
@@ -307,6 +325,19 @@ class TestListDecode:
     def test_list_size_validation_and_clipping(self):
         cb = BlockCodebook(make_bsc(0.2), 3, 0)
         assert len(_ranked(_block_scores(cb, 0, np.zeros(4, dtype=np.int64)), 99)) == 8
+
+    @given(st.lists(st.one_of(st.sampled_from([-2.0, -1.0, -0.5, 0.0]), st.floats(-30.0, 0.0)),
+                    min_size=1, max_size=16),
+           st.integers(0, 15), st.sampled_from([1, 2, 4, 8]))
+    @settings(max_examples=300, deadline=None)
+    def test_confirmed_index_names_the_truth(self, raw, truth, list_len):
+        # The encoder confirms as entry 1 + _list_index, and the decoder reads
+        # that entry of _ranked: on a confirmable block it is the truth, so
+        # the encoder's timeline never needs the values it confirmed.
+        scores = np.array(raw)
+        truth %= len(scores)
+        if _confirmable(scores, truth, list_len):
+            assert _ranked(scores, list_len)[_list_index(scores, truth)] == truth
 
     def test_truth_in_list_rates_grow_with_list_size(self):
         # Monte Carlo inclusion rates on a noisy channel; frozen from the
@@ -503,11 +534,12 @@ class TestFlowDecoder:
 
 
 def _noiseless_truth_side(cfg, chunks):
-    """True flow symbols and data rows of a run over the identity channel."""
+    """True flow symbols, data rows and confirmed values of a run over the
+    identity channel; a block opens once the arrival count covers it."""
     cb = BlockCodebook(IDENTITY, cfg.payload_bits, cfg.seed)
     values = _block_values(cfg, chunks)
-    state = parse_history(cfg, cb, [], np.empty((0, cfg.data_uses_per_chunk)))
-    messages, rows = [], []
+    state = _ParseState()
+    messages, rows, confirmed = [], [], []
     for k in range(chunks):
         start = k * cfg.c + 1
         if not state.active and (arrived(start, cfg.rate_bits)
@@ -529,12 +561,12 @@ def _noiseless_truth_side(cfg, chunks):
         rows.append(row)
         if confirm:
             messages.append(1)
-            state.values.append(value)
+            confirmed.append(value)
             state.active = False
             state.next_block += 1
         else:
             messages.append(DENY)
-    return cb, values, messages, np.asarray(rows), list(state.values)
+    return cb, values, messages, np.asarray(rows), confirmed
 
 
 class TestParseHistory:
@@ -542,8 +574,9 @@ class TestParseHistory:
 
     def test_true_messages_reproduce_encoder_values(self):
         cb, values, messages, rows, confirmed = _noiseless_truth_side(self.CFG, 40)
-        state = parse_history(self.CFG, cb, messages, rows)
-        assert state.values == confirmed
+        state, decoded = parse_history(self.CFG, cb, messages, rows)
+        assert decoded == confirmed
+        assert state.next_block == len(confirmed)
         assert len(confirmed) >= 30
         assert state.spurious == 0
 
@@ -552,11 +585,11 @@ class TestParseHistory:
         hit = next(k for k, m in enumerate(messages) if m != DENY and 5 < k < 30)
         corrupted = list(messages)
         corrupted[hit] = DENY
-        shifted = parse_history(self.CFG, cb, corrupted, rows)
-        assert len(shifted.values) < len(confirmed)
+        _, shifted = parse_history(self.CFG, cb, corrupted, rows)
+        assert len(shifted) < len(confirmed)
         # Re-parsing under the corrected estimate is full recovery.
-        healed = parse_history(self.CFG, cb, messages, rows)
-        assert healed.values == confirmed
+        _, healed = parse_history(self.CFG, cb, messages, rows)
+        assert healed == confirmed
 
     def test_spurious_confirm_ignored_and_counted(self):
         cb, values, messages, rows, confirmed = _noiseless_truth_side(self.CFG, 40)
@@ -564,9 +597,9 @@ class TestParseHistory:
         # is dynamically impossible and must not consume a block.
         assert messages[0] == DENY
         corrupted = [1] + list(messages[1:])
-        state = parse_history(self.CFG, cb, corrupted, rows)
+        state, decoded = parse_history(self.CFG, cb, corrupted, rows)
         assert state.spurious == 1
-        assert state.values == confirmed
+        assert decoded == confirmed
 
 
 class TestFortifiedScheme:
@@ -845,6 +878,65 @@ class TestSynthesizedScheme:
         assert table.spurious_confirms == 1
         assert table.wrong_bit_weight == 13.0
         assert table.missed_bit_weight == 8967.5
+
+    # More runs whose flow link errs often, over l = 0, 1 and 2, windows 2 to
+    # 6 and five channels. A settled block counts as wrong when its value is
+    # wrong or when the encoder has not closed that block yet; the two
+    # BSC(0.15) runs take the second branch hundreds of times, the others
+    # only the first. Each run's table and six counters were recorded with
+    # the parse states that each kept a copy of the whole decoded history.
+    FLOW_ERROR_RUNS = {
+        "bsc-l0-w2": (make_bsc(0.05), dict(n=2, c=5, l=0, theta=1, rate_bits=0.3,
+                                           redecode_window=2, seed=0), 20_000, (5, 10, 20)),
+        "bec-l2-w3": (make_bec(0.3), dict(n=3, c=4, l=2, theta=1, rate_bits=0.25,
+                                          redecode_window=3, seed=1), 12_000, (4, 8, 16)),
+        "z-l1-w5": (FLOW_CHANNELS["z"], dict(n=2, c=5, l=1, theta=1, rate_bits=0.3,
+                                             redecode_window=5, seed=2), 10_000, (5, 10, 20)),
+        "3x3-l0-w6": (make_dmc([[0.8, 0.15, 0.05], [0.1, 0.7, 0.2], [0.25, 0.05, 0.7]]),
+                      dict(n=2, c=6, l=0, theta=2, rate_bits=0.25, redecode_window=6, seed=3),
+                      12_000, (6, 12, 24)),
+        "bsc0.15-l2-w2": (make_bsc(0.15), dict(n=3, c=4, l=2, theta=1, rate_bits=0.5,
+                                               redecode_window=2, seed=5), 6_000, (4, 8, 16)),
+        "bsc0.15-l1-w3": (make_bsc(0.15), dict(n=3, c=4, l=1, theta=1, rate_bits=0.5,
+                                               redecode_window=3, seed=0), 6_000, (4, 8, 16)),
+    }
+
+    FLOW_ERROR_PINS = [
+        ("bsc-l0-w2",
+         "5,5.0000000000e-01,5988,1.2664416353e-02\n"
+         "10,5.0000000000e-01,5988,1.2664416353e-02\n"
+         "20,4.9991649967e-01,5988,1.2664416176e-02\n", (1999, 1076, 1145, 0, 0.0, 8981.5)),
+        ("bec-l2-w3",
+         "4,4.9883021390e-01,2992,1.7916125358e-02\n"
+         "8,4.9782754011e-01,2992,1.7916005277e-02\n"
+         "16,4.9465240642e-01,2992,1.7915149673e-02\n", (999, 1338, 801, 9, 56.0, 4406.0)),
+        ("z-l1-w5",
+         "5,4.9966532798e-01,2988,1.7928158449e-02\n"
+         "10,4.9531459170e-01,2988,1.7927375292e-02\n"
+         "20,4.8627844712e-01,2988,1.7921410128e-02\n", (999, 1166, 817, 18, 175.0, 4251.0)),
+        ("3x3-l0-w6",
+         "6,4.9732262383e-01,2988,1.7927905433e-02\n"
+         "12,4.8995983936e-01,2988,1.7924547610e-02\n"
+         "24,4.7356091031e-01,2988,1.7903080436e-02\n", (997, 467, 805, 5, 61.0, 4304.0)),
+        ("bsc0.15-l2-w2",
+         "4,4.9966487936e-01,2984,1.7940170606e-02\n"
+         "8,4.9597855228e-01,2984,1.7939594368e-02\n"
+         "16,4.9229222520e-01,2984,1.7938042865e-02\n", (478, 750, 487, 131, 850.0, 3590.0)),
+        ("bsc0.15-l1-w3",
+         "4,5.0016756032e-01,2984,1.7940173628e-02\n"
+         "8,5.0150804290e-01,2984,1.7940093036e-02\n"
+         "16,5.0837801609e-01,2984,1.7937655976e-02\n", (408, 635, 487, 70, 456.0, 4050.0)),
+    ]
+
+    @pytest.mark.parametrize("name,csv,counters", FLOW_ERROR_PINS,
+                             ids=[pin[0] for pin in FLOW_ERROR_PINS])
+    def test_flow_link_errors_are_pinned_across_configs(self, name, csv, counters):
+        ch, fields_, horizon, delays = self.FLOW_ERROR_RUNS[name]
+        table = synthesized_run(SchemeConfig(**fields_), ch, horizon, delays, 0)
+        assert table.to_csv() == "delay,error,trials,half_width\n" + csv
+        assert (table.blocks_confirmed, table.punctuation_chunk_errors, table.data_block_errors,
+                table.spurious_confirms, table.wrong_bit_weight,
+                table.missed_bit_weight) == counters
 
     def test_bits_due_before_the_first_boundary_are_misses(self):
         # At delays 2 and 5 the deadlines of bits 0-2 (arrivals 6, 12, 18)
