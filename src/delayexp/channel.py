@@ -174,6 +174,8 @@ def as_input_dist(r, n: int) -> np.ndarray:
     q = np.asarray(r, dtype=float)
     if q.shape != (n,):
         raise DimensionMismatchError(f"input distribution has shape {q.shape}, expected ({n},)")
+    if not np.all(np.isfinite(q)):
+        raise BadInputError("input distribution contains non-finite entries")
     if np.any(q < 0):
         raise NegativeEntryError("input distribution contains a negative entry")
     with np.errstate(over="ignore"):

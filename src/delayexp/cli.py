@@ -24,6 +24,8 @@ flag set, and the manifest is always the last file written.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import errno
 import json
 import math
 import os
@@ -76,34 +78,45 @@ SCHEME_COUNTERS = ("blocks_confirmed", "punctuation_chunk_errors", "data_block_e
                    "spurious_confirms", "wrong_bit_weight", "missed_bit_weight")
 
 
-def _write_manifest(outdir: Path, command_line: str, seeds, artifact_paths) -> Path:
-    """Write ``manifest.json`` after every file it lists; it lists itself last."""
-    path = outdir / "manifest.json"
+def _manifest_json(command_line: str, seeds, artifact_paths) -> str:
+    """The manifest of a run whose files are ``artifact_paths``, the manifest last."""
     manifest = {"command_line": command_line,
                 "seeds": [int(s) for s in seeds],
-                "artifacts": [str(p) for p in artifact_paths] + [str(path)],
+                "artifacts": [str(p) for p in artifact_paths],
                 "tool_version": __version__}
-    path.write_text(_record_json(manifest), encoding="utf-8")
-    return path
+    return _record_json(manifest)
 
 
 def _write_artifacts(flag_value: str | None, command_line: str, seeds,
                      files: dict[str, str]) -> list[Path]:
-    """Write ``files`` (name to text) in order, then the manifest listing them.
+    """Write ``files`` (name to text) and ``manifest.json`` listing them, all or none.
 
     The output directory is ``--outdir``, else $DELAYEXP_OUTDIR, else the
-    current directory. Returns the written paths, the manifest last.
+    current directory. Each file goes to a temporary name in that directory
+    first; only when all of them are written are they moved into place, the
+    manifest last. On a failure the temporaries are removed, so an earlier
+    run's files there stay as they were. Returns the paths, the manifest last.
     """
     outdir = Path(flag_value or os.environ.get("DELAYEXP_OUTDIR") or ".")
+    paths = [outdir / name for name in files] + [outdir / "manifest.json"]
+    texts = [*files.values(), _manifest_json(command_line, seeds, paths)]
+    staged: list[Path] = []
     try:
         outdir.mkdir(parents=True, exist_ok=True)
-        paths = []
-        for name, text in files.items():
-            path = outdir / name
-            path.write_text(text, encoding="utf-8")
-            paths.append(path)
-        return paths + [_write_manifest(outdir, command_line, seeds, paths)]
+        for path in paths:
+            # os.replace cannot put a file over a directory; find that before any move.
+            if path.is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        for path, text in zip(paths, texts):
+            staged.append(path.with_name(f".{path.name}.{os.getpid()}.tmp"))
+            staged[-1].write_text(text, encoding="utf-8")
+        for temporary, path in zip(staged, paths):
+            os.replace(temporary, path)
+        return paths
     except OSError as exc:
+        for temporary in staged:
+            with contextlib.suppress(OSError):
+                temporary.unlink(missing_ok=True)
         raise BadInputError(f"cannot write artifacts to {outdir}: {exc}") from exc
 
 

@@ -177,10 +177,13 @@ class _NoiseSource:
 
     def emit_batch(self, letters: np.ndarray, t0: int) -> np.ndarray:
         """Outputs for a run of consecutive uses starting at 1-based t0."""
-        u = self.u[t0 - 1:t0 - 1 + len(letters)]
-        # Row-wise searchsorted(..., side="right"); each cdf row ends at 1 > u,
+        return self.emit(letters, self.u[t0 - 1:t0 - 1 + len(letters)])
+
+    def emit(self, letters: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """The output of each input letter under the uniform of the same index."""
+        # Entry-wise searchsorted(..., side="right"); each cdf row ends at 1 > u,
         # so every output is a valid letter.
-        return (self.cdf[letters] <= u[:, None]).sum(axis=1)
+        return (self.cdf[letters] <= u[..., None]).sum(axis=-1)
 
 
 def _block_values(cfg: SchemeConfig, count: int) -> np.ndarray:
@@ -294,6 +297,24 @@ class BlockCodebook:
             g, s = slab
             return self._parity[self._candidates & g[lo:hi]] ^ s[lo:hi]
         return slab[0][:, lo:hi]
+
+    def head_letters(self, first: int, count: int) -> np.ndarray:
+        """Letters (int8) of every candidate over positions [0, _SERVE_STRIDE_MIN)
+        of blocks ``first`` to ``first + count - 1``: a (blocks, candidates,
+        positions) array filled from each block's first slab."""
+        width = _SERVE_STRIDE_MIN
+        if self.coset:
+            g = np.empty((count, width), dtype=np.int64)
+            s = np.empty((count, width), dtype=np.int8)
+            for i in range(count):
+                slab_g, slab_s = self._slab(first + i, 0)
+                g[i] = slab_g[:width]
+                s[i] = slab_s[:width]
+            return self._parity[self._candidates & g[:, None, :]] ^ s[:, None, :]
+        letters = np.empty((count, self.n_candidates, width), dtype=np.int8)
+        for i in range(count):
+            letters[i] = self._slab(first + i, 0)[0][:, :width]
+        return letters
 
     def candidates_range(self, block_id: int, start: int, count: int) -> np.ndarray:
         """Letters (int8) of every candidate over positions [start, start+count).
@@ -522,6 +543,93 @@ def _walk_chunk(state: _ParseState, cfg: SchemeConfig, codebook: BlockCodebook,
 
 _SERVE_STRIDE_MIN = 8
 _SERVE_STRIDE_MAX = 512
+# A batch holds at most this many (block, candidate) pairs, which keeps its
+# working arrays near 250 kB; above 10 payload bits a batch is one block.
+_SERVE_BATCH_CELLS = 1024
+# Speculation stops once a round finds more than this share of the blocks it
+# redid moved again: such a round settles too little to pay for itself.
+_SETTLE_RATIO = 0.9
+
+
+def _first_strides(logp: np.ndarray, noise: _NoiseSource, head: np.ndarray,
+                   values: np.ndarray, starts: np.ndarray, horizon: int,
+                   list_len: int) -> np.ndarray:
+    """Each block's confirm offset within its first stride from use ``starts[i]``,
+    ``-1`` if it is still in flight after the stride or at the horizon.
+
+    The same sums and the same confirm rule as the first stride of
+    :func:`_serve_block`, for a batch of blocks at once. Uses past the
+    horizon read the horizon's uniform and are masked, never confirmed.
+    """
+    rows = np.arange(len(starts))
+    uses = starts[:, None] + np.arange(_SERVE_STRIDE_MIN)
+    outputs = noise.emit(head[rows, values], noise.u[np.minimum(uses, horizon) - 1])
+    cum = logp[head, outputs[:, None, :]].cumsum(axis=2)
+    ok = (cum >= cum[rows, values][:, None, :]).sum(axis=1) <= list_len
+    ok &= uses <= horizon
+    offset = ok.argmax(axis=1)
+    return np.where(ok[rows, offset], offset, -1)
+
+
+def _speculate(logp: np.ndarray, noise: _NoiseSource, head: np.ndarray, values: np.ndarray,
+               ready: np.ndarray, t_free: int, horizon: int,
+               list_len: int) -> tuple[np.ndarray, np.ndarray]:
+    """Guessed starts of a batch of blocks and their first-stride confirm offsets.
+
+    The first guess is ``max(ready, t_free)``, exact for the batch's first
+    block. Each further round re-guesses a start as the use after the
+    predecessor's guessed delivery (a predecessor still in flight after its
+    stride frees the link no sooner) and serves again only the blocks whose
+    guess moved. Each round redoes at most ``_SETTLE_RATIO`` of the last
+    one's blocks, so all rounds together serve at most ten batches' worth
+    of first strides, and a backlogged batch, whose guesses all move, costs
+    one round.
+    """
+    starts = np.maximum(ready, t_free)
+    offsets = _first_strides(logp, noise, head, values, starts, horizon, list_len)
+    redone = len(starts)
+    while True:
+        freed = starts + np.where(offsets >= 0, offsets, _SERVE_STRIDE_MIN) + 1
+        guess = np.maximum(ready[1:], freed[:-1])
+        stale = 1 + np.flatnonzero(guess != starts[1:])
+        if not 0 < len(stale) <= _SETTLE_RATIO * redone:
+            return starts, offsets
+        starts[stale] = guess[stale - 1]
+        offsets[stale] = _first_strides(logp, noise, head[stale], values[stale],
+                                        starts[stale], horizon, list_len)
+        redone = len(stale)
+
+
+def _serve_block(codebook: BlockCodebook, noise: _NoiseSource, block: int, value: int,
+                 head: np.ndarray, t: int, horizon: int, list_len: int) -> int | None:
+    """The delivery use of one block sent from use t, ``None`` if the horizon
+    ends first; ``head`` holds its first-stride letters.
+
+    The block runs in strides that test the confirm condition after every
+    use, as a per-use encoder does, but add the log-likelihoods in another
+    order: float rounding can break a score tie that is exact in real
+    arithmetic the other way (not on the erasure channel, whose ties are
+    exact in floats too).
+    """
+    logp = codebook.logp
+    scores = None  # the candidates' scores before the stride, as a column
+    pos = 0
+    stride = _SERVE_STRIDE_MIN
+    while t <= horizon:
+        take = min(stride, horizon - t + 1)
+        stride = min(stride * 4, _SERVE_STRIDE_MAX)
+        letters = head[:, :take] if pos == 0 else codebook.candidates_range(block, pos, take)
+        cum = logp[letters, noise.emit_batch(letters[value], t)].cumsum(axis=1)
+        if scores is not None:
+            cum += scores
+        ok = _confirmable(cum, value, list_len)
+        j = int(ok.argmax())
+        if ok[j]:
+            return t + j
+        scores = cum[:, -1:]
+        pos += take
+        t += take
+    return None
 
 
 def _serve_blocks(cfg: SchemeConfig, codebook: BlockCodebook, values: np.ndarray,
@@ -530,44 +638,42 @@ def _serve_blocks(cfg: SchemeConfig, codebook: BlockCodebook, values: np.ndarray
     the horizon ends first.
 
     Block k is sent from use ``ready[k]`` (its last bit's arrival, or 1 when
-    blocks are always backlogged) or after block k - 1 is confirmed. Each
-    block runs in vectorized strides that test the confirm condition after
-    every use, as a per-use encoder does, but add the log-likelihoods in
-    another order: float rounding can break a score tie that is exact in
-    real arithmetic the other way (not on the erasure channel, whose ties
-    are exact in floats too).
+    blocks are always backlogged) or after block k - 1 is confirmed, and is
+    served as :func:`_serve_block` serves it; the deliveries equal those of
+    serving the blocks one at a time.
+
+    Blocks go in batches of at most ``_SERVE_BATCH_CELLS`` (block, candidate)
+    pairs. A batch reads its head letters in one call and serves every
+    block's first stride from a guessed start in a few vectorized rounds
+    (:func:`_speculate`). One pass in block order then settles the batch: a
+    block whose guess was its exact start and that confirmed within the
+    stride takes its guessed delivery, and any other block is served by
+    :func:`_serve_block` from its exact start.
     """
     list_len = min(1 << cfg.l, codebook.n_candidates)
-    logp = codebook.logp
     deliveries = np.full(len(ready), np.inf)
+    batch = max(_SERVE_BATCH_CELLS // codebook.n_candidates, 1)
     t_free = 1
-    for block, t_ready in enumerate(ready):
-        t_start = max(int(t_ready), t_free)
-        if t_start > horizon:
-            break
-        value = int(values[block])
-        scores = None  # the candidates' scores before the stride, as a column
-        pos = 0
-        t = t_start
-        stride = _SERVE_STRIDE_MIN
-        while t <= horizon:
-            take = min(stride, horizon - t + 1)
-            stride = min(stride * 4, _SERVE_STRIDE_MAX)
-            letters = codebook.candidates_range(block, pos, take)
-            cum = logp[letters, noise.emit_batch(letters[value], t)].cumsum(axis=1)
-            if scores is not None:
-                cum += scores
-            ok = _confirmable(cum, value, list_len)
-            j = int(ok.argmax())
-            if ok[j]:
-                deliveries[block] = t + j
-                t_free = t + j + 1
-                break
-            scores = cum[:, -1:]
-            pos += take
-            t += take
-        if t > horizon:  # the horizon ended with the block still in flight
-            break
+    for first in range(0, len(ready), batch):
+        block_ready = np.asarray(ready[first:first + batch], dtype=np.int64)
+        block_values = np.asarray(values[first:first + len(block_ready)], dtype=np.int64)
+        head = codebook.head_letters(first, len(block_ready))
+        starts, offsets = _speculate(codebook.logp, noise, head, block_values, block_ready,
+                                     t_free, horizon, list_len)
+        for i, (t_ready, guessed, offset) in enumerate(
+                zip(block_ready.tolist(), starts.tolist(), offsets.tolist())):
+            t = max(t_ready, t_free)
+            if t == guessed and offset >= 0:
+                delivered = t + offset
+            elif t > horizon:
+                return deliveries
+            else:
+                delivered = _serve_block(codebook, noise, first + i, int(block_values[i]),
+                                         head[i], t, horizon, list_len)
+                if delivered is None:  # the horizon ended with the block in flight
+                    return deliveries
+            deliveries[first + i] = delivered
+            t_free = delivered + 1
     return deliveries
 
 
@@ -587,9 +693,10 @@ def fortified_run(cfg: SchemeConfig, ch: Channel, horizon: int, delays,
     payload = cfg.payload_bits
     # The codebook caps the payload before any per-block array is sized.
     codebook = BlockCodebook(ch, payload, cfg.seed)
-    values, ready = _blocks(cfg, horizon)
-    noise = _NoiseSource(ch, horizon, seed)
-    deliveries = _serve_blocks(cfg, codebook, values, ready, noise, horizon)
+    # The block schedule and the noise draws are freed once the blocks are
+    # served: only the deliveries stay for the judge.
+    deliveries = _serve_blocks(cfg, codebook, *_blocks(cfg, horizon),
+                               _NoiseSource(ch, horizon, seed), horizon)
 
     step = max(WINDOW // payload, 1)
     counts = sum(grid.misses(b * payload, np.repeat(deliveries[b:b + step], payload))

@@ -12,6 +12,8 @@ import numpy as np
 from delayexp.channel import SYMMETRY_ATOL, OutOfRangeError
 from delayexp.exponents import _e0_from_powers, _powers, _simplex_grid
 from delayexp.sim_anytime import (
+    _SERVE_STRIDE_MAX,
+    _SERVE_STRIDE_MIN,
     DENY,
     IDLE_LETTER,
     FlowCode,
@@ -104,6 +106,53 @@ def backlogged_deliveries(cfg, codebook, block_values, noise, horizon):
             deliveries.append(t)
             block, pos = block + 1, 0
             scores = np.zeros(codebook.n_candidates)
+    return deliveries
+
+
+def strided_deliveries(cfg, codebook, values, ready, noise, horizon):
+    """The delivery use of each block under the ideal flow link, ``+inf`` if
+    the horizon ends first, served one block at a time.
+
+    Block k is sent from use ``ready[k]`` (its last bit's arrival, or 1 when
+    blocks are always backlogged) or after block k - 1 is confirmed. Each
+    block runs in vectorized strides that test the confirm condition after
+    every use, as a per-use encoder does, but add the log-likelihoods in
+    another order: float rounding can break a score tie that is exact in
+    real arithmetic the other way (not on the erasure channel, whose ties
+    are exact in floats too). ``sim_anytime._serve_blocks`` serves the same
+    blocks in speculative batches and must return the same array.
+    """
+    list_len = min(1 << cfg.l, codebook.n_candidates)
+    logp = codebook.logp
+    deliveries = np.full(len(ready), np.inf)
+    t_free = 1
+    for block, t_ready in enumerate(ready):
+        t_start = max(int(t_ready), t_free)
+        if t_start > horizon:
+            break
+        value = int(values[block])
+        scores = None  # the candidates' scores before the stride, as a column
+        pos = 0
+        t = t_start
+        stride = _SERVE_STRIDE_MIN
+        while t <= horizon:
+            take = min(stride, horizon - t + 1)
+            stride = min(stride * 4, _SERVE_STRIDE_MAX)
+            letters = codebook.candidates_range(block, pos, take)
+            cum = logp[letters, noise.emit_batch(letters[value], t)].cumsum(axis=1)
+            if scores is not None:
+                cum += scores
+            ok = _confirmable(cum, value, list_len)
+            j = int(ok.argmax())
+            if ok[j]:
+                deliveries[block] = t + j
+                t_free = t + j + 1
+                break
+            scores = cum[:, -1:]
+            pos += take
+            t += take
+        if t > horizon:  # the horizon ended with the block still in flight
+            break
     return deliveries
 
 

@@ -246,6 +246,16 @@ class TestMeasures:
                            match=r"^input distribution sums to inf, expected 1$"):
             ch.mutual_information([1e308, 1e308], c)
 
+    @pytest.mark.parametrize("r", [[math.nan, math.nan], [math.nan, 1.0], [math.inf, 0.0],
+                                   [1.0, -math.inf]])
+    def test_input_dist_rejects_non_finite_entries(self, r):
+        # NaN fails every comparison, so the sign and sum checks alone let it through.
+        c = ch.make_bsc(0.1)
+        for call in (lambda: ch.as_input_dist(r, 2), lambda: ch.mutual_information(r, c),
+                     lambda: ch.conditional_divergence(c, c, r)):
+            with pytest.raises(BadInputError, match=r"^input distribution contains non-finite"):
+                call()
+
 
 # Two 2x2 blocks of BSC(0.2) at half weight: one class of four columns that
 # also splits into two valid groups.

@@ -625,6 +625,57 @@ def _simulate_argv(tmp_path, scheme, override, seed, out_dir):
     return ["simulate", *head, "--horizon", "2000", "--seed", seed, "--outdir", str(out_dir)]
 
 
+
+# Each artifact-writing command, as a small run, and the files it writes.
+ARTIFACT_SETS = {
+    "figure": ("curves.csv", "curves.gp", "run_record.json", "manifest.json"),
+    "bec-queue": ("table.csv", "manifest.json"),
+    "fortified": ("table.csv", "run_record.json", "manifest.json"),
+    "synthesized": ("table.csv", "run_record.json", "manifest.json"),
+}
+
+
+class TestArtifactSets:
+    @pytest.mark.parametrize("command,blocked", [
+        (command, name) for command, names in ARTIFACT_SETS.items() for name in names])
+    def test_a_blocked_name_leaves_none_of_the_runs_files(self, capsys, tmp_path, command,
+                                                          blocked):
+        # A directory at one artifact name stops the run with exit 2 before
+        # any file moves into place: an earlier run's set stays as it was,
+        # and no temporary is left behind.
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        names = ARTIFACT_SETS[command]
+        for name in names:
+            (out_dir / name).write_text("earlier run\n")
+        (out_dir / blocked).unlink()
+        (out_dir / blocked).mkdir()
+        if command == "figure":
+            argv = ["figure", "--bsc", "0.1", "--points", "4", "--outdir", str(out_dir)]
+        else:
+            argv = _simulate_argv(tmp_path, command, {}, "1", out_dir)
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write artifacts to {out_dir}: ")
+        assert err.count("\n") == 1 and str(out_dir / blocked) in err
+        assert sorted(p.name for p in out_dir.iterdir()) == sorted(names)
+        assert all((out_dir / name).read_text() == "earlier run\n"
+                   for name in names if name != blocked)
+
+    def test_a_complete_set_replaces_an_earlier_one(self, capsys, tmp_path):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        for name in ARTIFACT_SETS["fortified"]:
+            (out_dir / name).write_text("earlier run\n")
+        code, _, _ = run(capsys, _simulate_argv(tmp_path, "fortified", {}, "1", out_dir))
+        assert code == 0
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert manifest["artifacts"] == [str(out_dir / name)
+                                         for name in ARTIFACT_SETS["fortified"]]
+        assert sorted(p.name for p in out_dir.iterdir()) == sorted(ARTIFACT_SETS["fortified"])
+        assert (out_dir / "table.csv").read_text().startswith("delay,error,trials,half_width\n")
+
+
 def _fuzz_main(argv, out_dir=None, parser_may_exit=True, flagged_ok=False):
     """Run ``main`` and check it ended in a documented exit code without a traceback.
 

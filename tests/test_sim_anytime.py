@@ -1,6 +1,7 @@
 import json
 import math
 from dataclasses import asdict
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from delayexp.errors import BadInputError, DomainError
 from delayexp.sim_anytime import (
     _CODE_SLAB,
     _CODE_STREAM,
+    _SERVE_STRIDE_MIN,
     DENY,
     BlockCodebook,
     FlowCode,
@@ -43,12 +45,19 @@ from reference import (
     exhaustive_window_search,
     flow_decode,
     parse_history,
+    strided_deliveries,
 )
 
 LN15 = math.log(1.5)
 IDENTITY = make_dmc([[1.0, 0.0], [0.0, 1.0]])
 FLOW_CHANNELS = {"bsc": make_bsc(0.1), "bec": make_bec(0.4),
                  "z": make_dmc([[1.0, 0.0], [0.3, 0.7]])}
+# Block-service channels: coset codes on the binary ones, i.i.d. letters on
+# the Z channel and on the four-letter noisy typewriter.
+SERVICE_CHANNELS = {"bec0.4": make_bec(0.4), "bec0.9": make_bec(0.9), "bsc0.05": make_bsc(0.05),
+                    "z": make_dmc([[1.0, 0.0], [0.3, 0.7]]),
+                    "typewriter": make_dmc([[.5, .5, 0, 0], [0, .5, .5, 0], [0, 0, .5, .5],
+                                            [.5, 0, 0, .5]])}
 BEC_ERASURE = 2
 
 # The repeat-until-confirm reduction of the fortified scheme on a BEC.
@@ -295,6 +304,18 @@ class TestBlockCodebook:
         assert np.array_equal(cb.candidates_range(2, 10, 20), before)
         assert np.array_equal(cb.candidates_range(2, 250, 12),
                               BlockCodebook(channel, 3, 5).candidates_range(2, 250, 12))
+
+    @pytest.mark.parametrize("payload,channel", [
+        (1, make_bec(0.4)), (4, make_bsc(0.1)), (3, SERVICE_CHANNELS["typewriter"]),
+    ])
+    def test_head_letters_are_each_blocks_first_stride(self, payload, channel):
+        cb = BlockCodebook(channel, payload, 9)
+        head = cb.head_letters(70, 80)
+        assert head.dtype == np.int8
+        assert head.shape == (80, cb.n_candidates, _SERVE_STRIDE_MIN)
+        fresh = BlockCodebook(channel, payload, 9)
+        for i in range(80):
+            assert np.array_equal(head[i], fresh.candidates_range(70 + i, 0, _SERVE_STRIDE_MIN))
 
     def test_payload_caps(self):
         with pytest.raises(PayloadTooLargeError):
@@ -669,6 +690,35 @@ class TestFortifiedScheme:
         expected = backlogged_deliveries(cfg, cb, values, noise, horizon)
         assert _delivered(served) == expected
         assert len(expected) > 2000
+
+    @settings(max_examples=100, deadline=None)
+    @given(channel=st.sampled_from(sorted(SERVICE_CHANNELS)), payload=st.integers(1, 6),
+           l=st.integers(0, 2), extra_n=st.integers(1, 2), c=st.integers(1, 8),
+           code_seed=st.integers(0, 2**40), noise_seed=st.integers(0, 2**32 - 1),
+           backlogged=st.booleans(), horizon=st.integers(1, 2_500),
+           span=st.integers(1, 3_000),
+           cells=st.sampled_from([1, 24, sim_anytime._SERVE_BATCH_CELLS]))
+    def test_batched_service_matches_strided_reference(self, channel, payload, l, extra_n, c,
+                                                       code_seed, noise_seed, backlogged,
+                                                       horizon, span, cells):
+        # Ready uses come from the arrival clock at the config's rate, or are
+        # all 1; a batch holds one block, a few blocks or the default number.
+        ch = SERVICE_CHANNELS[channel]
+        n = l + extra_n
+        cfg = SchemeConfig(n=n, c=c, l=l, rate_bits=payload / (n * c), seed=code_seed)
+        if backlogged:
+            values = _block_values(cfg, horizon + 1)
+            ready = np.ones(len(values), dtype=np.int64)
+        else:
+            values, ready = _blocks(cfg, span)
+        noise = _NoiseSource(ch, horizon, noise_seed)
+        expected = strided_deliveries(cfg, BlockCodebook(ch, payload, code_seed), values,
+                                      ready, noise, horizon)
+        with mock.patch.object(sim_anytime, "_SERVE_BATCH_CELLS", cells):
+            served = _serve_blocks(cfg, BlockCodebook(ch, payload, code_seed), values, ready,
+                                   noise, horizon)
+        assert served.dtype == expected.dtype
+        assert np.array_equal(served, expected)
 
     def test_bec_reduction_tracks_closed_form_exponent(self):
         table = fortified_run(BEC_CFG, make_bec(0.4), 120_000, (6, 10, 14, 18), 0)
