@@ -2,6 +2,8 @@
 
 __version__ = "0.1.0"
 
+import importlib
+
 from .channel import (
     Channel,
     CapacityResult,
@@ -42,21 +44,31 @@ from .exponents import (
     random_coding,
     sphere_packing,
 )
-from .sim_anytime import (
-    BlockCodebook,
-    FlowCode,
-    FlowDecoder,
-    SchemeConfig,
-    SchemeRunResult,
-    fortified_run,
-    synthesized_run,
-)
-from .sim_queue import (
-    DelayErrorTable,
-    FitResult,
-    fit_exponent,
-    simulate_bec_feedback,
-)
+
+# The simulators load on first use, so the bound commands never compile them.
+_LAZY = {
+    "sim_anytime": ("BlockCodebook", "FlowCode", "FlowDecoder", "SchemeConfig",
+                    "SchemeRunResult", "fortified_run", "synthesized_run"),
+    "sim_queue": ("DelayErrorTable", "FitResult", "fit_exponent", "simulate_bec_feedback"),
+}
+_LAZY_NAMES = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name):
+    """Import a simulator module, or one of its public names, on first access (PEP 562)."""
+    module = name if name in _LAZY else _LAZY_NAMES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = importlib.import_module(f".{module}", __name__)
+    if name != module:
+        value = getattr(value, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY, *_LAZY_NAMES})
+
 
 __all__ = [
     "BadInputError",

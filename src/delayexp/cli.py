@@ -46,13 +46,6 @@ from .exponents import (
     capacity_slopes,
     haroutunian_oracle,
 )
-from .sim_anytime import SchemeConfig, fortified_run, synthesized_run
-from .sim_queue import (
-    AllZeroErrorsError,
-    TooFewPointsError,
-    fit_exponent,
-    simulate_bec_feedback,
-)
 
 LN2 = math.log(2.0)
 
@@ -253,6 +246,8 @@ def cmd_figure(args, command_line: str) -> int:
 # -- simulate ----------------------------------------------------------------
 
 def _print_fit(table) -> None:
+    from .sim_queue import AllZeroErrorsError, TooFewPointsError, fit_exponent
+
     try:
         fit = fit_exponent(table)
     except (AllZeroErrorsError, TooFewPointsError) as exc:
@@ -262,7 +257,12 @@ def _print_fit(table) -> None:
     print(f"r_squared {fit.r_squared:.6f}")
 
 
+# The simulate handlers import the simulators themselves, so that the bound
+# commands neither compile nor load them.
+
 def cmd_simulate_bec_queue(args, command_line: str) -> int:
+    from .sim_queue import simulate_bec_feedback
+
     table = simulate_bec_feedback(args.delta, args.horizon,
                                   _parse_delays(args.delays), args.seed)
     csv_path, manifest_path = _write_artifacts(args.outdir, command_line, (args.seed,),
@@ -275,6 +275,8 @@ def cmd_simulate_bec_queue(args, command_line: str) -> int:
 
 
 def cmd_simulate_scheme(args, command_line: str) -> int:
+    from .sim_anytime import SchemeConfig, fortified_run, synthesized_run
+
     if args.config is None:
         raise BadInputError(f"scheme {args.scheme!r} requires --config")
     cfg = SchemeConfig.from_json(args.config)

@@ -24,6 +24,7 @@ windows of at most 24 bits.
 from __future__ import annotations
 
 import copy
+import functools
 import json
 import math
 from dataclasses import MISSING, dataclass, fields
@@ -31,6 +32,7 @@ from hashlib import blake2b
 
 import numpy as np
 
+from . import _pcg64
 from .channel import Channel
 from .errors import BadInputError, DomainError
 from .exponents import e0_max
@@ -300,10 +302,22 @@ class BlockCodebook:
 
     def head_letters(self, first: int, count: int) -> np.ndarray:
         """Letters (int8) of every candidate over positions [0, _SERVE_STRIDE_MIN)
-        of blocks ``first`` to ``first + count - 1``: a (blocks, candidates,
-        positions) array filled from each block's first slab."""
+        of blocks ``first`` to ``first + count - 1`` (block ids below 2^64): a
+        (blocks, candidates, positions) array, each block's first slab read
+        through :meth:`_columns`.
+
+        One-bit coset and i.i.d.-letter codebooks derive the whole batch from
+        the raw outputs of the blocks' first-slab generators, which
+        :mod:`._pcg64` computes for every block at once: a one-bit coset
+        dither letter is ``integers(0, 2, int8)``, the top bit of one byte of
+        raw output 0 (Lemire's rule never rejects at range 2), and candidate
+        c's letter j is ``random()`` at raw output 256c + j. A multi-bit coset
+        codebook reads each block's slab through :meth:`_slab`: its dither
+        follows the 256 mask draws, so where it starts in the stream depends
+        on how many of them Lemire's rule rejected.
+        """
         width = _SERVE_STRIDE_MIN
-        if self.coset:
+        if self.coset and self.n_candidates > 2:
             g = np.empty((count, width), dtype=np.int64)
             s = np.empty((count, width), dtype=np.int8)
             for i in range(count):
@@ -311,10 +325,32 @@ class BlockCodebook:
                 g[i] = slab_g[:width]
                 s[i] = slab_s[:width]
             return self._parity[self._candidates & g[:, None, :]] ^ s[:, None, :]
-        letters = np.empty((count, self.n_candidates, width), dtype=np.int8)
-        for i in range(count):
-            letters[i] = self._slab(first + i, 0)[0][:, :width]
-        return letters
+        if first < 1 << 32 < first + count:  # ids from 2^32 on have two entropy words
+            split = (1 << 32) - first
+            return np.concatenate([self.head_letters(first, split),
+                                   self.head_letters(1 << 32, count - split)])
+        ids = np.arange(first, first + count, dtype=np.uint64)
+        shifts = np.arange(len(_uint32_words(first)), dtype=np.uint64)[:, None] * np.uint64(32)
+        head = np.array(self._entropy_head, dtype=np.uint32)[:, None]
+        words = np.concatenate([np.repeat(head, count, axis=1),
+                                (ids >> shifts).astype(np.uint32),  # each id's 32-bit words
+                                np.zeros((1, count), dtype=np.uint32)])  # slab index 0
+        raw = _pcg64.raw_outputs(words, self._head_jumps)
+        if self.coset:
+            # integers(0, 2, int8) reads raw output 0 a byte at a time, low
+            # byte first, and keeps each byte's top bit.
+            s = (raw >> 8 * np.arange(width, dtype=np.uint64) + 7 & 1).astype(np.int8)
+            return self._parity[self._candidates & self._unit_masks[:width]] ^ s[:, None, :]
+        u = (raw >> 11) * 2.0 ** -53  # Generator.random's double from a raw output
+        return np.searchsorted(self._qcdf, u, side="right").astype(np.int8)
+
+    @functools.cached_property
+    def _head_jumps(self):
+        """The LCG jumps to the raw outputs that :meth:`head_letters` reads."""
+        if self.coset:
+            return _pcg64.jumps(np.zeros(1, dtype=np.int64))
+        return _pcg64.jumps(_CODE_SLAB * np.arange(self.n_candidates)[:, None]
+                            + np.arange(_SERVE_STRIDE_MIN))
 
     def candidates_range(self, block_id: int, start: int, count: int) -> np.ndarray:
         """Letters (int8) of every candidate over positions [start, start+count).

@@ -822,7 +822,7 @@ MALFORMED_CHANNEL_FILES = ("", "{", '{"matrix": [[0.5, 0.5], [0.5', "[[0.5, 0.5]
 # Focusing and the figure are seconds per call on an asymmetric channel of
 # more than two inputs, so they get two-input matrices only, and fewer
 # examples: a two-point figure still takes about half a second.
-MATRIX_COMMANDS = ("sp", "rc", "achieved", "fortified")
+MATRIX_COMMANDS = ("sp", "rc", "achieved", "fortified", "synthesized")
 TWO_INPUT_COMMANDS = ("focusing", "figure")
 
 
@@ -833,6 +833,9 @@ def _matrix_argv(command, tmp):
     if command == "fortified":
         return ["simulate", "fortified", *matrix, "--config", str(tmp / "cfg.json"),
                 "--horizon", "2000", "--delays", "2,4", "--seed", "0", *out]
+    if command == "synthesized":
+        return ["simulate", "synthesized", *matrix, "--config", str(tmp / "syn.json"),
+                "--horizon", "400", "--delays", "8,16", "--seed", "0", *out]
     if command == "figure":
         return ["figure", *matrix, "--points", "2", *out]
     return ["exponent", "--bound", command, *matrix, "--rate-bits", "0.1"]
@@ -878,6 +881,7 @@ def _fuzz_matrix_command(command, text):
         tmp = Path(name)
         (tmp / "m.json").write_text(text)
         (tmp / "cfg.json").write_text(json.dumps(FORTIFIED_CFG))
+        (tmp / "syn.json").write_text(json.dumps(SYNTHESIZED_CFG))
         _fuzz_main(_matrix_argv(command, tmp), tmp / "out", parser_may_exit=False,
                    flagged_ok=True)
 
@@ -895,6 +899,23 @@ def test_matrix_file_fuzz_exits_cleanly(command, text):
 @settings(max_examples=10, deadline=None)
 def test_two_input_matrix_file_fuzz_exits_cleanly(command, text):
     _fuzz_matrix_command(command, text)
+
+
+def test_bound_commands_load_no_simulator(tmp_path):
+    # The simulators, and hashlib that the flow code needs, load only on the
+    # simulate paths; a fresh process shows what the bound commands import.
+    out = str(tmp_path)
+    script = (
+        "import sys\n"
+        "from delayexp.cli import main\n"
+        "assert main(['exponent', '--bound', 'sp', '--bec', '0.4', '--rate-bits', '0.5']) == 0\n"
+        f"assert main(['figure', '--bec', '0.4', '--points', '4', '--outdir', {out!r}]) == 0\n"
+        "print(sorted(m for m in ('delayexp.sim_anytime', 'delayexp.sim_queue', 'hashlib')\n"
+        "             if m in sys.modules))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=_child_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_version_flag(capsys):

@@ -1,0 +1,57 @@
+"""The batched PCG64 kernel against numpy's own generators, layer by layer.
+
+The fortified block service reads its head letters from raw PCG64 outputs
+that ``delayexp._pcg64`` computes for many seeds at once. Each test names
+the numpy layer it pins, so that a numpy release that changes one of them
+fails here with that name, not as an unexplained change in a table.
+"""
+
+import numpy as np
+import pytest
+
+from delayexp import _pcg64
+
+OFFSETS = np.array([0, 1, 255, 256, 2**22])
+# Entropy of one to six 32-bit words: shorter than SeedSequence's pool of
+# four, as long as it, and longer.
+WORDS = [[0], [2**32 - 1, 0xC3], [7, 0xC3, 0], [5, 0xC3, 2**16 + 1, 0],
+         [2**32 - 1, 1, 0xC3, 100_000_000, 0], [5, 0, 1, 0xC3, 2**32 - 1, 3]]
+
+
+@pytest.mark.parametrize("length", sorted({len(w) for w in WORDS}))
+def test_raw_outputs_are_seedsequence_pcg64_raw_stream(length):
+    batch = [w for w in WORDS if len(w) == length]
+    batch.append([(0x9E3779B9 * (i + 1)) & 0xFFFFFFFF for i in range(length)])
+    got = _pcg64.raw_outputs(np.array(batch, dtype=np.uint32).T, _pcg64.jumps(OFFSETS))
+    assert got.dtype == np.uint64 and got.shape == (len(batch), len(OFFSETS))
+    for row, words in zip(got, batch):
+        bits = np.random.PCG64(np.random.SeedSequence(np.array(words, dtype=np.uint32)))
+        want = bits.random_raw(int(OFFSETS[-1]) + 1)[OFFSETS]
+        assert np.array_equal(row, want), (
+            f"SeedSequence -> PCG64 raw stream layer: numpy's random_raw for entropy "
+            f"{words} differs from the batched kernel at offsets {OFFSETS.tolist()}")
+
+
+def test_raw_outputs_keep_the_offsets_shape():
+    offsets = 256 * np.arange(3)[:, None] + np.arange(8)
+    words = np.array([[1, 0xC3, 4, 0], [1, 0xC3, 5, 0]], dtype=np.uint32).T
+    got = _pcg64.raw_outputs(words, _pcg64.jumps(offsets))
+    assert got.shape == (2, 3, 8)
+    flat = _pcg64.raw_outputs(words, _pcg64.jumps(offsets.ravel()))
+    assert np.array_equal(got.reshape(2, -1), flat)
+
+
+def test_generator_draws_read_raw_outputs_as_the_head_letters_assume():
+    # BlockCodebook.head_letters turns raw outputs into letters the way
+    # Generator.integers(0, 2, int8) and Generator.random read them.
+    words = np.array([3, 0xC3, 41, 0], dtype=np.uint32)
+    raw = np.random.PCG64(np.random.SeedSequence(words)).random_raw(16)
+    bits = np.random.default_rng(np.random.SeedSequence(words)).integers(
+        0, 2, size=8, dtype=np.int8)
+    want_bits = (raw[0] >> (8 * np.arange(8, dtype=np.uint64) + np.uint64(7)) & 1)
+    assert np.array_equal(bits, want_bits.astype(np.int8)), (
+        "Generator.integers layer: integers(0, 2, int8) is no longer the top bit of "
+        "each byte of raw output 0, low byte first")
+    uniforms = np.random.default_rng(np.random.SeedSequence(words)).random(16)
+    assert np.array_equal(uniforms, (raw >> 11) * 2.0 ** -53), (
+        "Generator.random layer: random() is no longer (raw >> 11) * 2^-53")

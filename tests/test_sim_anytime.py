@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from delayexp import sim_anytime
@@ -15,8 +15,10 @@ from delayexp.errors import BadInputError, DomainError
 from delayexp.sim_anytime import (
     _CODE_SLAB,
     _CODE_STREAM,
+    _SERVE_BATCH_CELLS,
     _SERVE_STRIDE_MIN,
     DENY,
+    PAYLOAD_BITS_MAX,
     BlockCodebook,
     FlowCode,
     FlowDecoder,
@@ -59,6 +61,13 @@ SERVICE_CHANNELS = {"bec0.4": make_bec(0.4), "bec0.9": make_bec(0.9), "bsc0.05":
                     "typewriter": make_dmc([[.5, .5, 0, 0], [0, .5, .5, 0], [0, 0, .5, .5],
                                             [.5, 0, 0, .5]])}
 BEC_ERASURE = 2
+# Codebooks whose head letters are checked against their slabs: one-bit coset
+# (the binary channels at one payload bit; the Z channel's code law is
+# uniform too), multi-bit coset (the same above one bit) and i.i.d. letters
+# (the typewriter, at every payload).
+HEAD_CODEBOOKS = [(channel, payload) for channel in ("bec0.4", "bsc0.05", "z")
+                  for payload in range(1, 5)] + \
+                 [("typewriter", payload) for payload in range(1, PAYLOAD_BITS_MAX + 1)]
 
 # The repeat-until-confirm reduction of the fortified scheme on a BEC.
 BEC_CFG = SchemeConfig(n=1, c=2, l=0, theta=0, rate_bits=0.5, seed=0)
@@ -307,15 +316,42 @@ class TestBlockCodebook:
 
     @pytest.mark.parametrize("payload,channel", [
         (1, make_bec(0.4)), (4, make_bsc(0.1)), (3, SERVICE_CHANNELS["typewriter"]),
+        (PAYLOAD_BITS_MAX, SERVICE_CHANNELS["typewriter"]),
     ])
     def test_head_letters_are_each_blocks_first_stride(self, payload, channel):
+        # Two batches' worth of blocks, at most 80, from a low block id, from
+        # the horizon cap's and across 2^32, where block ids take a second
+        # entropy word.
         cb = BlockCodebook(channel, payload, 9)
-        head = cb.head_letters(70, 80)
-        assert head.dtype == np.int8
-        assert head.shape == (80, cb.n_candidates, _SERVE_STRIDE_MIN)
         fresh = BlockCodebook(channel, payload, 9)
-        for i in range(80):
-            assert np.array_equal(head[i], fresh.candidates_range(70 + i, 0, _SERVE_STRIDE_MIN))
+        count = min(80, 2 * max(_SERVE_BATCH_CELLS // cb.n_candidates, 1))
+        for first in (70, HORIZON_MAX, 2**32 - 1):
+            head = cb.head_letters(first, count)
+            assert head.dtype == np.int8
+            assert head.shape == (count, cb.n_candidates, _SERVE_STRIDE_MIN)
+            for i in range(count):
+                assert np.array_equal(head[i],
+                                      fresh.candidates_range(first + i, 0, _SERVE_STRIDE_MIN))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.sampled_from([0, 2**32 - 1, 2**32, 2**64 + 5]) | st.integers(0, 2**96),
+           first=st.integers(0, HORIZON_MAX), codebook=st.sampled_from(HEAD_CODEBOOKS),
+           count=st.integers(1, _SERVE_BATCH_CELLS))
+    @example(seed=2**64 + 5, first=HORIZON_MAX, codebook=("typewriter", PAYLOAD_BITS_MAX),
+             count=1)
+    def test_head_letters_match_first_slabs(self, seed, first, codebook, count):
+        # Seeds of one, two and three 32-bit words, and every batch size the
+        # block service uses at the codebook's payload.
+        channel, payload = codebook
+        ch = SERVICE_CHANNELS[channel]
+        cb = BlockCodebook(ch, payload, seed)
+        count = 1 + (count - 1) % max(_SERVE_BATCH_CELLS // cb.n_candidates, 1)
+        head = cb.head_letters(first, count)
+        fresh = BlockCodebook(ch, payload, seed)
+        want = np.stack([fresh._columns(first + i, 0, 0, _SERVE_STRIDE_MIN)
+                         for i in range(count)])
+        assert head.dtype == want.dtype
+        assert np.array_equal(head, want)
 
     def test_payload_caps(self):
         with pytest.raises(PayloadTooLargeError):
