@@ -20,14 +20,13 @@ All information quantities are in nats.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BadInputError
+from .errors import BadInputError, _is_number, _json_object, _read_json
 
 ROW_SUM_SLACK = 1e-9
 CAPACITY_REL_TOL = 1e-12
@@ -99,30 +98,38 @@ class CapacityResult:
 
 
 def make_dmc(matrix, label: str = "") -> Channel:
-    """Validate a transition matrix and wrap it as a Channel.
+    """Validate a transition matrix, renormalize its rows exactly, and wrap it as a Channel."""
+    return Channel(_probability_rows(matrix), label)
 
-    Rows must be nonnegative and sum to one within ``ROW_SUM_SLACK``;
-    rows passing that check are renormalized exactly.
-    """
+
+def _probability_rows(values, inputs: int | None = None) -> np.ndarray:
+    """A float transition matrix of at least 2x2, or with ``inputs`` an input law: entries
+    finite and nonnegative, each row summing to 1 within ``ROW_SUM_SLACK``, then divided out."""
+    what, ndim = ("transition matrix", 2) if inputs is None else ("input distribution", 1)
     try:
-        p = np.asarray(matrix, dtype=float)
+        a = np.asarray(values, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise BadInputError(f"transition matrix is not a numeric 2-D array: {exc}") from exc
-    if p.ndim != 2:
-        raise DimensionMismatchError(f"transition matrix must be 2-D, got shape {p.shape}")
-    if p.shape[0] < 2 or p.shape[1] < 2:
-        raise TooFewLettersError(f"need at least 2 inputs and 2 outputs, got {p.shape[0]}x{p.shape[1]}")
-    if not np.all(np.isfinite(p)):
-        raise BadInputError("transition matrix contains non-finite entries")
-    if np.any(p < 0):
-        raise NegativeEntryError("transition matrix contains a negative entry")
+        raise BadInputError(f"{what} is not a numeric {ndim}-D array: {exc}") from exc
+    if inputs is not None:
+        if a.shape != (inputs,):
+            raise DimensionMismatchError(f"{what} has shape {a.shape}, expected ({inputs},)")
+    elif a.ndim != 2:
+        raise DimensionMismatchError(f"{what} must be 2-D, got shape {a.shape}")
+    elif a.shape[0] < 2 or a.shape[1] < 2:
+        raise TooFewLettersError(
+            f"need at least 2 inputs and 2 outputs, got {a.shape[0]}x{a.shape[1]}")
+    if not np.all(np.isfinite(a)):
+        raise BadInputError(f"{what} contains non-finite entries")
+    if np.any(a < 0):
+        raise NegativeEntryError(f"{what} contains a negative entry")
     with np.errstate(over="ignore"):  # a row of huge entries sums to inf and is refused
-        sums = p.sum(axis=1)
+        sums = a.sum(axis=-1, keepdims=True)
     bad = np.abs(sums - 1.0) > ROW_SUM_SLACK
     if np.any(bad):
         row = int(np.argmax(bad))
-        raise NonStochasticError(f"row {row} sums to {float(sums[row])!r}, expected 1")
-    return Channel(p / sums[:, None], label)
+        name = what if inputs is not None else f"row {row}"
+        raise NonStochasticError(f"{name} sums to {float(sums.flat[row])!r}, expected 1")
+    return a / sums
 
 
 def make_bsc(delta: float) -> Channel:
@@ -146,43 +153,21 @@ def make_bec(delta: float) -> Channel:
 
 def load_channel(path) -> Channel:
     """Read a channel from a JSON file holding ``{"matrix": [[...], ...]}``."""
-    try:
-        with open(path) as fh:
-            payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise BadInputError(f"cannot read channel file {path}: {exc}") from exc
-    if not isinstance(payload, dict) or "matrix" not in payload:
-        raise BadInputError(f"channel file {path} must be a JSON object with a 'matrix' key")
-    extra = set(payload) - {"matrix", "label"}
-    if extra:
-        raise BadInputError(f"channel file {path} has unknown keys: {sorted(extra)}")
+    what = f"channel file {path}"
+    payload = _json_object(_read_json(path, what), what, ("matrix", "label"), ("matrix",))
     label = payload.get("label", "")
     if not isinstance(label, str):
         raise BadInputError("channel label must be a string")
     matrix = payload["matrix"]
-    # JSON true/false load as bool, a subclass of int; numeric strings would
-    # pass np.asarray, so both are rejected here.
     if not (isinstance(matrix, list) and all(isinstance(row, list) for row in matrix)
-            and all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                    for row in matrix for x in row)):
-        raise BadInputError(f"channel file {path}: 'matrix' must be a list of lists of numbers")
+            and all(_is_number(x) for row in matrix for x in row)):
+        raise BadInputError(f"{what}: 'matrix' must be a list of lists of numbers")
     return make_dmc(matrix, label=label)
 
 
 def as_input_dist(r, n: int) -> np.ndarray:
     """Coerce ``r`` (a sequence or ndarray) to a validated probability vector."""
-    q = np.asarray(r, dtype=float)
-    if q.shape != (n,):
-        raise DimensionMismatchError(f"input distribution has shape {q.shape}, expected ({n},)")
-    if not np.all(np.isfinite(q)):
-        raise BadInputError("input distribution contains non-finite entries")
-    if np.any(q < 0):
-        raise NegativeEntryError("input distribution contains a negative entry")
-    with np.errstate(over="ignore"):
-        total = float(q.sum())
-    if abs(total - 1.0) > ROW_SUM_SLACK:
-        raise NonStochasticError(f"input distribution sums to {total!r}, expected 1")
-    return q / total
+    return _probability_rows(r, n)
 
 
 def mutual_information(r, ch: Channel) -> float:

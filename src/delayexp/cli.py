@@ -31,6 +31,7 @@ import math
 import os
 import shlex
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
@@ -67,8 +68,6 @@ EXIT_FLAGGED = 4
 EXIT_PIPE_CLOSED = 141
 
 RECORD_NAME = "run_record.json"
-SCHEME_COUNTERS = ("blocks_confirmed", "punctuation_chunk_errors", "data_block_errors",
-                   "spurious_confirms", "wrong_bit_weight", "missed_bit_weight")
 
 
 def _manifest_json(command_line: str, seeds, artifact_paths) -> str:
@@ -127,16 +126,6 @@ def _build_channel(args) -> Channel:
     if args.bec is not None:
         return make_bec(args.bec)
     return load_channel(args.matrix)
-
-
-def _add_channel_flags(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_mutually_exclusive_group(required=True)
-    group.add_argument("--bsc", type=float, metavar="DELTA",
-                       help="binary symmetric channel with crossover DELTA")
-    group.add_argument("--bec", type=float, metavar="DELTA",
-                       help="binary erasure channel with erasure DELTA")
-    group.add_argument("--matrix", metavar="FILE",
-                       help="JSON file holding {\"matrix\": [[...], ...]}")
 
 
 def _parse_delays(text: str) -> tuple[int, ...]:
@@ -276,6 +265,7 @@ def cmd_simulate_bec_queue(args, command_line: str) -> int:
 
 def cmd_simulate_scheme(args, command_line: str) -> int:
     from .sim_anytime import SchemeConfig, fortified_run, synthesized_run
+    from .sim_queue import DelayErrorTable
 
     if args.config is None:
         raise BadInputError(f"scheme {args.scheme!r} requires --config")
@@ -286,7 +276,8 @@ def cmd_simulate_scheme(args, command_line: str) -> int:
         table = fortified_run(cfg, ch, args.horizon, delays, args.seed)
     else:
         table = synthesized_run(cfg, ch, args.horizon, delays, args.seed)
-    record = {name: getattr(table, name) for name in SCHEME_COUNTERS}
+    # The failure counters: the fields a SchemeRunResult adds to its DelayErrorTable.
+    record = {f.name: getattr(table, f.name) for f in fields(table)[len(fields(DelayErrorTable)):]}
     csv_path, _, manifest_path = _write_artifacts(
         args.outdir, command_line, (cfg.seed, args.seed),
         {"table.csv": table.to_csv(), RECORD_NAME: _record_json(record)})
@@ -300,53 +291,51 @@ def cmd_simulate_scheme(args, command_line: str) -> int:
 # -- wiring ------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    # The flags several subcommands share, each declared once in a parent parser.
+    channel, unit, outdir, run = (argparse.ArgumentParser(add_help=False) for _ in range(4))
+    group = channel.add_mutually_exclusive_group(required=True)
+    group.add_argument("--bsc", type=float, metavar="DELTA",
+                       help="binary symmetric channel with crossover DELTA")
+    group.add_argument("--bec", type=float, metavar="DELTA",
+                       help="binary erasure channel with erasure DELTA")
+    group.add_argument("--matrix", metavar="FILE",
+                       help="JSON file holding {\"matrix\": [[...], ...]}")
+    unit.add_argument("--unit", choices=("nats", "bits"), default="nats")
+    outdir.add_argument("--outdir", help="output directory (default $DELAYEXP_OUTDIR or .)")
+    run.add_argument("--horizon", type=int, required=True)
+    run.add_argument("--delays", required=True, help="comma-separated delays in channel uses")
+    run.add_argument("--seed", type=int, default=0)
+
     parser = argparse.ArgumentParser(
         prog="delayexp",
         description="Fixed-delay reliability bounds and feedback scheme simulators.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_exp = sub.add_parser("exponent", help="evaluate one bound at one rate")
-    _add_channel_flags(p_exp)
+    p_exp = sub.add_parser("exponent", parents=[channel, unit],
+                           help="evaluate one bound at one rate")
     p_exp.add_argument("--bound", required=True, choices=(*BOUNDS_AT_RATE, "haroutunian"))
-    p_exp.add_argument("--rate-bits", type=float,
-                       help="rate in bits per channel use")
-    p_exp.add_argument("--rho", type=float,
-                       help="curve parameter for --bound achieved")
+    p_exp.add_argument("--rate-bits", type=float, help="rate in bits per channel use")
+    p_exp.add_argument("--rho", type=float, help="curve parameter for --bound achieved")
     p_exp.add_argument("--list-size", type=int,
                        help=f"list size for --bound list (default {LIST_SIZE_DEFAULT})")
     p_exp.add_argument("--grid-steps", type=int,
                        help=f"grid refinement for --bound haroutunian "
                             f"(default {GRID_STEPS_DEFAULT})")
-    p_exp.add_argument("--unit", choices=("nats", "bits"), default="nats")
 
-    p_fig = sub.add_parser("figure", help="sweep the three bounds over a rate grid")
-    _add_channel_flags(p_fig)
+    p_fig = sub.add_parser("figure", parents=[channel, unit, outdir],
+                           help="sweep the three bounds over a rate grid")
     p_fig.add_argument("--points", type=int, default=128)
-    p_fig.add_argument("--unit", choices=("nats", "bits"), default="nats")
-    p_fig.add_argument("--outdir", help="output directory (default $DELAYEXP_OUTDIR or .)")
 
     p_sim = sub.add_parser("simulate", help="run a closed-loop scheme")
     sim_sub = p_sim.add_subparsers(dest="scheme", required=True)
-
-    p_queue = sim_sub.add_parser("bec-queue",
+    p_queue = sim_sub.add_parser("bec-queue", parents=[run, outdir],
                                  help="repeat-until-correct scheme on an erasure channel")
     p_queue.add_argument("--delta", type=float, required=True)
-    p_queue.add_argument("--horizon", type=int, required=True)
-    p_queue.add_argument("--delays", required=True,
-                         help="comma-separated delays in channel uses")
-    p_queue.add_argument("--seed", type=int, default=0)
-    p_queue.add_argument("--outdir", help="output directory (default $DELAYEXP_OUTDIR or .)")
-
     for scheme in ("fortified", "synthesized"):
-        p_s = sim_sub.add_parser(scheme, help=f"{scheme} block scheme")
-        _add_channel_flags(p_s)
+        p_s = sim_sub.add_parser(scheme, parents=[channel, run, outdir],
+                                 help=f"{scheme} block scheme")
         p_s.add_argument("--config", help="scheme config JSON file")
-        p_s.add_argument("--horizon", type=int, required=True)
-        p_s.add_argument("--delays", required=True,
-                         help="comma-separated delays in channel uses")
-        p_s.add_argument("--seed", type=int, default=0)
-        p_s.add_argument("--outdir", help="output directory (default $DELAYEXP_OUTDIR or .)")
 
     return parser
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import copy
 import functools
-import json
 import math
 from dataclasses import MISSING, dataclass, fields
 from hashlib import blake2b
@@ -34,7 +33,7 @@ import numpy as np
 
 from . import _pcg64
 from .channel import Channel
-from .errors import BadInputError, DomainError
+from .errors import BadInputError, DomainError, _is_number, _json_object, _read_json
 from .exponents import e0_max
 from .sim_queue import (MISS_WEIGHT, WINDOW, DeadlineGrid, DelayErrorTable, HorizonTooShortError,
                         arrival, arrived)
@@ -54,6 +53,10 @@ _FLOW_SALT = b"flow"  # tree-code root, keyed by the config seed
 DENY = 0
 
 _CODE_SLAB = 256
+# The slab cache keeps at most 65 slabs (2,304 B each if coset), and at most the bytes of
+# four of the largest i.i.d. codebook's, which a synthesized parse walks again (4 MiB each).
+_SLAB_CACHE_SLABS = 65
+_SLAB_CACHE_BYTES = 4 * (1 << PAYLOAD_BITS_MAX) * _CODE_SLAB
 _LOG_ZERO = -1e30
 
 
@@ -88,12 +91,11 @@ class SchemeConfig:
     redecode_window: int = 4
 
     def __post_init__(self):
-        # bool is a subclass of int: without its own check `true` would pass as 1.
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.type in (int, "int") and (isinstance(value, bool) or not isinstance(value, int)):
+            if f.type in (int, "int") and not _is_number(value, int):
                 raise BadInputError(f"scheme config {f.name} must be an integer, got {value!r}")
-        if isinstance(self.rate_bits, bool) or not isinstance(self.rate_bits, (int, float)):
+        if not _is_number(self.rate_bits):
             raise BadInputError(f"scheme config rate_bits must be a number, got {self.rate_bits!r}")
         if self.seed < 0:
             raise BadInputError(f"scheme config seed must be >= 0, got {self.seed}")
@@ -125,27 +127,12 @@ class SchemeConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "SchemeConfig":
-        if not isinstance(payload, dict):
-            raise BadInputError("scheme config must be a JSON object")
-        extra = set(payload) - {f.name for f in fields(cls)}
-        if extra:
-            raise BadInputError(f"unknown scheme config keys: {sorted(extra)}")
-        missing = {f.name for f in fields(cls) if f.default is MISSING} - set(payload)
-        if missing:
-            raise BadInputError(f"scheme config is missing keys: {sorted(missing)}")
-        try:
-            return cls(**payload)
-        except TypeError as exc:
-            raise BadInputError(f"bad scheme config: {exc}") from exc
+        return cls(**_json_object(payload, "scheme config", [f.name for f in fields(cls)],
+                                  [f.name for f in fields(cls) if f.default is MISSING]))
 
     @classmethod
     def from_json(cls, path) -> "SchemeConfig":
-        try:
-            with open(path) as fh:
-                payload = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise BadInputError(f"cannot read scheme config {path}: {exc}") from exc
-        return cls.from_dict(payload)
+        return cls.from_dict(_read_json(path, f"scheme config {path}"))
 
 
 @dataclass(frozen=True)
@@ -262,8 +249,11 @@ class BlockCodebook:
             self._parity = par
             self._candidates = np.arange(self.n_candidates, dtype=np.int64)[:, None]
             self._unit_masks = np.ones(_CODE_SLAB, dtype=np.int64)
+            self._cache_slabs = _SLAB_CACHE_SLABS
         else:
             self._qcdf = _cdf(q)
+            self._cache_slabs = min(_SLAB_CACHE_SLABS,
+                                    _SLAB_CACHE_BYTES // (self.n_candidates * _CODE_SLAB))
         self._slabs: dict[tuple[int, int], tuple] = {}
 
     def _slab(self, block_id: int, slab_idx: int):
@@ -287,9 +277,9 @@ class BlockCodebook:
                         .astype(np.int8, copy=False),)
             for part in slab:
                 part.flags.writeable = False
-            if len(self._slabs) > 64:
-                self._slabs.pop(next(iter(self._slabs)))
             self._slabs[key] = slab
+            if len(self._slabs) > self._cache_slabs:
+                self._slabs.pop(next(iter(self._slabs)))
         return slab
 
     def _columns(self, block_id: int, slab_idx: int, lo: int, hi: int) -> np.ndarray:

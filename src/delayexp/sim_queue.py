@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import OutOfRangeError
 from .errors import DomainError
+from .exponents import bec_feedback_exponent
 
 # Substream tag separating the erasure draws from any other consumer of the
 # same user seed.
@@ -220,8 +220,7 @@ def simulate_bec_feedback(delta: float, horizon: int, delays, seed: int) -> Dela
     counts, and bits still queued at the horizon count as undelivered, so
     memory is bounded by the window plus the backlog at any horizon.
     """
-    if not 0.0 < delta < 0.5:
-        raise OutOfRangeError(f"erasure probability must lie in (0, 1/2), got {delta}")
+    bec_feedback_exponent(delta)  # refuses delta outside (0, 1/2)
     grid = DeadlineGrid(delays, horizon, 0.5)
     counts = np.zeros(len(grid.delays), dtype=np.int64)
     for first, deliveries in _served_batches(delta, grid.horizon, seed):

@@ -14,10 +14,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from delayexp.channel import make_bsc
+from delayexp.channel import (conditional_divergence, load_channel, make_bsc, make_dmc,
+                              mutual_information)
 from delayexp import cli
-from delayexp.cli import EXIT_PIPE_CLOSED, HORIZON_MAX, POINTS_MAX, SCHEME_COUNTERS, main
-from delayexp.exponents import BOUNDS_AT_RATE, bound_at_rate
+from delayexp.cli import EXIT_PIPE_CLOSED, HORIZON_MAX, POINTS_MAX, main
+from delayexp.errors import DelayexpError
+from delayexp.exponents import BOUNDS_AT_RATE, bound_at_rate, gallager_e0
 from delayexp.sim_anytime import SchemeConfig, synthesized_run
 
 LN2 = math.log(2.0)
@@ -544,7 +546,11 @@ class TestSimulateCommand:
         assert code == 0
         record = json.loads((tmp_path / "out" / "run_record.json").read_text())
         table = synthesized_run(SchemeConfig(**cfg), make_bsc(0.05), 4800, (24, 48), 2)
-        assert record == {name: getattr(table, name) for name in SCHEME_COUNTERS}
+        # The counters SchemeRunResult declares, in their order.
+        assert list(record) == ["blocks_confirmed", "punctuation_chunk_errors",
+                                "data_block_errors", "spurious_confirms", "wrong_bit_weight",
+                                "missed_bit_weight"]
+        assert record == {name: getattr(table, name) for name in record}
         assert record["missed_bit_weight"] > 0
 
     @pytest.mark.parametrize("scheme, override, seed", [
@@ -844,7 +850,7 @@ def _matrix_argv(command, tmp):
 @st.composite
 def _matrix_file(draw, inputs):
     """The text of a ``--matrix`` file: a matrix with a row count drawn from
-    ``inputs`` and two to four columns, each row either normalized integer
+    ``inputs`` and two to five columns, each row either normalized integer
     weights with some zeros or one main mass among side masses, and rows
     sometimes repeated; or an unknown key next to the matrix; or malformed
     JSON. Hypothesis leans to the first of sampled values and to small
@@ -853,7 +859,7 @@ def _matrix_file(draw, inputs):
     kind = draw(st.sampled_from(["matrix"] * 4 + ["unknown key", "malformed"]))
     if kind == "malformed":
         return draw(st.sampled_from(MALFORMED_CHANNEL_FILES))
-    cols = draw(st.integers(2, 4))
+    cols = draw(st.integers(2, 5))
     rows = []
     for _ in range(draw(inputs)):
         if rows and draw(st.integers(0, 3)) == 3:
@@ -887,7 +893,7 @@ def _fuzz_matrix_command(command, text):
 
 
 @given(command=st.sampled_from(MATRIX_COMMANDS),
-       text=_matrix_file(st.sampled_from([2, 3, 4, 1])))
+       text=_matrix_file(st.sampled_from([2, 3, 4, 5, 1])))
 @settings(max_examples=60, deadline=None)
 @example(command="sp", text=json.dumps({"matrix": [[1e308, 1e308], [0.5, 0.5]]}))
 @example(command="sp", text=json.dumps({"matrix": [[0.9, 0.1], [0.1, 0.9]], "lable": "typo"}))
@@ -899,6 +905,51 @@ def test_matrix_file_fuzz_exits_cleanly(command, text):
 @settings(max_examples=10, deadline=None)
 def test_two_input_matrix_file_fuzz_exits_cleanly(command, text):
     _fuzz_matrix_command(command, text)
+
+
+# JSON-like values for the library's input functions: scalars of every JSON
+# kind plus NaN, infinities, 1e308, numeric strings and ints too large for a
+# float, nested in lists (ragged or not) and objects.
+LIBRARY_SCALARS = st.one_of(
+    st.sampled_from([None, True, False, 0, 1, -1, 0.5, 0.1, 0.9, 1e308, -1e308, math.nan,
+                     math.inf, -math.inf, 10 ** 400, -(10 ** 400), "0.5", "1", "nan", "a", ""]),
+    st.floats(), st.integers())
+LIBRARY_VALUES = st.recursive(
+    LIBRARY_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=12)
+CONFIG_KEYS = ("n", "c", "l", "theta", "rate_bits", "seed", "redecode_window", "bogus")
+
+
+def _returns_or_refuses(call) -> None:
+    """Run ``call``: it must return or raise one of the package's errors."""
+    try:
+        call()
+    except DelayexpError:
+        pass
+
+
+@given(value=LIBRARY_VALUES, key=st.sampled_from(CONFIG_KEYS))
+@settings(max_examples=300, deadline=None)
+@example(value=["a", "b"], key="n")  # a bare ValueError from gallager_e0 and the divergence
+@example(value=[[0.5], [0.5, 0]], key="n")  # a bare ValueError from mutual_information
+@example(value={1: 0, "x": 1}, key="n")  # keys of two types cannot be sorted as they are
+def test_library_input_fuzz_raises_only_package_errors(value, key):
+    ch = make_bsc(0.1)
+    for call in (lambda: make_dmc(value), lambda: gallager_e0(ch, 1.0, value),
+                 lambda: mutual_information(value, ch),
+                 lambda: conditional_divergence(ch, ch, value),
+                 lambda: SchemeConfig.from_dict(value),
+                 lambda: SchemeConfig.from_dict({**FORTIFIED_CFG, key: value})):
+        _returns_or_refuses(call)
+    with tempfile.TemporaryDirectory() as name:
+        for payload in (value, {"matrix": value}, {**IDENTITY_MATRIX, "label": value},
+                        {**FORTIFIED_CFG, key: value}):
+            path = Path(name) / "input.json"
+            path.write_text(json.dumps(payload))
+            _returns_or_refuses(lambda: load_channel(path))
+            _returns_or_refuses(lambda: SchemeConfig.from_json(path))
 
 
 def test_bound_commands_load_no_simulator(tmp_path):

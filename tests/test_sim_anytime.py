@@ -17,6 +17,8 @@ from delayexp.sim_anytime import (
     _CODE_STREAM,
     _SERVE_BATCH_CELLS,
     _SERVE_STRIDE_MIN,
+    _SLAB_CACHE_BYTES,
+    _SLAB_CACHE_SLABS,
     DENY,
     PAYLOAD_BITS_MAX,
     BlockCodebook,
@@ -313,6 +315,24 @@ class TestBlockCodebook:
         assert np.array_equal(cb.candidates_range(2, 10, 20), before)
         assert np.array_equal(cb.candidates_range(2, 250, 12),
                               BlockCodebook(channel, 3, 5).candidates_range(2, 250, 12))
+
+    def test_slab_cache_stays_within_its_byte_bound(self):
+        # A 14-bit i.i.d. slab takes 4 MiB, so the byte bound, not the count,
+        # limits the cache; coset slabs (2,304 B) fill it to its count.
+        cb = BlockCodebook(SERVICE_CHANNELS["typewriter"], PAYLOAD_BITS_MAX, 0)
+        first = cb.candidates_range(0, 0, 8).copy()
+        for block in range(3):
+            for slab in range(3):
+                cb.candidates_range(block, slab * _CODE_SLAB, 8)
+                assert sum(part.nbytes for parts in cb._slabs.values()
+                           for part in parts) <= _SLAB_CACHE_BYTES
+        assert len(cb._slabs) == _SLAB_CACHE_BYTES // (cb.n_candidates * _CODE_SLAB)
+        assert (0, 0) not in cb._slabs
+        assert np.array_equal(cb.candidates_range(0, 0, 8), first)
+        coset = BlockCodebook(make_bsc(0.05), 4, 0)
+        for block in range(2 * _SLAB_CACHE_SLABS):
+            coset.candidates_range(block, 0, 8)
+        assert len(coset._slabs) == _SLAB_CACHE_SLABS
 
     @pytest.mark.parametrize("payload,channel", [
         (1, make_bec(0.4)), (4, make_bsc(0.1)), (3, SERVICE_CHANNELS["typewriter"]),
