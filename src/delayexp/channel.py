@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BadInputError, _is_number, _json_object, _read_json
+from .errors import BadInputError, _json_object, _number, _read_json
 
 ROW_SUM_SLACK = 1e-9
 CAPACITY_REL_TOL = 1e-12
@@ -134,9 +134,7 @@ def _probability_rows(values, inputs: int | None = None) -> np.ndarray:
 
 def make_bsc(delta: float) -> Channel:
     """Binary symmetric channel with crossover probability ``delta``."""
-    if not 0.0 <= delta <= 0.5:
-        raise OutOfRangeError(f"BSC crossover must lie in [0, 1/2], got {delta}")
-    d = float(delta)
+    d = _number(delta, "BSC crossover", 0, 0.5, "[]", error=OutOfRangeError)
     return make_dmc([[1.0 - d, d], [d, 1.0 - d]], label=f"BSC({d:g})")
 
 
@@ -145,9 +143,7 @@ def make_bec(delta: float) -> Channel:
 
     Outputs are ordered (0, 1, erasure).
     """
-    if not 0.0 <= delta <= 1.0:
-        raise OutOfRangeError(f"BEC erasure probability must lie in [0, 1], got {delta}")
-    d = float(delta)
+    d = _number(delta, "BEC erasure probability", 0, 1, "[]", error=OutOfRangeError)
     return make_dmc([[1.0 - d, 0.0, d], [0.0, 1.0 - d, d]], label=f"BEC({d:g})")
 
 
@@ -160,7 +156,7 @@ def load_channel(path) -> Channel:
         raise BadInputError("channel label must be a string")
     matrix = payload["matrix"]
     if not (isinstance(matrix, list) and all(isinstance(row, list) for row in matrix)
-            and all(_is_number(x) for row in matrix for x in row)):
+            and all(type(x) in (int, float) for row in matrix for x in row)):
         raise BadInputError(f"{what}: 'matrix' must be a list of lists of numbers")
     return make_dmc(matrix, label=label)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import Channel
-from .errors import DelayexpError, DomainError
+from .errors import _SIZE_MAX, DelayexpError, DomainError, _number
 from . import exponents as ex
 
 LN2 = math.log(2.0)
@@ -72,14 +72,11 @@ def sweep(ch: Channel, rate_min: float, rate_max: float, points: int,
     order = tuple(b for b in ex.BOUNDS_AT_RATE if b in requested)
     if not order:
         raise DomainError("no bounds requested")
-    if not points >= 2:
-        raise DomainError(f"points must be >= 2, got {points}")
+    points = _number(points, "points", 2, _SIZE_MAX, "[]", integer=True)
     # Capacity first: a zero-capacity channel makes every rate interval empty.
     cap = ex._positive_capacity(ch)
-    if not 0.0 < rate_min < rate_max:
-        raise DomainError(f"need 0 < rate_min < rate_max, got [{rate_min}, {rate_max}]")
-    if rate_max > cap * (1.0 + 1e-12):
-        raise DomainError(f"rate_max {rate_max} exceeds capacity {cap}")
+    rate_max = _number(rate_max, f"rate_max (capacity {cap})", 0, cap * (1.0 + 1e-12), "(]")
+    rate_min = _number(rate_min, "rate_min", 0, rate_max, "()")
     rates = [float(r) for r in np.linspace(rate_min, rate_max, points)]
     columns = {b: tuple(_evaluate_cell(ch, b, r) for r in rates) for b in order}
     return CurveTable(ch.describe(), "nats", cap, order, tuple(rates), columns)

@@ -24,7 +24,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
@@ -38,7 +37,7 @@ from .channel import (
     is_symmetric,
     OutOfRangeError,
 )
-from .errors import DomainError
+from .errors import DomainError, _number
 
 RHO_MIN = 1e-6
 RHO_MAX = 64.0
@@ -189,13 +188,17 @@ def _e0_raw(p: np.ndarray, rho: float, q: np.ndarray) -> float:
 
 def gallager_e0(ch: Channel, rho: float, q=None) -> float:
     """The Gallager function E0(rho, q) in nats; uniform q by default."""
-    if not 0.0 <= rho < math.inf:  # NaN fails too
-        raise DomainError(f"rho must be finite and >= 0, got {rho}")
+    rho = _rho(rho)
     if q is None:
         qv = np.full(ch.inputs, 1.0 / ch.inputs)
     else:
         qv = as_input_dist(q, ch.inputs)
-    return _e0_raw(ch.p, float(rho), qv)
+    return _e0_raw(ch.p, rho, qv)
+
+
+def _rho(rho, lo=0, hi=math.inf, ends="[)") -> float:
+    """``rho`` as a float in [0, inf), or in the range ``lo``, ``hi``, ``ends`` given."""
+    return _number(rho, "rho", lo, hi, ends)
 
 
 def _ascend_q(p: np.ndarray, rho: float, q0: np.ndarray):
@@ -240,9 +243,7 @@ def e0_max(ch: Channel, rho: float) -> ExponentValue:
     (channel, rho) in an LRU of ``E0_MAX_CACHE_SIZE`` entries, so the
     returned ``q`` is read-only.
     """
-    if not 0.0 <= rho < math.inf:  # NaN fails too
-        raise DomainError(f"rho must be finite and >= 0, got {rho}")
-    return _e0_max(ch, float(rho))
+    return _e0_max(ch, _rho(rho))
 
 
 @functools.lru_cache(maxsize=E0_MAX_CACHE_SIZE)
@@ -261,11 +262,6 @@ def _e0_max(ch: Channel, rho: float) -> ExponentValue:
 
 # -- fixed-blocklength bounds ------------------------------------------------
 
-def _require_positive_rate(rate: float) -> None:
-    if not rate > 0:
-        raise NonPositiveRateError(f"rate must be > 0 nats, got {rate}")
-
-
 def _positive_capacity(ch: Channel) -> float:
     cap = capacity(ch)
     if cap < DEGENERATE_CAPACITY:
@@ -273,13 +269,13 @@ def _positive_capacity(ch: Channel) -> float:
     return cap
 
 
-def _above_capacity(ch: Channel, rate: float) -> ExponentValue | None:
-    """The flagged zero every bound answers at or above capacity, else None;
-    raises for a rate that is not positive or a channel of zero capacity."""
-    _require_positive_rate(rate)
+def _above_capacity(ch: Channel, rate) -> tuple[float, ExponentValue | None]:
+    """``rate`` as a float, and the flagged zero every bound answers at or above capacity,
+    else None; raises for a rate that is not a positive number or a channel of zero capacity."""
+    rate = _number(rate, "rate", 0, math.inf, "(]", error=NonPositiveRateError)
     if rate >= _positive_capacity(ch):
-        return ExponentValue(0.0, None, None, (FLAG_RATE_ABOVE_CAPACITY,))
-    return None
+        return rate, ExponentValue(0.0, None, None, (FLAG_RATE_ABOVE_CAPACITY,))
+    return rate, None
 
 
 def _at_rho_max(ch: Channel, value: float, param: float, q: np.ndarray) -> ExponentValue:
@@ -296,7 +292,8 @@ def _at_rho_max(ch: Channel, value: float, param: float, q: np.ndarray) -> Expon
 
 def _parametric_bound(ch: Channel, rate: float, rho_hi: float) -> ExponentValue:
     """max over rho in [RHO_MIN, min(rho_hi, RHO_MAX)] of max_q E0(rho, q) - rho * rate."""
-    if (above := _above_capacity(ch, rate)) is not None:
+    rate, above = _above_capacity(ch, rate)
+    if above is not None:
         return above
 
     def objective(rho):
@@ -333,10 +330,9 @@ def list_random_coding(ch: Channel, rate: float, list_size) -> ExponentValue:
     The cap meets RHO_MAX at a list size of 64, and from there on this is
     the sphere-packing search, flags included.
     """
-    if isinstance(list_size, bool) or not isinstance(list_size, Integral) or list_size < 1:
-        raise BadListSizeError(f"list size must be an integer >= 1, got {list_size!r}")
-    # An int, not a float, so that a list size past the float range still compares.
-    return _parametric_bound(ch, rate, int(list_size))
+    list_size = _number(list_size, "list size", 1, integer=True, error=BadListSizeError,
+                        kind=BadListSizeError)
+    return _parametric_bound(ch, rate, list_size)
 
 
 # -- change-of-channel oracle ------------------------------------------------
@@ -412,8 +408,7 @@ def haroutunian_oracle(ch: Channel, rate: float, grid_steps: int = 100) -> Expon
     if ch.inputs != 2 or ch.outputs > 3:
         raise UnsupportedAlphabetError(
             f"oracle supports 2 inputs and <= 3 outputs, got {ch.inputs}x{ch.outputs}")
-    if not 4 <= grid_steps <= ORACLE_MAX_GRID:
-        raise DomainError(f"grid_steps must lie in [4, {ORACLE_MAX_GRID}], got {grid_steps}")
+    grid_steps = _number(grid_steps, "grid_steps", 4, ORACLE_MAX_GRID, "[]", integer=True)
     pairs = _simplex_rows(ch.outputs, grid_steps) ** 2
     if pairs > ORACLE_MAX_PAIRS:
         fits = max(s for s in range(4, ORACLE_MAX_GRID + 1)
@@ -421,7 +416,8 @@ def haroutunian_oracle(ch: Channel, rate: float, grid_steps: int = 100) -> Expon
         raise DomainError(
             f"grid_steps {grid_steps} on {ch.outputs} outputs makes {pairs} row pairs, "
             f"over the cap of {ORACLE_MAX_PAIRS}; the largest grid_steps that fits is {fits}")
-    if (above := _above_capacity(ch, rate)) is not None:
+    rate, above = _above_capacity(ch, rate)
+    if above is not None:
         return above
     rows = _simplex_grid(ch.outputs, grid_steps)
     val, pair = _oracle_pass(ch.p, rate, rows, rows)
@@ -445,7 +441,8 @@ def focusing_bound(ch: Channel, rate: float) -> ExponentValue:
     sphere-packing bound standing in for the change-of-channel converse;
     the result then carries a ``surrogate`` flag.
     """
-    if (above := _above_capacity(ch, rate)) is not None:
+    rate, above = _above_capacity(ch, rate)
+    if above is not None:
         return above
     if is_symmetric(ch):
         return _focusing_parametric(ch, rate)
@@ -478,15 +475,13 @@ def _focusing_surrogate(ch: Channel, rate: float) -> ExponentValue:
     return ExponentValue(-neg, lam, None, (FLAG_SURROGATE,))
 
 
-def _e0_pair(ch: Channel, rho: float) -> tuple[float, float]:
-    """(E0(rho), E0(1)), both maximized over q, for rho in [RHO_MIN, RHO_MAX]."""
-    # Written so that NaN fails the test as well.
-    if not RHO_MIN <= rho <= RHO_MAX:
-        raise DomainError(f"rho must lie in [{RHO_MIN:g}, {RHO_MAX:g}], got {rho}")
+def _e0_pair(ch: Channel, rho) -> tuple[float, float, float]:
+    """(rho, E0(rho), E0(1)), both E0 maximized over q, for rho in [RHO_MIN, RHO_MAX]."""
+    rho = _rho(rho, RHO_MIN, RHO_MAX, "[]")
     e0_one = e0_max(ch, 1.0).value
     if e0_one < 1e-15:
         raise DegenerateChannelError("E0(1) is numerically zero")
-    return e0_max(ch, rho).value, e0_one
+    return rho, e0_max(ch, rho).value, e0_one
 
 
 def overhead_fraction(ch: Channel, rho: float) -> float:
@@ -496,7 +491,7 @@ def overhead_fraction(ch: Channel, rho: float) -> float:
     balances the error contributions of the data and confirmation phases.
     ``rho`` must lie in [RHO_MIN, RHO_MAX], the bracket every search uses.
     """
-    e0_rho, e0_one = _e0_pair(ch, rho)
+    _, e0_rho, e0_one = _e0_pair(ch, rho)
     return e0_rho / (e0_one + e0_rho)
 
 
@@ -507,7 +502,7 @@ def achieved_exponent(ch: Channel, rho: float) -> ParametricPoint:
     1 / (1/E0(rho) + 1/E0(1)) and sits at rate exponent / rho, for
     ``rho`` in [RHO_MIN, RHO_MAX].
     """
-    e0_rho, e0_one = _e0_pair(ch, rho)
+    rho, e0_rho, e0_one = _e0_pair(ch, rho)
     exponent = 1.0 / (1.0 / e0_rho + 1.0 / e0_one)
     return ParametricPoint(rho, exponent / rho, exponent)
 
@@ -520,8 +515,7 @@ def achieved_exponent_at_rate(ch: Channel, rate: float) -> ExponentValue:
     RHO_MIN (essentially capacity) report 0 with a flag; rates below the
     rate at RHO_MAX clamp there with a ``bracket_edge`` flag.
     """
-    _require_positive_rate(rate)
-    _positive_capacity(ch)
+    rate, _ = _above_capacity(ch, rate)
 
     def rate_at(rho):
         return achieved_exponent(ch, rho).rate
@@ -564,8 +558,7 @@ def bound_at_rate(ch: Channel, name: str, rate: float, list_size=2) -> ExponentV
 
 def bec_feedback_exponent(delta: float) -> float:
     """Exact fixed-delay exponent of the erasure channel with feedback."""
-    if not 0.0 < delta < 0.5:
-        raise OutOfRangeError(f"erasure probability must lie in (0, 1/2), got {delta}")
+    delta = _number(delta, "erasure probability", 0, 0.5, "()", error=OutOfRangeError)
     return math.log((1.0 - delta) / delta)
 
 

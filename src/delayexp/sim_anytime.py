@@ -33,7 +33,7 @@ import numpy as np
 
 from . import _pcg64
 from .channel import Channel
-from .errors import BadInputError, DomainError, _is_number, _json_object, _read_json
+from .errors import _SIZE_MAX, BadInputError, DomainError, _json_object, _number, _read_json, _seed
 from .exponents import e0_max
 from .sim_queue import (MISS_WEIGHT, WINDOW, DeadlineGrid, DelayErrorTable, HorizonTooShortError,
                         arrival, arrived)
@@ -91,35 +91,30 @@ class SchemeConfig:
     redecode_window: int = 4
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type in (int, "int") and not _is_number(value, int):
-                raise BadInputError(f"scheme config {f.name} must be an integer, got {value!r}")
-        if not _is_number(self.rate_bits):
-            raise BadInputError(f"scheme config rate_bits must be a number, got {self.rate_bits!r}")
-        if self.seed < 0:
-            raise BadInputError(f"scheme config seed must be >= 0, got {self.seed}")
-        if self.c < 1:
-            raise DomainError(f"chunk length must be >= 1, got {self.c}")
-        if not self.n > self.l >= 0:
-            raise DomainError(f"need n > l >= 0, got n={self.n}, l={self.l}")
-        if not 0 <= self.theta < self.c:
-            raise DomainError(f"need 0 <= theta < c, got theta={self.theta}, c={self.c}")
-        if not 0 < self.rate_bits < math.inf:
-            raise DomainError(f"rate_bits must be positive and finite, got {self.rate_bits}")
-        if self.redecode_window < 1:
-            raise DomainError(f"redecode_window must be >= 1, got {self.redecode_window}")
-        try:
-            raw = float(self.n * self.c * self.rate_bits)
-        except OverflowError:  # an integer field too large for a float
-            raw = math.inf
+        def check(name, lo=-math.inf, hi=math.inf, ends="[)", **kinds):
+            value = _number(getattr(self, name), f"scheme config {name}", lo, hi, ends, **kinds)
+            object.__setattr__(self, name, value)  # the converted value, on a frozen instance
+
+        # Every malformed field is refused before any field out of its range.
+        for name in ("n", "c", "l", "theta", "redecode_window"):
+            check(name, integer=True, error=BadInputError)
+        object.__setattr__(self, "seed", _seed(self.seed, "scheme config seed"))
+        check("rate_bits", ends="[]")  # a bool is malformed, NaN out of range
+        check("rate_bits", 0, ends="()")
+        # Sizes up to an int64, so that n * c * rate_bits is a float.
+        check("c", 1, _SIZE_MAX, "[]", integer=True)
+        check("l", 0, integer=True)
+        check("n", self.l, _SIZE_MAX, "(]", integer=True)
+        check("theta", 0, self.c, integer=True)
+        check("redecode_window", 1, integer=True)
+        raw = self.n * self.c * self.rate_bits
         if not math.isfinite(raw) or abs(raw - round(raw)) > 1e-6 or round(raw) < 1:
             raise DomainError(
                 f"block payload n*c*rate_bits = {raw} must be a whole number of bits >= 1")
 
     @property
     def payload_bits(self) -> int:
-        return int(round(self.n * self.c * self.rate_bits))
+        return round(self.n * self.c * self.rate_bits)
 
     @property
     def data_uses_per_chunk(self) -> int:
@@ -160,8 +155,8 @@ class _NoiseSource:
     """Per-use channel noise: one uniform per channel use, indexed by time."""
 
     def __init__(self, ch: Channel, horizon: int, seed: int):
-        rng = np.random.default_rng(np.random.SeedSequence((int(seed), _NOISE_STREAM)))
-        self.u = rng.random(int(horizon))
+        rng = np.random.default_rng(np.random.SeedSequence((_seed(seed), _NOISE_STREAM)))
+        self.u = rng.random(horizon)
         self.cdf = _cdf(ch.p)
 
     def emit_batch(self, letters: np.ndarray, t0: int) -> np.ndarray:
@@ -176,7 +171,7 @@ class _NoiseSource:
 
 
 def _block_values(cfg: SchemeConfig, count: int) -> np.ndarray:
-    rng = np.random.default_rng(np.random.SeedSequence((int(cfg.seed), _BITS_STREAM)))
+    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, _BITS_STREAM)))
     return rng.integers(0, 1 << cfg.payload_bits, size=max(count, 1), dtype=np.int64)
 
 
@@ -228,13 +223,11 @@ class BlockCodebook:
     """
 
     def __init__(self, ch: Channel, payload_bits: int, seed: int):
-        if payload_bits > PAYLOAD_BITS_MAX:
-            raise PayloadTooLargeError(
-                f"payload of {payload_bits} bits exceeds the cap of {PAYLOAD_BITS_MAX}")
-        if payload_bits < 1:
-            raise DomainError("payload must hold at least one bit")
-        self.n_candidates = 1 << payload_bits
-        self.seed = int(seed)
+        # Any number >= 1 first, so that one past the cap is refused as too large.
+        _number(payload_bits, "payload bits", 1, ends="[]")
+        self.n_candidates = 1 << _number(payload_bits, "payload bits", 1, PAYLOAD_BITS_MAX, "[]",
+                                         integer=True, error=PayloadTooLargeError)
+        self.seed = _seed(seed)
         # SeedSequence((seed, _CODE_STREAM, block, slab)) reads each int as its
         # 32-bit words, least significant first; handing it those words as one
         # uint32 array gives the same generator without its per-int conversion.
@@ -414,14 +407,11 @@ class FlowCode:
     """
 
     def __init__(self, ch: Channel, theta: int, seed: int, memory: int):
-        if theta < 1:
-            raise DomainError(f"theta must be >= 1, got {theta}")
-        if memory < 1:
-            raise DomainError(f"memory must be >= 1, got {memory}")
-        self.theta = theta
-        self.memory = int(memory)
+        # The hash numbers a row's 64-byte blocks in two bytes: 2^16 blocks of 8 letters.
+        self.theta = _number(theta, "theta", 1, 1 << 19, "[]", integer=True)
+        self.memory = _number(memory, "memory", 1, integer=True)
         self._qcdf = _cdf(_code_input_dist(ch))
-        self._root = blake2b(_FLOW_SALT + (int(seed) & (2 ** 64 - 1)).to_bytes(8, "little"),
+        self._root = blake2b(_FLOW_SALT + (_seed(seed) & (2 ** 64 - 1)).to_bytes(8, "little"),
                              digest_size=16).digest()
 
     def extend(self, digest: bytes, symbol: int) -> bytes:
@@ -439,7 +429,8 @@ class FlowCode:
 
     def letter_rows(self, digests, chunk_index: int) -> np.ndarray:
         """The letters of chunk ``chunk_index`` under each digest, one row each."""
-        u = _hash_uniforms(digests, int(chunk_index), self.theta)
+        u = _hash_uniforms(digests, _number(chunk_index, "chunk index", 0, 1 << 64, integer=True),
+                           self.theta)
         return np.searchsorted(self._qcdf, u, side="right").astype(np.int64)
 
 
@@ -465,10 +456,10 @@ class FlowDecoder:
     """
 
     def __init__(self, code: FlowCode, ch: Channel, l: int):
-        if code.memory * (l + 1) > FLOW_HYPOTHESIS_BITS_MAX:
-            raise WindowTooLargeError(
-                f"window of {code.memory} chunks at l={l} exceeds "
-                f"{FLOW_HYPOTHESIS_BITS_MAX} hypothesis bits")
+        # The window holds memory * (l + 1) hypothesis bits.
+        l = _number(l, f"l at a window of {code.memory} chunks", 0,
+                    FLOW_HYPOTHESIS_BITS_MAX // code.memory - 1, "[]", integer=True,
+                    error=WindowTooLargeError)
         self.code = code
         self.logp = _log_likelihoods(ch)
         self.symbols = range(1 + (1 << l))
@@ -749,22 +740,17 @@ def synthesized_run(cfg: SchemeConfig, ch: Channel, horizon: int, delays,
     theta 0: an error-free flow link carries nothing the fortified model
     does not already deliver, so its reserved slots return to the data.
     """
-    if cfg.theta < 1:
-        raise DomainError("synthesized mode requires theta >= 1")
-    chunks = int(horizon) // cfg.c
+    least = cfg.redecode_window + 1  # chunks: the flow window, and one to freeze
+    chunks = _number(horizon, f"horizon for {least} chunks of {cfg.c} uses", least * cfg.c,
+                     _SIZE_MAX, "[]", integer=True, error=HorizonTooShortError) // cfg.c
     span = chunks * cfg.c
     grid = DeadlineGrid(delays, span, cfg.rate_bits)
-    if chunks < cfg.redecode_window + 1:
-        raise HorizonTooShortError(
-            f"horizon {horizon} holds {chunks} chunks of {cfg.c} uses; the flow "
-            f"window needs {cfg.redecode_window + 1}")
 
     payload = cfg.payload_bits
     # The codebook caps the payload before any per-bit array is sized.
     codebook = BlockCodebook(ch, payload, cfg.seed)
     list_len = min(1 << cfg.l, codebook.n_candidates)
     data_len = cfg.data_uses_per_chunk
-    values, ready = _blocks(cfg, span)
     # Memory equal to the window keeps every window hypothesis pair fully
     # separated while letting a rare settled error age out of the hash
     # context as fast as possible (resync after window - 1 clean commits).
@@ -772,6 +758,7 @@ def synthesized_run(cfg: SchemeConfig, ch: Channel, horizon: int, delays,
     # the decoder hashes one fixed tree of window paths.
     flow_code = FlowCode(ch, cfg.theta, cfg.seed, cfg.redecode_window)
     flow_dec = FlowDecoder(flow_code, ch, cfg.l)
+    values, ready = _blocks(cfg, span)
     noise = _NoiseSource(ch, span, seed)
 
     encoder = _ParseState()  # truth-side block timeline; its confirms decode to ``values``

@@ -19,11 +19,12 @@ arrival clock, the bits that count as trials and the per-delay misses.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import _SIZE_MAX, BadInputError, DomainError, _number, _seed
 from .exponents import bec_feedback_exponent
 
 # Substream tag separating the erasure draws from any other consumer of the
@@ -115,17 +116,15 @@ class DeadlineGrid:
     """
 
     def __init__(self, delays, horizon: int, rate_bits: float):
-        self.delays = tuple(sorted(set(int(d) for d in delays)))
+        if not isinstance(delays, Iterable):
+            raise BadInputError(f"delays must be a collection of integers, got {delays!r}")
+        self.delays = tuple(sorted({_number(d, "delay", 0, integer=True) for d in delays}))
         if not self.delays:
             raise DomainError("need at least one delay")
-        if self.delays[0] < 0:
-            raise DomainError("delays must be nonnegative")
         self.dmax = self.delays[-1]
-        self.horizon = int(horizon)
-        need = 10 * max(self.dmax, 1)
-        if self.horizon < need:
-            raise HorizonTooShortError(
-                f"horizon {self.horizon} is too short for max delay {self.dmax}; need >= {need}")
+        self.horizon = _number(horizon, f"horizon for max delay {self.dmax}",
+                               10 * max(self.dmax, 1), _SIZE_MAX, "[]", integer=True,
+                               error=HorizonTooShortError)
         self.rate_bits = rate_bits
         self.bits = range(arrived(self.dmax, rate_bits),
                           arrived(self.horizon - self.dmax, rate_bits))
@@ -183,7 +182,7 @@ def _served_batches(delta: float, horizon: int, seed: int):
     maximum, so the indices increase strictly and the queued bits whose
     success the window holds are split off by one search.
     """
-    rng = np.random.default_rng(np.random.SeedSequence((int(seed), QUEUE_STREAM)))
+    rng = np.random.default_rng(np.random.SeedSequence((_seed(seed), QUEUE_STREAM)))
     successes = 0      # surviving uses before the window
     lead = 0           # running max of (first eligible success - bit index)
     done = 0           # bits served before the window

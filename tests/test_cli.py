@@ -10,10 +10,12 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import delayexp
 from delayexp.channel import (conditional_divergence, load_channel, make_bsc, make_dmc,
                               mutual_information)
 from delayexp import cli
@@ -950,6 +952,143 @@ def test_library_input_fuzz_raises_only_package_errors(value, key):
             path.write_text(json.dumps(payload))
             _returns_or_refuses(lambda: load_channel(path))
             _returns_or_refuses(lambda: SchemeConfig.from_json(path))
+
+
+BSC = make_bsc(0.1)
+FORTIFIED = SchemeConfig(**FORTIFIED_CFG)
+SYNTHESIZED = SchemeConfig(**SYNTHESIZED_CFG)
+
+
+def _scheme_config(field):
+    return lambda v: SchemeConfig(**{**SYNTHESIZED_CFG, field: v})
+
+
+# Every public numeric parameter: the kind of value it takes ("number", "integer" or
+# "delays", a collection of integers) and one call with the other arguments small and
+# valid. Horizons and point counts are drawn too short to run, at most 2 points, or past
+# int64, so no example allocates for a long run.
+NUMERIC_PARAMETERS = {
+    "make_bsc": ("number", delayexp.make_bsc),
+    "make_bec": ("number", delayexp.make_bec),
+    "gallager_e0 rho": ("number", lambda v: delayexp.gallager_e0(BSC, v)),
+    "e0_max rho": ("number", lambda v: delayexp.e0_max(BSC, v)),
+    "achieved_exponent rho": ("number", lambda v: delayexp.achieved_exponent(BSC, v)),
+    "overhead_fraction rho": ("number", lambda v: delayexp.overhead_fraction(BSC, v)),
+    "sphere_packing rate": ("number", lambda v: delayexp.sphere_packing(BSC, v)),
+    "random_coding rate": ("number", lambda v: delayexp.random_coding(BSC, v)),
+    "focusing_bound rate": ("number", lambda v: delayexp.focusing_bound(BSC, v)),
+    "achieved_exponent_at_rate rate": ("number",
+                                       lambda v: delayexp.achieved_exponent_at_rate(BSC, v)),
+    "bound_at_rate rate": ("number", lambda v: bound_at_rate(BSC, "sp", v)),
+    "list_random_coding rate": ("number", lambda v: delayexp.list_random_coding(BSC, v, 2)),
+    "list_random_coding list_size": ("integer",
+                                     lambda v: delayexp.list_random_coding(BSC, 0.1, v)),
+    "bound_at_rate list_size": ("integer", lambda v: bound_at_rate(BSC, "list", 0.1, v)),
+    "haroutunian_oracle rate": ("number", lambda v: delayexp.haroutunian_oracle(BSC, v, 4)),
+    "haroutunian_oracle grid_steps": ("integer",
+                                      lambda v: delayexp.haroutunian_oracle(BSC, 0.1, v)),
+    "bec_feedback_exponent": ("number", delayexp.bec_feedback_exponent),
+    "sweep rate_min": ("number", lambda v: delayexp.sweep(BSC, v, 0.3, 3, {"sp"})),
+    "sweep rate_max": ("number", lambda v: delayexp.sweep(BSC, 0.1, v, 3, {"sp"})),
+    "sweep points": ("integer", lambda v: delayexp.sweep(BSC, 0.1, 0.3, v, {"sp"})),
+    "simulate_bec_feedback delta": (
+        "number", lambda v: delayexp.simulate_bec_feedback(v, 2000, (2, 4), 0)),
+    "simulate_bec_feedback horizon": (
+        "integer", lambda v: delayexp.simulate_bec_feedback(0.4, v, (2, 4), 0)),
+    "simulate_bec_feedback delays": (
+        "delays", lambda v: delayexp.simulate_bec_feedback(0.4, 2000, v, 0)),
+    "simulate_bec_feedback seed": (
+        "integer", lambda v: delayexp.simulate_bec_feedback(0.4, 2000, (2, 4), v)),
+    **{f"SchemeConfig {field}": ("number" if field == "rate_bits" else "integer",
+                                 _scheme_config(field)) for field in SYNTHESIZED_CFG},
+    "BlockCodebook payload_bits": ("integer", lambda v: delayexp.BlockCodebook(BSC, v, 0)),
+    "BlockCodebook seed": ("integer", lambda v: delayexp.BlockCodebook(BSC, 1, v)),
+    "FlowCode theta": ("integer", lambda v: delayexp.FlowCode(BSC, v, 0, 4)),
+    "FlowCode seed": ("integer", lambda v: delayexp.FlowCode(BSC, 2, v, 4)),
+    "FlowCode memory": ("integer", lambda v: delayexp.FlowCode(BSC, 2, 0, v)),
+    "FlowCode.letters chunk_index": (
+        "integer", lambda v: delayexp.FlowCode(BSC, 2, 0, 4).letters(bytes(16), v)),
+    "FlowDecoder l": ("integer",
+                      lambda v: delayexp.FlowDecoder(delayexp.FlowCode(BSC, 2, 0, 4), BSC, v)),
+    **{f"{run.__name__} {name}": (kind, call)
+       for run, cfg in ((delayexp.fortified_run, FORTIFIED),
+                        (delayexp.synthesized_run, SYNTHESIZED))
+       for name, kind, call in (
+           ("horizon", "integer", lambda v, run=run, cfg=cfg: run(cfg, BSC, v, (16, 24), 0)),
+           ("delays", "delays", lambda v, run=run, cfg=cfg: run(cfg, BSC, 2000, v, 0)),
+           ("seed", "integer", lambda v, run=run, cfg=cfg: run(cfg, BSC, 2000, (16, 24), v)))},
+}
+NUMERIC_VALUES = (None, "0.1", "2", "", [0.1], True, False, math.nan, math.inf, -math.inf, -1,
+                  0, 1, 2, 1.5, 2.0, 0.1, 0.4, 2 ** 63, 10 ** 400, -(10 ** 400), np.int64(2),
+                  np.float64(0.1), np.bool_(True))
+DELAY_VALUES = (None, 5, "24", (), (2, 4), (1.5, 2), (2.0, 4), ("2",), (True,), (-1,),
+                (math.nan,), (10 ** 400,), np.array([2, 4]), [np.int64(16), 24])
+
+
+def _malformed(value, kind) -> bool:
+    """Whether ``value`` is no value of ``kind``: not a number, a bool, NaN, a non-integer
+    where an integer is due, or delays with such an entry. Such a value must be refused."""
+    if kind == "delays":
+        return isinstance(value, str) or not hasattr(value, "__iter__") or any(
+            _malformed(d, "integer") for d in value)
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, float, np.number)):
+        return True
+    return value != value or kind == "integer" and not isinstance(value, (int, np.integer))
+
+
+def _case(name):
+    kind = NUMERIC_PARAMETERS[name][0]
+    return st.tuples(st.just(name), st.sampled_from(DELAY_VALUES if kind == "delays"
+                                                    else NUMERIC_VALUES))
+
+
+@given(case=st.sampled_from(sorted(NUMERIC_PARAMETERS)).flatmap(_case))
+@settings(max_examples=150, deadline=None)
+@example(case=("make_bsc", "0.1"))  # a bare TypeError
+@example(case=("e0_max rho", 10 ** 400))  # a bare OverflowError
+@example(case=("haroutunian_oracle grid_steps", 10.5))  # a grid of 10.5 steps
+@example(case=("sweep points", 10 ** 400))  # a bare OverflowError
+@example(case=("simulate_bec_feedback delays", (1.5, 2)))  # the table of delays (1, 2)
+@example(case=("simulate_bec_feedback delays", None))  # a bare TypeError
+@example(case=("simulate_bec_feedback horizon", 2000.9))  # a run of 2000 uses
+@example(case=("fortified_run seed", 1.5))  # the run of seed 1
+@example(case=("BlockCodebook seed", -1))  # splits -1 into 32-bit words without end
+def test_numeric_parameter_fuzz_refuses_with_package_errors(case):
+    # Any value returns or raises one of the package's errors, and a value of
+    # the wrong kind is refused, never truncated or read as another number.
+    name, value = case
+    kind, call = NUMERIC_PARAMETERS[name]
+    try:
+        call(value)
+    except DelayexpError:
+        return
+    assert not _malformed(value, kind), f"{name} took {value!r}"
+
+
+def test_numpy_scalars_give_the_python_results():
+    # A numpy scalar converts to the Python number of its value, so each result,
+    # its types included, is the one the Python arguments give.
+    i, f = np.int64, np.float64
+    numpy_config = SchemeConfig(**{k: f(v) if k == "rate_bits" else i(v)
+                                   for k, v in SYNTHESIZED_CFG.items()})
+    calls = [
+        (delayexp.make_bsc, (0.1,), (f(0.1),)),
+        (delayexp.e0_max, (BSC, 0.5), (BSC, f(0.5))),
+        (delayexp.sphere_packing, (BSC, 0.1), (BSC, f(0.1))),
+        (delayexp.list_random_coding, (BSC, 0.1, 3), (BSC, f(0.1), i(3))),
+        (delayexp.achieved_exponent, (BSC, 0.5), (BSC, f(0.5))),
+        (delayexp.sweep, (BSC, 0.1, 0.3, 3, {"sp"}), (BSC, f(0.1), f(0.3), i(3), {"sp"})),
+        (delayexp.simulate_bec_feedback, (0.4, 2000, (2, 4), 1),
+         (f(0.4), i(2000), np.array([2, 4]), i(1))),
+        (delayexp.fortified_run, (FORTIFIED, BSC, 2000, (16, 24), 1),
+         (SchemeConfig(**{k: i(v) if k != "rate_bits" else f(v)
+                          for k, v in FORTIFIED_CFG.items()}), BSC, i(2000), (i(16), 24), i(1))),
+        (delayexp.synthesized_run, (SYNTHESIZED, BSC, 2000, (16, 24), 1),
+         (numpy_config, BSC, i(2000), np.array([16, 24]), i(1))),
+    ]
+    assert repr(numpy_config) == repr(SYNTHESIZED)
+    for call, python, numpy in calls:
+        assert repr(call(*python)) == repr(call(*numpy)), call.__name__
 
 
 def test_bound_commands_load_no_simulator(tmp_path):
