@@ -81,13 +81,16 @@ def _manifest_json(command_line: str, seeds, artifact_paths) -> str:
 
 def _write_artifacts(flag_value: str | None, command_line: str, seeds,
                      files: dict[str, str]) -> list[Path]:
-    """Write ``files`` (name to text) and ``manifest.json`` listing them, all or none.
+    """Write ``files`` (name to text) and ``manifest.json`` listing them, all or none
+    up to the moves.
 
     The output directory is ``--outdir``, else $DELAYEXP_OUTDIR, else the
     current directory. Each file goes to a temporary name in that directory
     first; only when all of them are written are they moved into place, the
     manifest last. On a failure the temporaries are removed, so an earlier
-    run's files there stay as they were. Returns the paths, the manifest last.
+    run's files there stay as they were. The moves are one ``os.replace``
+    each, so a disk error between two of them leaves the files already moved
+    beside an earlier run's manifest. Returns the paths, the manifest last.
     """
     outdir = Path(flag_value or os.environ.get("DELAYEXP_OUTDIR") or ".")
     paths = [outdir / name for name in files] + [outdir / "manifest.json"]

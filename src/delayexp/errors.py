@@ -52,7 +52,7 @@ def _number(value, what: str, lo=-math.inf, hi=math.inf, ends="[)", *, integer=F
     range raises ``error``; a value not a Python or numpy number, a bool, or a non-integer
     where an integer is due raises ``kind``, unless out of range (a Python bool counts as 0
     or 1, an int past the float range as an infinity where a float is due)."""
-    if type(value) is float and lo < value < hi and not integer:  # inside, whatever the ends
+    if type(value) is (int if integer else float) and lo < value < hi:  # inside, any ends
         return value
     real = isinstance(value, Real)
     try:

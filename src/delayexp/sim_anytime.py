@@ -53,6 +53,9 @@ _FLOW_SALT = b"flow"  # tree-code root, keyed by the config seed
 DENY = 0
 
 _CODE_SLAB = 256
+# Block ids, codeword positions and counts are below 2^32, so that each block id
+# and slab index is one 32-bit entropy word; a run has fewer than 10^8 uses.
+_WORD_END = 1 << 32
 # The slab cache keeps at most 65 slabs (2,304 B each if coset), and at most the bytes of
 # four of the largest i.i.d. codebook's, which a synthesized parse walks again (4 MiB each).
 _SLAB_CACHE_SLABS = 65
@@ -231,6 +234,7 @@ class BlockCodebook:
         # SeedSequence((seed, _CODE_STREAM, block, slab)) reads each int as its
         # 32-bit words, least significant first; handing it those words as one
         # uint32 array gives the same generator without its per-int conversion.
+        # A block id and a slab index, below 2^32, are one word each.
         self._entropy_head = [*_uint32_words(self.seed), _CODE_STREAM]
         q = _code_input_dist(ch)
         self.logp = _log_likelihoods(ch)
@@ -254,8 +258,7 @@ class BlockCodebook:
         key = (block_id, slab_idx)
         slab = self._slabs.get(key)
         if slab is None:
-            entropy = np.array([*self._entropy_head, *_uint32_words(block_id),
-                                *_uint32_words(slab_idx)], dtype=np.uint32)
+            entropy = np.array([*self._entropy_head, block_id, slab_idx], dtype=np.uint32)
             rng = np.random.default_rng(np.random.SeedSequence(entropy))
             if self.coset:
                 # One-bit payloads have the single mask 1, which numpy draws
@@ -275,17 +278,22 @@ class BlockCodebook:
                 self._slabs.pop(next(iter(self._slabs)))
         return slab
 
+    def _coset_letters(self, g: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """Every candidate m's letters <m, g> xor s under masks ``g`` and dithers ``s``
+        (one row each, or one row per block), the candidates on the second-last axis."""
+        return self._parity[self._candidates & g[..., None, :]] ^ s[..., None, :]
+
     def _columns(self, block_id: int, slab_idx: int, lo: int, hi: int) -> np.ndarray:
         """Letters of every candidate over offsets [lo, hi) of one slab."""
         slab = self._slab(block_id, slab_idx)
         if self.coset:
             g, s = slab
-            return self._parity[self._candidates & g[lo:hi]] ^ s[lo:hi]
+            return self._coset_letters(g[lo:hi], s[lo:hi])
         return slab[0][:, lo:hi]
 
     def head_letters(self, first: int, count: int) -> np.ndarray:
         """Letters (int8) of every candidate over positions [0, _SERVE_STRIDE_MIN)
-        of blocks ``first`` to ``first + count - 1`` (block ids below 2^64): a
+        of blocks ``first`` to ``first + count - 1`` (block ids below 2^32): a
         (blocks, candidates, positions) array, each block's first slab read
         through :meth:`_columns`.
 
@@ -299,6 +307,10 @@ class BlockCodebook:
         follows the 256 mask draws, so where it starts in the stream depends
         on how many of them Lemire's rule rejected.
         """
+        first = _number(first, "block id", 0, _WORD_END, integer=True)
+        # A count below 2^32 whose last block id is below 2^32 too.
+        count = _number(count, "block count", 0, min(_WORD_END - 1, _WORD_END - first), "[]",
+                        integer=True)
         width = _SERVE_STRIDE_MIN
         if self.coset and self.n_candidates > 2:
             g = np.empty((count, width), dtype=np.int64)
@@ -307,23 +319,17 @@ class BlockCodebook:
                 slab_g, slab_s = self._slab(first + i, 0)
                 g[i] = slab_g[:width]
                 s[i] = slab_s[:width]
-            return self._parity[self._candidates & g[:, None, :]] ^ s[:, None, :]
-        if first < 1 << 32 < first + count:  # ids from 2^32 on have two entropy words
-            split = (1 << 32) - first
-            return np.concatenate([self.head_letters(first, split),
-                                   self.head_letters(1 << 32, count - split)])
-        ids = np.arange(first, first + count, dtype=np.uint64)
-        shifts = np.arange(len(_uint32_words(first)), dtype=np.uint64)[:, None] * np.uint64(32)
+            return self._coset_letters(g, s)
         head = np.array(self._entropy_head, dtype=np.uint32)[:, None]
         words = np.concatenate([np.repeat(head, count, axis=1),
-                                (ids >> shifts).astype(np.uint32),  # each id's 32-bit words
+                                np.arange(first, first + count, dtype=np.uint32)[None],
                                 np.zeros((1, count), dtype=np.uint32)])  # slab index 0
         raw = _pcg64.raw_outputs(words, self._head_jumps)
         if self.coset:
             # integers(0, 2, int8) reads raw output 0 a byte at a time, low
             # byte first, and keeps each byte's top bit.
             s = (raw >> 8 * np.arange(width, dtype=np.uint64) + 7 & 1).astype(np.int8)
-            return self._parity[self._candidates & self._unit_masks[:width]] ^ s[:, None, :]
+            return self._coset_letters(self._unit_masks[:width], s)
         u = (raw >> 11) * 2.0 ** -53  # Generator.random's double from a raw output
         return np.searchsorted(self._qcdf, u, side="right").astype(np.int8)
 
@@ -341,6 +347,9 @@ class BlockCodebook:
         A range inside one slab of an i.i.d. codebook is a read-only view of
         the cached slab.
         """
+        block_id = _number(block_id, "block id", 0, _WORD_END, integer=True)
+        start = _number(start, "codeword position", 0, _WORD_END, integer=True)
+        count = _number(count, "letter count", 0, _WORD_END, integer=True)
         first, off = divmod(start, _CODE_SLAB)
         if off + count <= _CODE_SLAB:
             return self._columns(block_id, first, off, off + count)
@@ -356,17 +365,13 @@ def _ranked(scores: np.ndarray, k: int) -> np.ndarray:
     return np.argsort(-scores, kind="stable")[:k]
 
 
-def _confirmable(scores: np.ndarray, truth: int, list_len: int):
+def _confirmable(scores: np.ndarray, truth_scores, list_len: int):
     # Strict separation: the truth and everything scoring at least as high
     # must all fit in the list, so the confirmed index is unambiguous under
     # any tie ordering. An all-tied chunk (e.g. all-erased outputs) denies.
-    # Candidates run along axis 0; a 2-D block gives one verdict per column.
-    return (scores >= scores[truth]).sum(axis=0) <= list_len
-
-
-def _list_index(scores: np.ndarray, truth: int) -> int:
-    s = scores[truth]
-    return int(np.count_nonzero(scores > s) + np.count_nonzero(scores[:truth] == s))
+    # Candidates run along axis 0, and ``truth_scores`` is the truth's row:
+    # one verdict per entry of that row.
+    return (scores >= truth_scores).sum(axis=0) <= list_len
 
 
 # -- flow-control tree code --------------------------------------------------
@@ -581,9 +586,8 @@ def _first_strides(logp: np.ndarray, noise: _NoiseSource, head: np.ndarray,
     rows = np.arange(len(starts))
     uses = starts[:, None] + np.arange(_SERVE_STRIDE_MIN)
     outputs = noise.emit(head[rows, values], noise.u[np.minimum(uses, horizon) - 1])
-    cum = logp[head, outputs[:, None, :]].cumsum(axis=2)
-    ok = (cum >= cum[rows, values][:, None, :]).sum(axis=1) <= list_len
-    ok &= uses <= horizon
+    cum = logp[head.transpose(1, 0, 2), outputs].cumsum(axis=2)  # (candidates, blocks, uses)
+    ok = _confirmable(cum, cum[values, rows], list_len) & (uses <= horizon)
     offset = ok.argmax(axis=1)
     return np.where(ok[rows, offset], offset, -1)
 
@@ -639,7 +643,7 @@ def _serve_block(codebook: BlockCodebook, noise: _NoiseSource, block: int, value
         cum = logp[letters, noise.emit_batch(letters[value], t)].cumsum(axis=1)
         if scores is not None:
             cum += scores
-        ok = _confirmable(cum, value, list_len)
+        ok = _confirmable(cum, cum[value], list_len)
         j = int(ok.argmax())
         if ok[j]:
             return t + j
@@ -736,9 +740,10 @@ def synthesized_run(cfg: SchemeConfig, ch: Channel, horizon: int, delays,
     resolves each bit's deadline at the last boundary not after it
     (unresolved bits count 1/2, wrongly decoded bits count 1).
 
-    The ideal-flow twin is :func:`fortified_run` on the same config with
-    theta 0: an error-free flow link carries nothing the fortified model
-    does not already deliver, so its reserved slots return to the data.
+    :func:`fortified_run` with theta 0 is not an ideal-flow twin of this
+    run: it may confirm after any use, over a free side link, while a chunk
+    here confirms only at its end. A twin that isolates the flow link's
+    errors needs a noiseless flow link at the same chunk boundaries.
     """
     least = cfg.redecode_window + 1  # chunks: the flow window, and one to freeze
     chunks = _number(horizon, f"horizon for {least} chunks of {cfg.c} uses", least * cfg.c,
@@ -802,9 +807,9 @@ def synthesized_run(cfg: SchemeConfig, ch: Channel, horizon: int, delays,
         else:
             row = noise.emit_batch(np.full(data_len, IDLE_LETTER, dtype=np.int64), base + 1)
         rows.append(row)
-        if encoder.active and _confirmable(encoder.scores, value, list_len):
-            # The list index puts the true block at the confirmed position.
-            symbol = 1 + _list_index(encoder.scores, value)
+        if encoder.active and _confirmable(encoder.scores, encoder.scores[value], list_len):
+            # The confirm names the true block's entry in the decoder's list.
+            symbol = 1 + int(np.flatnonzero(_ranked(encoder.scores, list_len) == value)[0])
         else:
             symbol = DENY
         encoder.apply(symbol, list_len)

@@ -68,15 +68,23 @@ class DelayErrorTable:
     half_widths: tuple[float, ...]
 
     def __post_init__(self):
+        def column(name, what, lo=-math.inf, hi=math.inf, ends="[)", **kinds):
+            values = getattr(self, name)
+            if not isinstance(values, Iterable):
+                raise BadInputError(f"table {name} must be a collection, got {values!r}")
+            # The converted entries, on a frozen instance.
+            object.__setattr__(self, name, tuple(_number(v, what, lo, hi, ends, **kinds)
+                                                 for v in values))
+
+        column("delays", "table delay", integer=True)
+        column("errors", "error estimate", 0, 1, "[]")
+        column("trials", "trial count", 1, integer=True)
+        column("half_widths", "half-width", 0)
         n = len(self.delays)
         if not (len(self.errors) == len(self.trials) == len(self.half_widths) == n):
             raise DomainError("table columns have mismatched lengths")
         if any(b <= a for a, b in zip(self.delays, self.delays[1:])):
             raise DomainError("delays must be strictly increasing")
-        if any(not 0.0 <= e <= 1.0 for e in self.errors):
-            raise DomainError("error estimates must lie in [0, 1]")
-        if any(t <= 0 for t in self.trials):
-            raise DomainError("trial counts must be positive")
 
     def to_csv(self) -> str:
         lines = ["delay,error,trials,half_width"]

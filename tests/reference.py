@@ -20,7 +20,6 @@ from delayexp.sim_anytime import (
     FlowDecoder,
     _confirmable,
     _blocks,
-    _list_index,
     _ParseState,
     _walk_chunk,
 )
@@ -32,6 +31,14 @@ from delayexp.sim_queue import (
     _error_columns,
     arrived,
 )
+
+
+def list_index(scores, truth):
+    """The truth's entry in the decoder's list, counted directly: every
+    candidate scoring higher, and every equal one of lower index, is listed
+    before it. A second route to the position of ``truth`` in ``_ranked``."""
+    s = scores[truth]
+    return int(np.count_nonzero(scores > s) + np.count_nonzero(scores[:truth] == s))
 
 
 class FortifiedEncoder:
@@ -75,8 +82,8 @@ class FortifiedEncoder:
         self.scores += self.codebook.logp[self.letters, y]
         self.pos += 1
         truth = int(self.block_values[self.next_block])
-        if _confirmable(self.scores, truth, self.list_len):
-            index = _list_index(self.scores, truth)
+        if _confirmable(self.scores, self.scores[truth], self.list_len):
+            index = list_index(self.scores, truth)
             self.delivery_uses.append(t)
             self.active = False
             self.next_block += 1
@@ -102,7 +109,7 @@ def backlogged_deliveries(cfg, codebook, block_values, noise, horizon):
         y = int(np.searchsorted(noise.cdf[letters[truth]], noise.u[t - 1], side="right"))
         scores += codebook.logp[letters, y]
         pos += 1
-        if _confirmable(scores, truth, list_len):
+        if _confirmable(scores, scores[truth], list_len):
             deliveries.append(t)
             block, pos = block + 1, 0
             scores = np.zeros(codebook.n_candidates)
@@ -142,7 +149,7 @@ def strided_deliveries(cfg, codebook, values, ready, noise, horizon):
             cum = logp[letters, noise.emit_batch(letters[value], t)].cumsum(axis=1)
             if scores is not None:
                 cum += scores
-            ok = _confirmable(cum, value, list_len)
+            ok = _confirmable(cum, cum[value], list_len)
             j = int(ok.argmax())
             if ok[j]:
                 deliveries[block] = t + j

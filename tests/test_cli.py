@@ -963,10 +963,20 @@ def _scheme_config(field):
     return lambda v: SchemeConfig(**{**SYNTHESIZED_CFG, field: v})
 
 
-# Every public numeric parameter: the kind of value it takes ("number", "integer" or
-# "delays", a collection of integers) and one call with the other arguments small and
-# valid. Horizons and point counts are drawn too short to run, at most 2 points, or past
-# int64, so no example allocates for a long run.
+def _table(column):
+    columns = {"delays": (2,), "errors": (0.1,), "trials": (10,), "half_widths": (0.0,)}
+    return lambda v: delayexp.DelayErrorTable(**{**columns, column: v})
+
+
+def _codebook():
+    return delayexp.BlockCodebook(BSC, 2, 0)
+
+
+# Every public numeric parameter: the kind of value it takes ("number", "integer",
+# "delays", a collection of integers, or "numbers", a collection of numbers) and one call
+# with the other arguments small and valid. Horizons, point counts and codeword counts
+# are drawn too short to run, at most 2, or past int64, so no example allocates for a
+# long run.
 NUMERIC_PARAMETERS = {
     "make_bsc": ("number", delayexp.make_bsc),
     "make_bec": ("number", delayexp.make_bec),
@@ -1010,6 +1020,17 @@ NUMERIC_PARAMETERS = {
         "integer", lambda v: delayexp.FlowCode(BSC, 2, 0, 4).letters(bytes(16), v)),
     "FlowDecoder l": ("integer",
                       lambda v: delayexp.FlowDecoder(delayexp.FlowCode(BSC, 2, 0, 4), BSC, v)),
+    "BlockCodebook.candidates_range block_id": (
+        "integer", lambda v: _codebook().candidates_range(v, 0, 4)),
+    "BlockCodebook.candidates_range start": (
+        "integer", lambda v: _codebook().candidates_range(0, v, 4)),
+    "BlockCodebook.candidates_range count": (
+        "integer", lambda v: _codebook().candidates_range(0, 0, v)),
+    "BlockCodebook.head_letters first": ("integer", lambda v: _codebook().head_letters(v, 2)),
+    "BlockCodebook.head_letters count": ("integer", lambda v: _codebook().head_letters(0, v)),
+    **{f"DelayErrorTable {column}": ("delays" if column in ("delays", "trials") else "numbers",
+                                     _table(column))
+       for column in ("delays", "errors", "trials", "half_widths")},
     **{f"{run.__name__} {name}": (kind, call)
        for run, cfg in ((delayexp.fortified_run, FORTIFIED),
                         (delayexp.synthesized_run, SYNTHESIZED))
@@ -1027,10 +1048,11 @@ DELAY_VALUES = (None, 5, "24", (), (2, 4), (1.5, 2), (2.0, 4), ("2",), (True,), 
 
 def _malformed(value, kind) -> bool:
     """Whether ``value`` is no value of ``kind``: not a number, a bool, NaN, a non-integer
-    where an integer is due, or delays with such an entry. Such a value must be refused."""
-    if kind == "delays":
+    where an integer is due, or a collection with such an entry. Such a value must be
+    refused."""
+    if kind in ("delays", "numbers"):
         return isinstance(value, str) or not hasattr(value, "__iter__") or any(
-            _malformed(d, "integer") for d in value)
+            _malformed(d, "integer" if kind == "delays" else "number") for d in value)
     if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, float, np.number)):
         return True
     return value != value or kind == "integer" and not isinstance(value, (int, np.integer))
@@ -1038,8 +1060,8 @@ def _malformed(value, kind) -> bool:
 
 def _case(name):
     kind = NUMERIC_PARAMETERS[name][0]
-    return st.tuples(st.just(name), st.sampled_from(DELAY_VALUES if kind == "delays"
-                                                    else NUMERIC_VALUES))
+    values = DELAY_VALUES if kind in ("delays", "numbers") else NUMERIC_VALUES
+    return st.tuples(st.just(name), st.sampled_from(values))
 
 
 @given(case=st.sampled_from(sorted(NUMERIC_PARAMETERS)).flatmap(_case))
@@ -1053,6 +1075,7 @@ def _case(name):
 @example(case=("simulate_bec_feedback horizon", 2000.9))  # a run of 2000 uses
 @example(case=("fortified_run seed", 1.5))  # the run of seed 1
 @example(case=("BlockCodebook seed", -1))  # splits -1 into 32-bit words without end
+@example(case=("DelayErrorTable errors", ("2",)))  # a bare TypeError
 def test_numeric_parameter_fuzz_refuses_with_package_errors(case):
     # Any value returns or raises one of the package's errors, and a value of
     # the wrong kind is refused, never truncated or read as another number.

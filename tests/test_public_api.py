@@ -4,6 +4,10 @@ Adding or removing a public name changes this list, so every change to the
 surface shows up in the diff of a test.
 """
 
+import os
+import subprocess
+import sys
+
 import delayexp
 
 PUBLIC_NAMES = [
@@ -65,3 +69,22 @@ def test_all_is_the_pinned_list():
 def test_every_public_name_resolves():
     for name in delayexp.__all__:
         getattr(delayexp, name)
+
+
+def test_import_loads_no_submodule_and_names_resolve_to_their_homes():
+    # A fresh `import delayexp` loads neither a submodule nor numpy; each name
+    # then loads the module that defines it and is that module's object.
+    script = (
+        "import sys\n"
+        "import delayexp\n"
+        "print(sorted(m for m in sys.modules if m.startswith('delayexp.') or m == 'numpy'))\n"
+        "for name in delayexp.__all__:\n"
+        "    value = getattr(delayexp, name)\n"
+        "    home = sys.modules[getattr(value, '__module__', 'delayexp')]\n"
+        "    assert getattr(home, name) is value, name\n"
+        "print('ok')\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:2] == ["[]", "ok"]

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from dataclasses import asdict
 from unittest import mock
 
@@ -33,7 +37,6 @@ from delayexp.sim_anytime import (
     _cdf,
     _code_input_dist,
     _confirmable,
-    _list_index,
     _NoiseSource,
     _ParseState,
     _ranked,
@@ -48,6 +51,7 @@ from reference import (
     backlogged_deliveries,
     exhaustive_window_search,
     flow_decode,
+    list_index,
     parse_history,
     strided_deliveries,
 )
@@ -274,9 +278,11 @@ class TestBlockCodebook:
     ])
     def test_slab_is_the_tuple_seeded_stream(self, seed, payload, channel):
         # Each slab holds the draws of a generator seeded with the tuple
-        # (seed, _CODE_STREAM, block, slab), up to the horizon cap's block ids.
+        # (seed, _CODE_STREAM, block, slab), up to the largest block id and
+        # the slab of the largest position.
         cb = BlockCodebook(channel, payload, seed)
-        for block_id, slab_idx in [(0, 0), (1, 3), (2**16 + 1, 1), (HORIZON_MAX, 0)]:
+        for block_id, slab_idx in [(0, 0), (1, 3), (2**16 + 1, 1), (HORIZON_MAX, 0),
+                                   (2**32 - 1, 2**24)]:
             rng = np.random.default_rng(
                 np.random.SeedSequence((seed, _CODE_STREAM, block_id, slab_idx)))
             if cb.coset:
@@ -339,19 +345,22 @@ class TestBlockCodebook:
         (PAYLOAD_BITS_MAX, SERVICE_CHANNELS["typewriter"]),
     ])
     def test_head_letters_are_each_blocks_first_stride(self, payload, channel):
-        # Two batches' worth of blocks, at most 80, from a low block id, from
-        # the horizon cap's and across 2^32, where block ids take a second
-        # entropy word.
+        # Two batches' worth of blocks, at most 80, from a low block id and
+        # from the horizon cap's, and up to the last id below 2^32; a batch
+        # across 2^32, where block ids would take a second entropy word, is
+        # refused.
         cb = BlockCodebook(channel, payload, 9)
         fresh = BlockCodebook(channel, payload, 9)
         count = min(80, 2 * max(_SERVE_BATCH_CELLS // cb.n_candidates, 1))
-        for first in (70, HORIZON_MAX, 2**32 - 1):
+        for first in (70, HORIZON_MAX, 2**32 - count):
             head = cb.head_letters(first, count)
             assert head.dtype == np.int8
             assert head.shape == (count, cb.n_candidates, _SERVE_STRIDE_MIN)
             for i in range(count):
                 assert np.array_equal(head[i],
                                       fresh.candidates_range(first + i, 0, _SERVE_STRIDE_MIN))
+        with pytest.raises(DomainError, match="block count"):
+            cb.head_letters(2**32 - 1, count)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.sampled_from([0, 2**32 - 1, 2**32, 2**64 + 5]) | st.integers(0, 2**96),
@@ -372,6 +381,68 @@ class TestBlockCodebook:
                          for i in range(count)])
         assert head.dtype == want.dtype
         assert np.array_equal(head, want)
+
+    # Block ids, positions and counts: small, near 2^32 and far outside
+    # [0, 2^32); counts inside it stay small, so no example allocates much.
+    WORDS = st.integers(-2, 300) | st.integers(2**32 - 300, 2**32 + 2) | st.integers(-2**70, 2**70)
+    COUNTS = st.integers(-2, 300) | st.integers(2**32, 2**70) | st.integers(-2**70, -1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(codebook=st.sampled_from([("bec0.4", 1), ("bsc0.05", 3), ("typewriter", 2)]),
+           block=WORDS, start=WORDS, count=COUNTS)
+    @example(codebook=("bsc0.05", 3), block=-1, start=0, count=4)
+    @example(codebook=("bsc0.05", 3), block=2**32, start=0, count=1)
+    @example(codebook=("typewriter", 2), block=2**32 - 2, start=0, count=3)
+    def test_codebook_readers_take_ids_of_one_word(self, codebook, block, start, count):
+        # Both readers take block ids, positions and counts in [0, 2^32), a
+        # batch of head letters ending at or below 2^32, and refuse anything
+        # else at once; what they take reads the blocks' slabs.
+        channel, payload = codebook
+        cb = BlockCodebook(SERVICE_CHANNELS[channel], payload, 4)
+        words = range(2**32)
+        if block in words and start in words and count in words:
+            letters = cb.candidates_range(block, start, count)
+            assert letters.shape == (cb.n_candidates, count)
+            slabs = np.concatenate([cb._columns(block, i, 0, _CODE_SLAB)
+                                    for i in range(start // _CODE_SLAB,
+                                                   (start + count) // _CODE_SLAB + 1)], axis=1)
+            assert np.array_equal(letters, slabs[:, start % _CODE_SLAB:][:, :count])
+        else:
+            with pytest.raises(DomainError):
+                cb.candidates_range(block, start, count)
+        count = count % 5 if count in words else count  # at most 4 blocks' head letters
+        if block in words and count in words and block + count <= 2**32:
+            head = cb.head_letters(block, count)
+            assert head.shape == (count, cb.n_candidates, _SERVE_STRIDE_MIN)
+            for i in range(count):
+                assert np.array_equal(head[i],
+                                      cb.candidates_range(block + i, 0, _SERVE_STRIDE_MIN))
+        else:
+            with pytest.raises(DomainError):
+                cb.head_letters(block, count)
+
+    def test_negative_block_ids_are_refused_at_once(self):
+        # A block id outside [0, 2^32) must be refused before it reaches the
+        # entropy words; a negative one, split into 32-bit words, never ends.
+        # The calls run in a child process under a 1 GiB address-space cap
+        # and a time limit.
+        script = textwrap.dedent("""
+            import resource
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+            from delayexp import BlockCodebook, DomainError, make_bsc
+            cb = BlockCodebook(make_bsc(0.1), 2, 0)
+            for call in (lambda: cb.candidates_range(-1, 0, 4), lambda: cb.head_letters(-1, 1),
+                         lambda: cb.candidates_range(2**32, 0, 1)):
+                try:
+                    call()
+                except DomainError as exc:
+                    print(type(exc).__name__)
+            """)
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["DomainError"] * 3
 
     def test_payload_caps(self):
         with pytest.raises(PayloadTooLargeError):
@@ -408,13 +479,14 @@ class TestListDecode:
            st.integers(0, 15), st.sampled_from([1, 2, 4, 8]))
     @settings(max_examples=300, deadline=None)
     def test_confirmed_index_names_the_truth(self, raw, truth, list_len):
-        # The encoder confirms as entry 1 + _list_index, and the decoder reads
-        # that entry of _ranked: on a confirmable block it is the truth, so
-        # the encoder's timeline never needs the values it confirmed.
+        # The encoder confirms as the truth's entry of _ranked, and the decoder
+        # reads that entry: on a confirmable block the entry is within the list
+        # and counts as reference.list_index counts it directly, so the
+        # encoder's timeline never needs the values it confirmed.
         scores = np.array(raw)
         truth %= len(scores)
-        if _confirmable(scores, truth, list_len):
-            assert _ranked(scores, list_len)[_list_index(scores, truth)] == truth
+        if _confirmable(scores, scores[truth], list_len):
+            assert _ranked(scores, list_len)[list_index(scores, truth)] == truth
 
     def test_truth_in_list_rates_grow_with_list_size(self):
         # Monte Carlo inclusion rates on a noisy channel; frozen from the
