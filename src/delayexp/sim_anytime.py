@@ -56,10 +56,9 @@ _CODE_SLAB = 256
 # Block ids, codeword positions and counts are below 2^32, so that each block id
 # and slab index is one 32-bit entropy word; a run has fewer than 10^8 uses.
 _WORD_END = 1 << 32
-# The slab cache keeps at most 65 slabs (2,304 B each if coset), and at most the bytes of
-# four of the largest i.i.d. codebook's, which a synthesized parse walks again (4 MiB each).
-_SLAB_CACHE_SLABS = 65
-_SLAB_CACHE_BYTES = 4 * (1 << PAYLOAD_BITS_MAX) * _CODE_SLAB
+# A codebook keeps its last two slabs: the reuse that pays is a window parse reading
+# again the slab the encoder has just read. The largest i.i.d. slab takes 4 MiB.
+_SLAB_MEMO = 2
 _LOG_ZERO = -1e30
 
 
@@ -79,10 +78,12 @@ class SchemeConfig:
 
     ``n`` is the block length in chunks' worth of data uses, ``c`` the
     chunk length in channel uses, ``l`` the list parameter (list size
-    2^l), ``theta`` the per-chunk flow-control uses (0 means the ideal
-    noiseless link), ``rate_bits`` the arrival rate in bits per channel
-    use, ``seed`` the code/message seed, and ``redecode_window`` how many
-    trailing chunks of flow history are re-decoded each chunk.
+    2^l, at most the 2^payload_bits candidates), ``theta`` the per-chunk
+    flow-control uses (0 for the fortified scheme, whose flow link is a
+    noiseless side link; the synthesized scheme needs at least 1),
+    ``rate_bits`` the arrival rate in bits per channel use, ``seed`` the
+    code/message seed, and ``redecode_window`` how many trailing chunks of
+    flow history are re-decoded each chunk.
     """
 
     n: int
@@ -120,6 +121,10 @@ class SchemeConfig:
         return round(self.n * self.c * self.rate_bits)
 
     @property
+    def list_size(self) -> int:
+        return 1 << min(self.l, self.payload_bits)
+
+    @property
     def data_uses_per_chunk(self) -> int:
         return self.c - self.theta
 
@@ -137,11 +142,14 @@ class SchemeConfig:
 class SchemeRunResult(DelayErrorTable):
     """A DelayErrorTable plus how the scheme's failures decompose.
 
+    ``blocks_confirmed`` counts the blocks the encoder saw confirmed;
     ``punctuation_chunk_errors`` counts settled flow messages that differ
     from what the encoder sent; ``data_block_errors`` counts settled
     confirmations whose decoded payload is wrong; ``spurious_confirms``
     counts estimated confirms that were dynamically impossible under the
-    parse and were ignored.
+    parse and were ignored. ``wrong_bit_weight`` sums the weight of judged
+    bits decoded wrongly (1 each), ``missed_bit_weight`` that of judged bits
+    not yet decoded (1/2 each), over every delay.
     """
 
     blocks_confirmed: int = 0
@@ -150,6 +158,13 @@ class SchemeRunResult(DelayErrorTable):
     spurious_confirms: int = 0
     wrong_bit_weight: float = 0.0
     missed_bit_weight: float = 0.0
+
+    def __post_init__(self):
+        super().__post_init__()
+        # Counts (int defaults) are integers >= 0, weights numbers >= 0; set on a frozen instance.
+        for f in fields(self)[len(fields(DelayErrorTable)):]:
+            object.__setattr__(self, f.name, _number(getattr(self, f.name), f.name, 0,
+                                                     integer=type(f.default) is int))
 
 
 # -- deterministic random ingredients ---------------------------------------
@@ -193,11 +208,7 @@ def _code_input_dist(ch: Channel) -> np.ndarray:
 
 def _uint32_words(value: int) -> list[int]:
     """The 32-bit words of a nonnegative int, least significant first (at least one)."""
-    words = [value & 0xFFFFFFFF]
-    while value >> 32:
-        value >>= 32
-        words.append(value & 0xFFFFFFFF)
-    return words
+    return [value >> shift & 0xFFFFFFFF for shift in range(0, max(value.bit_length(), 1), 32)]
 
 
 def _cdf(probs: np.ndarray) -> np.ndarray:
@@ -240,31 +251,24 @@ class BlockCodebook:
         self.logp = _log_likelihoods(ch)
         self.coset = ch.inputs == 2 and np.max(np.abs(q - 0.5)) < 1e-9
         if self.coset:
-            par = np.zeros(self.n_candidates, dtype=np.int8)
-            for i in range(1, self.n_candidates):
-                par[i] = par[i >> 1] ^ (i & 1)
-            self._parity = par
+            self._parity = np.array([i.bit_count() & 1 for i in range(self.n_candidates)],
+                                    dtype=np.int8)
             self._candidates = np.arange(self.n_candidates, dtype=np.int64)[:, None]
-            self._unit_masks = np.ones(_CODE_SLAB, dtype=np.int64)
-            self._cache_slabs = _SLAB_CACHE_SLABS
         else:
             self._qcdf = _cdf(q)
-            self._cache_slabs = min(_SLAB_CACHE_SLABS,
-                                    _SLAB_CACHE_BYTES // (self.n_candidates * _CODE_SLAB))
         self._slabs: dict[tuple[int, int], tuple] = {}
 
     def _slab(self, block_id: int, slab_idx: int):
-        """The cached draws of one block's slab; read-only, since callers get views."""
+        """The memoized draws of one block's slab; read-only, since callers get views."""
         key = (block_id, slab_idx)
         slab = self._slabs.get(key)
         if slab is None:
             entropy = np.array([*self._entropy_head, block_id, slab_idx], dtype=np.uint32)
             rng = np.random.default_rng(np.random.SeedSequence(entropy))
             if self.coset:
-                # One-bit payloads have the single mask 1, which numpy draws
-                # without touching the stream; skip the call.
-                g = (rng.integers(1, self.n_candidates, size=_CODE_SLAB, dtype=np.int64)
-                     if self.n_candidates > 2 else self._unit_masks)
+                # One-bit payloads have the single mask 1, which numpy returns
+                # without drawing from the stream.
+                g = rng.integers(1, self.n_candidates, size=_CODE_SLAB, dtype=np.int64)
                 s = rng.integers(0, 2, size=_CODE_SLAB, dtype=np.int8)
                 slab = (g, s)
             else:
@@ -274,7 +278,7 @@ class BlockCodebook:
             for part in slab:
                 part.flags.writeable = False
             self._slabs[key] = slab
-            if len(self._slabs) > self._cache_slabs:
+            if len(self._slabs) > _SLAB_MEMO:
                 self._slabs.pop(next(iter(self._slabs)))
         return slab
 
@@ -329,7 +333,7 @@ class BlockCodebook:
             # integers(0, 2, int8) reads raw output 0 a byte at a time, low
             # byte first, and keeps each byte's top bit.
             s = (raw >> 8 * np.arange(width, dtype=np.uint64) + 7 & 1).astype(np.int8)
-            return self._coset_letters(self._unit_masks[:width], s)
+            return self._coset_letters(np.ones(width, dtype=np.int64), s)
         u = (raw >> 11) * 2.0 ** -53  # Generator.random's double from a raw output
         return np.searchsorted(self._qcdf, u, side="right").astype(np.int8)
 
@@ -345,7 +349,7 @@ class BlockCodebook:
         """Letters (int8) of every candidate over positions [start, start+count).
 
         A range inside one slab of an i.i.d. codebook is a read-only view of
-        the cached slab.
+        the memoized slab.
         """
         block_id = _number(block_id, "block id", 0, _WORD_END, integer=True)
         start = _number(start, "codeword position", 0, _WORD_END, integer=True)
@@ -521,12 +525,16 @@ class _ParseState:
     scores: np.ndarray | None = None
     spurious: int = 0
 
-    def open_block(self, ready: np.ndarray, t: int) -> None:
-        """Start the next block if it is ready by use t, the chunk's first use."""
+    def chunk_letters(self, codebook: BlockCodebook, ready: np.ndarray, t: int,
+                      span: int) -> np.ndarray | None:
+        """Open the next block if it is ready by use t, the chunk's first use; return
+        every candidate's letters of the block in flight over the chunk's ``span``
+        data uses, ``None`` when no block is in flight."""
         if not self.active and t >= ready[self.next_block]:
             self.active = True
             self.pos = 0
             self.scores = None
+        return codebook.candidates_range(self.next_block, self.pos, span) if self.active else None
 
     def score(self, codebook: BlockCodebook, letters: np.ndarray, outputs) -> None:
         """Add one chunk's data-use log-likelihoods to every candidate's score."""
@@ -547,18 +555,6 @@ class _ParseState:
         self.active = False
         self.next_block += 1
         return int(order[min(symbol - 1, len(order) - 1)])
-
-
-def _walk_chunk(state: _ParseState, cfg: SchemeConfig, codebook: BlockCodebook,
-                ready: np.ndarray, chunk_index: int, symbol: int, data_outputs: np.ndarray,
-                list_len: int) -> int | None:
-    """Advance a parse by one chunk under one (estimated) flow symbol; return what it decodes."""
-    state.open_block(ready, chunk_index * cfg.c + 1)
-    span = cfg.data_uses_per_chunk
-    if state.active:
-        state.score(codebook, codebook.candidates_range(state.next_block, state.pos, span),
-                    data_outputs)
-    return state.apply(symbol, list_len)
 
 
 # -- the fortified scheme ----------------------------------------------------
@@ -671,7 +667,7 @@ def _serve_blocks(cfg: SchemeConfig, codebook: BlockCodebook, values: np.ndarray
     stride takes its guessed delivery, and any other block is served by
     :func:`_serve_block` from its exact start.
     """
-    list_len = min(1 << cfg.l, codebook.n_candidates)
+    list_len = cfg.list_size
     deliveries = np.full(len(ready), np.inf)
     batch = max(_SERVE_BATCH_CELLS // codebook.n_candidates, 1)
     t_free = 1
@@ -754,8 +750,10 @@ def synthesized_run(cfg: SchemeConfig, ch: Channel, horizon: int, delays,
     payload = cfg.payload_bits
     # The codebook caps the payload before any per-bit array is sized.
     codebook = BlockCodebook(ch, payload, cfg.seed)
-    list_len = min(1 << cfg.l, codebook.n_candidates)
+    list_len = cfg.list_size
     data_len = cfg.data_uses_per_chunk
+    if cfg.theta == 0:
+        raise DomainError("synthesized mode requires theta >= 1 flow-control uses per chunk")
     # Memory equal to the window keeps every window hypothesis pair fully
     # separated while letting a rare settled error age out of the hash
     # context as fast as possible (resync after window - 1 clean commits).
@@ -798,20 +796,17 @@ def synthesized_run(cfg: SchemeConfig, ch: Channel, horizon: int, delays,
         base = k * cfg.c
         # Data portion: the encoder walks the true parse with the decoder's
         # steps, transmitting the active block's codeword on the way.
-        encoder.open_block(ready, base + 1)
-        value = int(values[encoder.next_block])
-        if encoder.active:
-            letters = codebook.candidates_range(encoder.next_block, encoder.pos, data_len)
-            row = noise.emit_batch(letters[value], base + 1)
-            encoder.score(codebook, letters, row)
+        letters = encoder.chunk_letters(codebook, ready, base + 1, data_len)
+        symbol = DENY
+        if letters is None:
+            rows.append(noise.emit_batch(np.full(data_len, IDLE_LETTER, dtype=np.int64), base + 1))
         else:
-            row = noise.emit_batch(np.full(data_len, IDLE_LETTER, dtype=np.int64), base + 1)
-        rows.append(row)
-        if encoder.active and _confirmable(encoder.scores, encoder.scores[value], list_len):
-            # The confirm names the true block's entry in the decoder's list.
-            symbol = 1 + int(np.flatnonzero(_ranked(encoder.scores, list_len) == value)[0])
-        else:
-            symbol = DENY
+            value = int(values[encoder.next_block])
+            rows.append(noise.emit_batch(letters[value], base + 1))
+            encoder.score(codebook, letters, rows[-1])
+            if _confirmable(encoder.scores, encoder.scores[value], list_len):
+                # The confirm names the true block's entry in the decoder's list.
+                symbol = 1 + int(np.flatnonzero(_ranked(encoder.scores, list_len) == value)[0])
         encoder.apply(symbol, list_len)
         sent.append(symbol)
         # Flow portion, tree-coded over the recent true symbol history.
@@ -840,8 +835,10 @@ def synthesized_run(cfg: SchemeConfig, ch: Channel, horizon: int, delays,
         first = k + 1 - len(window_best)  # the oldest pending chunk
         for j in range(keep, len(window_best)):
             state = copy.copy(parses[-1])
-            closed = _walk_chunk(state, cfg, codebook, ready, first + j, window_best[j], rows[j],
-                                 list_len)
+            letters = state.chunk_letters(codebook, ready, (first + j) * cfg.c + 1, data_len)
+            if letters is not None:
+                state.score(codebook, letters, rows[j])
+            closed = state.apply(window_best[j], list_len)
             if closed is not None:
                 decoded.append(closed)
             parses.append(state)

@@ -21,7 +21,6 @@ from delayexp.sim_anytime import (
     _confirmable,
     _blocks,
     _ParseState,
-    _walk_chunk,
 )
 from delayexp.sim_queue import (
     MISS_WEIGHT,
@@ -54,7 +53,7 @@ class FortifiedEncoder:
         self.cfg = cfg
         self.codebook = codebook
         self.block_values = block_values
-        self.list_len = min(1 << cfg.l, codebook.n_candidates)
+        self.list_len = cfg.list_size
         self.next_block = 0
         self.active = False
         self.pos = 0
@@ -99,7 +98,7 @@ def backlogged_deliveries(cfg, codebook, block_values, noise, horizon):
     confirmation starts the next block. ``sim_anytime._serve_blocks`` with
     every ready use 1 must deliver at the same uses.
     """
-    list_len = min(1 << cfg.l, codebook.n_candidates)
+    list_len = cfg.list_size
     deliveries = []
     block, pos = 0, 0
     scores = np.zeros(codebook.n_candidates)
@@ -129,7 +128,7 @@ def strided_deliveries(cfg, codebook, values, ready, noise, horizon):
     are exact in floats too). ``sim_anytime._serve_blocks`` serves the same
     blocks in speculative batches and must return the same array.
     """
-    list_len = min(1 << cfg.l, codebook.n_candidates)
+    list_len = cfg.list_size
     logp = codebook.logp
     deliveries = np.full(len(ready), np.inf)
     t_free = 1
@@ -171,12 +170,14 @@ def parse_history(cfg, codebook, symbols, data_outputs):
     order; feeding a corrected estimate re-derives the block boundaries,
     which is exactly the decoder's recovery path after a punctuation error.
     """
-    list_len = min(1 << cfg.l, 1 << cfg.payload_bits)
     _, ready = _blocks(cfg, len(symbols) * cfg.c)
     state = _ParseState()
     decoded = []
     for k, symbol in enumerate(symbols):
-        value = _walk_chunk(state, cfg, codebook, ready, k, symbol, data_outputs[k], list_len)
+        letters = state.chunk_letters(codebook, ready, k * cfg.c + 1, cfg.data_uses_per_chunk)
+        if letters is not None:
+            state.score(codebook, letters, data_outputs[k])
+        value = state.apply(symbol, cfg.list_size)
         if value is not None:
             decoded.append(value)
     return state, decoded

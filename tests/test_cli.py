@@ -574,6 +574,17 @@ class TestSimulateCommand:
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert not out_dir.exists()
 
+    def test_synthesized_refuses_theta_zero_by_name(self, capsys, tmp_path):
+        # theta 0 is the fortified scheme's noiseless side link; the synthesized
+        # scheme, whose flow control rides the channel, refuses it by name.
+        out_dir = tmp_path / "out"
+        code, out, err = run(capsys, _simulate_argv(tmp_path, "synthesized", {"theta": 0}, "0",
+                                                    out_dir))
+        assert code == 3
+        assert out == ""
+        assert err == "error: synthesized mode requires theta >= 1 flow-control uses per chunk\n"
+        assert not out_dir.exists()
+
     def test_outdir_under_a_regular_file_is_input_error(self, capsys, tmp_path):
         blocker = tmp_path / "file"
         blocker.write_text("")
@@ -968,6 +979,10 @@ def _table(column):
     return lambda v: delayexp.DelayErrorTable(**{**columns, column: v})
 
 
+def _result(counter):
+    return lambda v: delayexp.SchemeRunResult((2,), (0.1,), (10,), (0.0,), **{counter: v})
+
+
 def _codebook():
     return delayexp.BlockCodebook(BSC, 2, 0)
 
@@ -1031,6 +1046,10 @@ NUMERIC_PARAMETERS = {
     **{f"DelayErrorTable {column}": ("delays" if column in ("delays", "trials") else "numbers",
                                      _table(column))
        for column in ("delays", "errors", "trials", "half_widths")},
+    **{f"SchemeRunResult {counter}": ("number" if counter.endswith("weight") else "integer",
+                                      _result(counter))
+       for counter in ("blocks_confirmed", "punctuation_chunk_errors", "data_block_errors",
+                       "spurious_confirms", "wrong_bit_weight", "missed_bit_weight")},
     **{f"{run.__name__} {name}": (kind, call)
        for run, cfg in ((delayexp.fortified_run, FORTIFIED),
                         (delayexp.synthesized_run, SYNTHESIZED))
@@ -1076,6 +1095,8 @@ def _case(name):
 @example(case=("fortified_run seed", 1.5))  # the run of seed 1
 @example(case=("BlockCodebook seed", -1))  # splits -1 into 32-bit words without end
 @example(case=("DelayErrorTable errors", ("2",)))  # a bare TypeError
+@example(case=("SchemeRunResult blocks_confirmed", "x"))  # a count that is a string
+@example(case=("SchemeRunResult wrong_bit_weight", -1.0))  # a negative weight
 def test_numeric_parameter_fuzz_refuses_with_package_errors(case):
     # Any value returns or raises one of the package's errors, and a value of
     # the wrong kind is refused, never truncated or read as another number.

@@ -21,8 +21,6 @@ from delayexp.sim_anytime import (
     _CODE_STREAM,
     _SERVE_BATCH_CELLS,
     _SERVE_STRIDE_MIN,
-    _SLAB_CACHE_BYTES,
-    _SLAB_CACHE_SLABS,
     DENY,
     PAYLOAD_BITS_MAX,
     BlockCodebook,
@@ -322,23 +320,22 @@ class TestBlockCodebook:
         assert np.array_equal(cb.candidates_range(2, 250, 12),
                               BlockCodebook(channel, 3, 5).candidates_range(2, 250, 12))
 
-    def test_slab_cache_stays_within_its_byte_bound(self):
-        # A 14-bit i.i.d. slab takes 4 MiB, so the byte bound, not the count,
-        # limits the cache; coset slabs (2,304 B) fill it to its count.
-        cb = BlockCodebook(SERVICE_CHANNELS["typewriter"], PAYLOAD_BITS_MAX, 0)
-        first = cb.candidates_range(0, 0, 8).copy()
-        for block in range(3):
-            for slab in range(3):
-                cb.candidates_range(block, slab * _CODE_SLAB, 8)
-                assert sum(part.nbytes for parts in cb._slabs.values()
-                           for part in parts) <= _SLAB_CACHE_BYTES
-        assert len(cb._slabs) == _SLAB_CACHE_BYTES // (cb.n_candidates * _CODE_SLAB)
-        assert (0, 0) not in cb._slabs
-        assert np.array_equal(cb.candidates_range(0, 0, 8), first)
-        coset = BlockCodebook(make_bsc(0.05), 4, 0)
-        for block in range(2 * _SLAB_CACHE_SLABS):
-            coset.candidates_range(block, 0, 8)
-        assert len(coset._slabs) == _SLAB_CACHE_SLABS
+    @settings(max_examples=60, deadline=None)
+    @given(codebook=st.sampled_from([("bec0.4", 1), ("bsc0.05", 3), ("typewriter", 2)]),
+           reads=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3 * _CODE_SLAB),
+                                    st.integers(0, 2 * _CODE_SLAB)), min_size=1, max_size=12))
+    @example(codebook=("typewriter", 2), reads=[(0, 0, 8), (1, 0, 8), (2, 0, 8), (0, 0, 8)])
+    @example(codebook=("bsc0.05", 3), reads=[(1, 200, 600), (1, 250, 8)])
+    def test_slab_memo_holds_two_slabs(self, codebook, reads):
+        # Whatever the reads, the memo holds at most two slabs, and every read
+        # equals the same read from a codebook that memoized nothing before it.
+        channel, payload = codebook
+        cb = BlockCodebook(SERVICE_CHANNELS[channel], payload, 6)
+        for block, start, count in reads:
+            letters = cb.candidates_range(block, start, count)
+            assert len(cb._slabs) <= 2
+            fresh = BlockCodebook(SERVICE_CHANNELS[channel], payload, 6)
+            assert np.array_equal(letters, fresh.candidates_range(block, start, count))
 
     @pytest.mark.parametrize("payload,channel", [
         (1, make_bec(0.4)), (4, make_bsc(0.1)), (3, SERVICE_CHANNELS["typewriter"]),
@@ -1136,7 +1133,7 @@ class TestSynthesizedScheme:
         rows = extends = walks = 0
         hash_uniforms = sim_anytime._hash_uniforms
         extend = FlowCode.extend
-        walk_chunk = sim_anytime._walk_chunk
+        chunk_letters = _ParseState.chunk_letters
 
         def counting_hash(digests, chunk_index, count):
             nonlocal rows
@@ -1151,11 +1148,11 @@ class TestSynthesizedScheme:
         def counting_walk(*args):
             nonlocal walks
             walks += 1
-            return walk_chunk(*args)
+            return chunk_letters(*args)
 
         monkeypatch.setattr(sim_anytime, "_hash_uniforms", counting_hash)
         monkeypatch.setattr(FlowCode, "extend", counting_extend)
-        monkeypatch.setattr(sim_anytime, "_walk_chunk", counting_walk)
+        monkeypatch.setattr(_ParseState, "chunk_letters", counting_walk)
         horizon = 12_000
         synthesized_run(self.CFG, make_bsc(0.05), horizon, (24, 48), 0)
         chunks = horizon // self.CFG.c
@@ -1164,7 +1161,29 @@ class TestSynthesizedScheme:
         # The encoder's context is the last 4 messages. The leaves' digest
         # tree adds one level per warm-up step: 3, 9, 27 and 81 nodes.
         assert extends <= 4 * chunks + 3 + 9 + 27 + 81
-        assert walks <= chunks + chunks // 10
+        # The encoder steps its parse exactly once per chunk; the window parses
+        # walk at most a tenth more than that.
+        assert walks - chunks <= chunks + chunks // 10
+
+    def test_slab_memo_keeps_every_reuse(self, monkeypatch):
+        # On the benchmark's synthesized config the only slab read again is the
+        # one a window parse reads just after the encoder: the two-slab memo
+        # draws each (block, slab) pair it is asked for once, and never holds more.
+        reads, drawn, held = [], 0, 0
+        slab = BlockCodebook._slab
+
+        def counting_slab(self, block_id, slab_idx):
+            nonlocal drawn, held
+            reads.append((block_id, slab_idx))
+            drawn += (block_id, slab_idx) not in self._slabs
+            draws = slab(self, block_id, slab_idx)
+            held = max(held, len(self._slabs))
+            return draws
+
+        monkeypatch.setattr(BlockCodebook, "_slab", counting_slab)
+        synthesized_run(self.CFG, make_bsc(0.05), 6_000, (24, 48), 0)
+        assert drawn == len(set(reads)) < len(reads)
+        assert held == 2
 
     def test_requires_flow_uses(self):
         with pytest.raises(DomainError):
