@@ -10,8 +10,8 @@ _PUBLIC = {
     "channel": ("CapacityResult", "Channel", "capacity", "capacity_detail",
                 "conditional_divergence", "is_symmetric", "load_channel", "make_bec", "make_bsc",
                 "make_dmc", "mutual_information"),
-    "curves": ("CurveCell", "CurveTable", "convert", "crossover_rate", "emit_csv",
-               "emit_plot_script", "sweep"),
+    "curves": ("CurveTable", "convert", "crossover_rate", "emit_csv", "emit_plot_script",
+               "sweep"),
     "errors": ("BadInputError", "DelayexpError", "DomainError"),
     "exponents": ("CapacitySlopes", "ExponentValue", "ParametricPoint", "achieved_exponent",
                   "achieved_exponent_at_rate", "bec_feedback_exponent", "capacity_slopes",

@@ -13,8 +13,10 @@ over the whole batch instead of one generator per seed:
   "Random number generation with arbitrary strides"; O'Neill 2014, PCG),
   then its XSL-RR output.
 
-A 128-bit value is four 32-bit limbs, least significant first, each a
-uint64 array (or a Python int), so every limb product fits in 64 bits.
+A 128-bit value is a pair (high, low) of 64-bit halves, as PCG64 itself
+stores it, each a uint64 array (or a Python int below 2^64). Their sums and
+products wrap mod 2^64, silently also for the numpy scalars of 0-d offsets;
+the high word of a product of low halves comes from 32-bit partial products.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 _MASK32 = 0xFFFFFFFF
+_MASK64 = (1 << 64) - 1
 # SeedSequence's hash constants (numpy/random/bit_generator.pyx).
 _POOL_SIZE = 4
 _INIT_A = 0x43B0D7E5
@@ -34,53 +37,44 @@ _MIX_MULT_R = 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
-def _limbs(value: int) -> tuple[int, ...]:
-    return tuple(value >> (32 * i) & _MASK32 for i in range(4))
+def _halves(value: int) -> tuple[int, int]:
+    return value >> 64, value & _MASK64
 
 
-def _dot(*pairs):
-    """The sum of the products of each pair of 128-bit values, mod 2^128; limbs
-    may be Python ints or uint64 arrays of broadcastable shapes."""
-    cols = [0, 0, 0, 0]
-    for u, v in pairs:
-        for i in range(4):
-            for j in range(4 - i):
-                prod = u[i] * v[j]
-                cols[i + j] = cols[i + j] + (prod & _MASK32)
-                if i + j < 3:
-                    cols[i + j + 1] = cols[i + j + 1] + (prod >> 32)
-    return _carried(cols)
+@np.errstate(over="ignore")
+def _mul(x, y):
+    """x * y mod 2^128 for 128-bit values of broadcastable shapes."""
+    (xh, xl), (yh, yl) = x, y
+    a, b, c, d = xl & _MASK32, xl >> 32, yl & _MASK32, yl >> 32
+    ac, ad, bc = a * c, a * d, b * c
+    mid = (ac >> 32) + (ad & _MASK32) + (bc & _MASK32)
+    carry = b * d + (ad >> 32) + (bc >> 32) + (mid >> 32)  # high word of xl * yl
+    return carry + xl * yh + xh * yl, xl * yl
 
 
-def _carried(cols):
-    out, carry = [], 0
-    for col in cols:
-        col = col + carry
-        out.append(col & _MASK32)
-        carry = col >> 32
-    return out
-
-
+@np.errstate(over="ignore")
 def _add(x, y):
-    return _carried([u + v for u, v in zip(x, y)])
+    """x + y mod 2^128."""
+    (xh, xl), (yh, yl) = x, y
+    low = xl + yl
+    return xh + yh + (low < xl), low
 
 
-def jumps(offsets) -> tuple[list, list]:
-    """(A, P) with A = M^d and P = 1 + M + ... + M^(d-1) mod 2^128, as limbs of
+def jumps(offsets) -> tuple[tuple, tuple]:
+    """(A, P) with A = M^d and P = 1 + M + ... + M^(d-1) mod 2^128, as halves of
     the shape of ``offsets``, for d = offset + 2: the LCG step from a
     generator's ``start`` (see :func:`_start`) to its raw output ``offset``
     is ``state = A * start + P * inc``."""
     rest = np.asarray(offsets, dtype=np.uint64) + np.uint64(2)
     zero = np.zeros_like(rest)
-    acc_mult = [zero + 1, zero, zero, zero]
-    acc_plus = [zero] * 4
+    acc_mult, acc_plus = (zero, zero + 1), (zero, zero)
     cur_mult, cur_plus = _PCG_MULT, 1
     while rest.any():
         take = (rest & np.uint64(1)).astype(bool)
-        stepped = _dot((acc_mult, _limbs(cur_mult)))
-        plus = _add(_dot((acc_plus, _limbs(cur_mult))), _limbs(cur_plus))
-        acc_mult = [np.where(take, s, m) for s, m in zip(stepped, acc_mult)]
-        acc_plus = [np.where(take, s, m) for s, m in zip(plus, acc_plus)]
+        stepped = _mul(acc_mult, _halves(cur_mult))
+        plus = _add(_mul(acc_plus, _halves(cur_mult)), _halves(cur_plus))
+        acc_mult = tuple(np.where(take, s, m) for s, m in zip(stepped, acc_mult))
+        acc_plus = tuple(np.where(take, s, m) for s, m in zip(plus, acc_plus))
         cur_plus = (cur_mult + 1) * cur_plus & (1 << 128) - 1
         cur_mult = cur_mult * cur_mult & (1 << 128) - 1
         rest = rest >> np.uint64(1)
@@ -114,9 +108,9 @@ def _pool(words: np.ndarray) -> list[np.ndarray]:
     return pool
 
 
-def _start(words: np.ndarray) -> tuple[list, list]:
+def _start(words: np.ndarray) -> tuple[tuple, tuple]:
     """(start, inc) of each column's PCG64: ``start`` is the state two LCG steps
-    before raw output 0, ``inc`` the LCG increment, both as uint64 limbs."""
+    before raw output 0, ``inc`` the LCG increment, both as uint64 halves."""
     pool = _pool(words)
     hash_const = _INIT_B
     state = []  # generate_state(4, np.uint64) as eight uint32 words, low half first
@@ -125,24 +119,23 @@ def _start(words: np.ndarray) -> tuple[list, list]:
         hash_const = hash_const * _MULT_B & _MASK32
         value = value * hash_const
         state.append((value ^ value >> 16).astype(np.uint64))
-    seed = [state[2], state[3], state[0], state[1]]
-    initseq = [state[6], state[7], state[4], state[5]]
+    seed_high, seed_low, init_high, init_low = (
+        state[i] | state[i + 1] << 32 for i in range(0, 8, 2))
     # inc = initseq << 1 | 1; srandom then sets state = (inc + seed) * M + inc.
-    inc = [(initseq[0] << 1 | 1) & _MASK32] + [
-        (initseq[i] << 1 | initseq[i - 1] >> 31) & _MASK32 for i in range(1, 4)]
-    return _add(inc, seed), inc
+    inc = (init_high << 1 | init_low >> 63, init_low << 1 | 1)
+    return _add(inc, (seed_high, seed_low)), inc
 
 
-def raw_outputs(words: np.ndarray, table: tuple[list, list]) -> np.ndarray:
+def raw_outputs(words: np.ndarray, table: tuple[tuple, tuple]) -> np.ndarray:
     """Raw outputs of ``PCG64(SeedSequence(words[:, b]))`` for each column b of
     the uint32 array ``words`` (entropy words, batch): a uint64 array of
     shape (batch, *offsets.shape) for ``table = jumps(offsets)``."""
     start, inc = _start(np.asarray(words, dtype=np.uint32))
     expand = (slice(None),) + (None,) * np.ndim(table[0][0])
     mult, plus = table
-    state = _dot((mult, [limb[expand] for limb in start]),
-                 (plus, [limb[expand] for limb in inc]))
-    # XSL-RR: the two 64-bit halves xored, rotated right by the top six bits.
-    x = (state[3] << 32 | state[2]) ^ (state[1] << 32 | state[0])
-    rot = state[3] >> 26
+    high, low = _add(_mul(mult, tuple(half[expand] for half in start)),
+                     _mul(plus, tuple(half[expand] for half in inc)))
+    # XSL-RR: the two halves xored, rotated right by the top six bits.
+    x = high ^ low
+    rot = high >> 58
     return x >> rot | x << (64 - rot & 63)

@@ -161,15 +161,10 @@ def load_channel(path) -> Channel:
     return make_dmc(matrix, label=label)
 
 
-def as_input_dist(r, n: int) -> np.ndarray:
-    """Coerce ``r`` (a sequence or ndarray) to a validated probability vector."""
-    return _probability_rows(r, n)
-
-
 def mutual_information(r, ch: Channel) -> float:
     """I(r; p) in nats, with the 0 log 0 = 0 convention: the ``r``-weighted
     mean of the row divergences D(p_x || r p)."""
-    q = as_input_dist(r, ch.inputs)
+    q = _probability_rows(r, ch.inputs)
     live = q > 0
     return max(float(q[live] @ _kl(ch.p[live], q @ ch.p)), 0.0)
 
@@ -182,7 +177,7 @@ def conditional_divergence(g: Channel, p: Channel, r) -> float:
     """
     if g.p.shape != p.p.shape:
         raise DimensionMismatchError(f"channel shapes differ: {g.p.shape} vs {p.p.shape}")
-    q = as_input_dist(r, g.inputs)
+    q = _probability_rows(r, g.inputs)
     live = q > 0
     return float(q[live] @ _kl(g.p[live], p.p[live]))
 
@@ -234,15 +229,6 @@ def _ba_step(q: np.ndarray, p: np.ndarray, support: np.ndarray,
     return value, d_max, w / w.sum(axis=1, keepdims=True)
 
 
-def _ba_start(mats) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Channel stack, its support mask, its logs and the uniform start laws."""
-    p = np.asarray(mats, dtype=float)
-    n, k, _ = p.shape
-    support = p > 0
-    logp = np.where(support, np.log(np.where(support, p, 1.0)), 0.0)
-    return p, support, logp, np.full((n, k), 1.0 / k)
-
-
 class _Solution(NamedTuple):
     value: np.ndarray       # I(q) at the last step, clamped at 0
     q: np.ndarray           # the input laws that produced ``value``
@@ -260,8 +246,11 @@ def _solve(mats, rate: float | None = None) -> _Solution:
     ``rate``. A row's result therefore does not depend on the rest of the
     stack. Live rows are compacted only on steps where some row retires.
     """
-    p, support, logp, q = _ba_start(mats)
-    n = p.shape[0]
+    p = np.asarray(mats, dtype=float)
+    n, k, _ = p.shape
+    support = p > 0
+    logp = np.where(support, np.log(np.where(support, p, 1.0)), 0.0)
+    q = np.full((n, k), 1.0 / k)
     out = _Solution(np.zeros(n), q.copy(), np.zeros(n, dtype=int),
                     np.zeros(n, dtype=bool), np.zeros(n, dtype=bool))
     live = np.arange(n)

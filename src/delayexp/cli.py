@@ -70,19 +70,9 @@ EXIT_PIPE_CLOSED = 141
 RECORD_NAME = "run_record.json"
 
 
-def _manifest_json(command_line: str, seeds, artifact_paths) -> str:
-    """The manifest of a run whose files are ``artifact_paths``, the manifest last."""
-    manifest = {"command_line": command_line,
-                "seeds": list(seeds),
-                "artifacts": [str(p) for p in artifact_paths],
-                "tool_version": __version__}
-    return _record_json(manifest)
-
-
-def _write_artifacts(flag_value: str | None, command_line: str, seeds,
-                     files: dict[str, str]) -> list[Path]:
-    """Write ``files`` (name to text) and ``manifest.json`` listing them, all or none
-    up to the moves.
+def _write_artifacts(args, seeds, files: dict[str, str]) -> list[Path]:
+    """Write ``files`` (name to text) and ``manifest.json`` listing them, with the
+    command line and ``seeds``, all or none up to the moves.
 
     The output directory is ``--outdir``, else $DELAYEXP_OUTDIR, else the
     current directory. Each file goes to a temporary name in that directory
@@ -92,9 +82,13 @@ def _write_artifacts(flag_value: str | None, command_line: str, seeds,
     each, so a disk error between two of them leaves the files already moved
     beside an earlier run's manifest. Returns the paths, the manifest last.
     """
-    outdir = Path(flag_value or os.environ.get("DELAYEXP_OUTDIR") or ".")
+    outdir = Path(args.outdir or os.environ.get("DELAYEXP_OUTDIR") or ".")
     paths = [outdir / name for name in files] + [outdir / "manifest.json"]
-    texts = [*files.values(), _manifest_json(command_line, seeds, paths)]
+    manifest = {"command_line": args.command_line,
+                "seeds": list(seeds),
+                "artifacts": [str(p) for p in paths],
+                "tool_version": __version__}
+    texts = [*files.values(), _record_json(manifest)]
     staged: list[Path] = []
     try:
         outdir.mkdir(parents=True, exist_ok=True)
@@ -195,7 +189,7 @@ def cmd_exponent(args) -> int:
 
 # -- figure ------------------------------------------------------------------
 
-def cmd_figure(args, command_line: str) -> int:
+def cmd_figure(args) -> int:
     ch = _build_channel(args)
     solved = capacity_detail(ch)
     cap = solved.value
@@ -215,11 +209,10 @@ def cmd_figure(args, command_line: str) -> int:
             "achieved": _finite_or_none(slopes.achieved_slope),
             "flags": list(slopes.flags)},
     }
-    csv_path, gp_path, _, manifest_path = _write_artifacts(
-        args.outdir, command_line, (),
-        {"curves.csv": emit_csv(table),
-         "curves.gp": emit_plot_script(table, "curves.csv"),
-         RECORD_NAME: _record_json(record)})
+    csv_path, gp_path, _, manifest_path = _write_artifacts(args, (), {
+        "curves.csv": emit_csv(table),
+        "curves.gp": emit_plot_script(table, "curves.csv"),
+        RECORD_NAME: _record_json(record)})
 
     print(f"wrote {csv_path}")
     print(f"wrote {gp_path}")
@@ -250,13 +243,12 @@ def _print_fit(table) -> None:
 # The simulate handlers import the simulators themselves, so that the bound
 # commands neither compile nor load them.
 
-def cmd_simulate_bec_queue(args, command_line: str) -> int:
+def cmd_simulate_bec_queue(args) -> int:
     from .sim_queue import simulate_bec_feedback
 
     table = simulate_bec_feedback(args.delta, args.horizon,
                                   _parse_delays(args.delays), args.seed)
-    csv_path, manifest_path = _write_artifacts(args.outdir, command_line, (args.seed,),
-                                               {"table.csv": table.to_csv()})
+    csv_path, manifest_path = _write_artifacts(args, (args.seed,), {"table.csv": table.to_csv()})
     print(f"wrote {csv_path}")
     _print_fit(table)
     print(f"reference {bec_feedback_exponent(args.delta):.9f} nats_per_use")
@@ -264,7 +256,7 @@ def cmd_simulate_bec_queue(args, command_line: str) -> int:
     return EXIT_OK
 
 
-def cmd_simulate_scheme(args, command_line: str) -> int:
+def cmd_simulate_scheme(args) -> int:
     from .sim_anytime import SchemeConfig, fortified_run, synthesized_run
     from .sim_queue import DelayErrorTable
 
@@ -279,9 +271,8 @@ def cmd_simulate_scheme(args, command_line: str) -> int:
         table = synthesized_run(cfg, ch, args.horizon, delays, args.seed)
     # The failure counters: the fields a SchemeRunResult adds to its DelayErrorTable.
     record = {f.name: getattr(table, f.name) for f in fields(table)[len(fields(DelayErrorTable)):]}
-    csv_path, _, manifest_path = _write_artifacts(
-        args.outdir, command_line, (cfg.seed, args.seed),
-        {"table.csv": table.to_csv(), RECORD_NAME: _record_json(record)})
+    csv_path, _, manifest_path = _write_artifacts(args, (cfg.seed, args.seed), {
+        "table.csv": table.to_csv(), RECORD_NAME: _record_json(record)})
     print(f"wrote {csv_path}")
     _print_fit(table)
     print(f"blocks_confirmed {table.blocks_confirmed}")
@@ -323,39 +314,37 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--grid-steps", type=int,
                        help=f"grid refinement for --bound haroutunian "
                             f"(default {GRID_STEPS_DEFAULT})")
+    p_exp.set_defaults(handler=cmd_exponent)
 
     p_fig = sub.add_parser("figure", parents=[channel, unit, outdir],
                            help="sweep the three bounds over a rate grid")
     p_fig.add_argument("--points", type=int, default=128)
+    p_fig.set_defaults(handler=cmd_figure)
 
     p_sim = sub.add_parser("simulate", help="run a closed-loop scheme")
     sim_sub = p_sim.add_subparsers(dest="scheme", required=True)
     p_queue = sim_sub.add_parser("bec-queue", parents=[run, outdir],
                                  help="repeat-until-correct scheme on an erasure channel")
     p_queue.add_argument("--delta", type=float, required=True)
+    p_queue.set_defaults(handler=cmd_simulate_bec_queue)
     for scheme in ("fortified", "synthesized"):
         p_s = sim_sub.add_parser(scheme, parents=[channel, run, outdir],
                                  help=f"{scheme} block scheme")
         p_s.add_argument("--config", help="scheme config JSON file")
+        p_s.set_defaults(handler=cmd_simulate_scheme)
 
     return parser
 
 
 def _run(argv) -> int:
     args = build_parser().parse_args(argv)
-    command_line = shlex.join(["delayexp", *argv])
+    args.command_line = shlex.join(["delayexp", *argv])
     try:
         if args.command == "simulate" and args.horizon > HORIZON_MAX:
             raise DomainError(f"--horizon {args.horizon} exceeds the cap of {HORIZON_MAX}")
         if args.command == "figure" and args.points > POINTS_MAX:
             raise DomainError(f"--points {args.points} exceeds the cap of {POINTS_MAX}")
-        if args.command == "exponent":
-            return cmd_exponent(args)
-        if args.command == "figure":
-            return cmd_figure(args, command_line)
-        if args.scheme == "bec-queue":
-            return cmd_simulate_bec_queue(args, command_line)
-        return cmd_simulate_scheme(args, command_line)
+        return args.handler(args)
     except BadInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -10,12 +10,12 @@ and become empty fields (not zeros) in the CSV.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .channel import Channel
-from .errors import _SIZE_MAX, DelayexpError, DomainError, _number
+from .errors import _SIZE_MAX, BadInputError, DelayexpError, DomainError, _number
 from . import exponents as ex
 
 LN2 = math.log(2.0)
@@ -23,14 +23,6 @@ LN2 = math.log(2.0)
 
 class EmptyTableError(DomainError):
     """The curve table holds no rows."""
-
-
-@dataclass(frozen=True)
-class CurveCell:
-    """One evaluated bound at one rate."""
-
-    value: float
-    flags: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -46,15 +38,14 @@ class CurveTable:
     capacity: float
     bounds: tuple[str, ...]
     rates: tuple[float, ...]
-    columns: dict[str, tuple[CurveCell, ...]]
+    columns: dict[str, tuple[ex.ExponentValue, ...]]
 
 
-def _evaluate_cell(ch: Channel, bound: str, rate: float) -> CurveCell:
+def _evaluate_cell(ch: Channel, bound: str, rate: float) -> ex.ExponentValue:
     try:
-        res = ex.bound_at_rate(ch, bound, rate)
+        return ex.bound_at_rate(ch, bound, rate)
     except DelayexpError as exc:
-        return CurveCell(0.0, (f"error:{type(exc).__name__}",))
-    return CurveCell(res.value, res.flags)
+        return ex.ExponentValue(0.0, flags=(f"error:{type(exc).__name__}",))
 
 
 def sweep(ch: Channel, rate_min: float, rate_max: float, points: int,
@@ -65,7 +56,10 @@ def sweep(ch: Channel, rate_min: float, rate_max: float, points: int,
     ("sp", "rc", "list", "focusing", "achieved"; "list" at list size 2).
     The columns follow that order, whatever the order of ``bounds``.
     """
-    requested = set(bounds)
+    try:
+        requested = set(bounds)
+    except TypeError as exc:  # not a collection, or one with unhashable items
+        raise BadInputError(f"bounds must be a collection of bound names, got {bounds!r}") from exc
     unknown = requested - set(ex.BOUNDS_AT_RATE)
     if unknown:
         raise DomainError(f"unknown bounds: {sorted(map(str, unknown))}")
@@ -90,7 +84,7 @@ def convert(table: CurveTable, unit: str) -> CurveTable:
         return table
     factor = 1.0 / LN2 if unit == "bits" else LN2
     columns = {
-        b: tuple(CurveCell(c.value * factor if math.isfinite(c.value) else c.value, c.flags)
+        b: tuple(replace(c, value=c.value * factor) if math.isfinite(c.value) else c
                  for c in cells)
         for b, cells in table.columns.items()
     }
@@ -98,7 +92,7 @@ def convert(table: CurveTable, unit: str) -> CurveTable:
                       table.bounds, tuple(r * factor for r in table.rates), columns)
 
 
-def _printable(cell: CurveCell) -> bool:
+def _printable(cell: ex.ExponentValue) -> bool:
     return math.isfinite(cell.value) and not any(f.startswith("error:") for f in cell.flags)
 
 
@@ -141,8 +135,10 @@ def crossover_rate(table: CurveTable) -> float | None:
 
     None when the achieved curve is not above sphere packing at the top of
     the grid (no high-rate crossover on this grid). Requires both "sp" and
-    "achieved" columns.
+    "achieved" columns and at least one row.
     """
+    if not table.rates:
+        raise EmptyTableError("cannot find a crossover on an empty curve table")
     for needed in ("sp", "achieved"):
         if needed not in table.bounds:
             raise DomainError(f"crossover needs the {needed!r} column")

@@ -7,6 +7,7 @@ warnings never raise; they travel as flags on result objects instead.
 
 import json
 import math
+import os
 from numbers import Integral, Real
 
 # The largest int64, the largest count numpy sizes an array with.
@@ -27,10 +28,12 @@ class DomainError(DelayexpError):
 
 def _read_json(path, what: str):
     """The JSON value in file ``path``; ``what`` names the file in a refusal."""
+    if not isinstance(path, (str, bytes, os.PathLike)):  # open() reads, then closes, an int fd
+        raise BadInputError(f"cannot read {what}: {type(path).__name__} is not a path")
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad text or JSON
         raise BadInputError(f"cannot read {what}: {exc}") from exc
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .channel import (
     Channel,
     _density_variance,
     _kl,
-    as_input_dist,
+    _probability_rows,
     capacity,
     capacity_below,
     is_symmetric,
@@ -98,12 +98,12 @@ class ExponentValue:
     ``param`` is the achieving optimizer parameter (rho, eta, or lambda,
     depending on the bound) and ``q`` the achieving input distribution;
     either may be None when not meaningful. ``flags`` carries numerical
-    edge conditions.
+    edge conditions. Equality compares all but ``q``, an array.
     """
 
     value: float
     param: float | None = None
-    q: np.ndarray | None = None
+    q: np.ndarray | None = field(default=None, compare=False)
     flags: tuple[str, ...] = ()
 
 
@@ -177,13 +177,9 @@ def _powers(p: np.ndarray, rho: float) -> np.ndarray:
 
 
 def _e0_from_powers(pa: np.ndarray, rho: float, q: np.ndarray) -> float:
+    """E0(rho, q) from ``pa = _powers(p, rho)``, for any rho > -1 (callers police rho >= 0)."""
     inner = q @ pa
     return -math.log(float(np.sum(np.power(inner, 1.0 + rho))))
-
-
-def _e0_raw(p: np.ndarray, rho: float, q: np.ndarray) -> float:
-    # Valid for any rho > -1; callers police the public domain rho >= 0.
-    return _e0_from_powers(_powers(p, rho), rho, q)
 
 
 def gallager_e0(ch: Channel, rho: float, q=None) -> float:
@@ -192,8 +188,8 @@ def gallager_e0(ch: Channel, rho: float, q=None) -> float:
     if q is None:
         qv = np.full(ch.inputs, 1.0 / ch.inputs)
     else:
-        qv = as_input_dist(q, ch.inputs)
-    return _e0_raw(ch.p, rho, qv)
+        qv = _probability_rows(q, ch.inputs)
+    return _e0_from_powers(_powers(ch.p, rho), rho, qv)
 
 
 def _rho(rho, lo=0, hi=math.inf, ends="[)") -> float:
@@ -253,7 +249,7 @@ def _e0_max(ch: Channel, rho: float) -> ExponentValue:
     p = ch.p
     q = np.full(ch.inputs, 1.0 / ch.inputs)
     if is_symmetric(ch):
-        val = _e0_raw(p, rho, q)
+        val = _e0_from_powers(_powers(p, rho), rho, q)
     else:
         q, val = _ascend_q(p, rho, q)
     q.flags.writeable = False

@@ -90,6 +90,12 @@ class TestConstruction:
         path.write_text(json.dumps({"rows": [[1.0, 0.0]]}))
         with pytest.raises(BadInputError):
             ch.load_channel(path)
+        for raw in (b"\xff\xfe{", b"[" * 100_000 + b"]" * 100_000):  # not UTF-8; too deep
+            path.write_bytes(raw)
+            with pytest.raises(BadInputError):
+                ch.load_channel(path)
+        with pytest.raises(BadInputError):
+            ch.load_channel("nul\0byte.json")
 
     def test_load_channel_refuses_unknown_keys(self, tmp_path):
         # As a scheme config does: a misspelt key is an error, not ignored.
@@ -251,7 +257,7 @@ class TestMeasures:
     def test_input_dist_rejects_non_finite_entries(self, r):
         # NaN fails every comparison, so the sign and sum checks alone let it through.
         c = ch.make_bsc(0.1)
-        for call in (lambda: ch.as_input_dist(r, 2), lambda: ch.mutual_information(r, c),
+        for call in (lambda: ch._probability_rows(r, 2), lambda: ch.mutual_information(r, c),
                      lambda: ch.conditional_divergence(c, c, r)):
             with pytest.raises(BadInputError, match=r"^input distribution contains non-finite"):
                 call()

@@ -948,9 +948,13 @@ def _returns_or_refuses(call) -> None:
 @example(value=["a", "b"], key="n")  # a bare ValueError from gallager_e0 and the divergence
 @example(value=[[0.5], [0.5, 0]], key="n")  # a bare ValueError from mutual_information
 @example(value={1: 0, "x": 1}, key="n")  # keys of two types cannot be sorted as they are
+@example(value=1, key="n")  # open() would take the path 1 as stdout's descriptor
+@example(value=None, key="n")  # a bare TypeError from open()
+@example(value=2.5, key="n")
 def test_library_input_fuzz_raises_only_package_errors(value, key):
     ch = make_bsc(0.1)
     for call in (lambda: make_dmc(value), lambda: gallager_e0(ch, 1.0, value),
+                 lambda: load_channel(value), lambda: SchemeConfig.from_json(value),
                  lambda: mutual_information(value, ch),
                  lambda: conditional_divergence(ch, ch, value),
                  lambda: SchemeConfig.from_dict(value),
@@ -963,6 +967,16 @@ def test_library_input_fuzz_raises_only_package_errors(value, key):
             path.write_text(json.dumps(payload))
             _returns_or_refuses(lambda: load_channel(path))
             _returns_or_refuses(lambda: SchemeConfig.from_json(path))
+
+
+def test_a_descriptor_number_is_refused_as_a_path():
+    # open(1) would wrap stdout's descriptor, and closing the file would close stdout.
+    script = ("import delayexp\n"
+              "try:\n    delayexp.load_channel(1)\nexcept delayexp.BadInputError:\n    pass\n"
+              "print('stdout open')\n")
+    child = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                           env=_child_env(), timeout=300)
+    assert (child.returncode, child.stdout, child.stderr) == (0, "stdout open\n", "")
 
 
 BSC = make_bsc(0.1)

@@ -8,7 +8,7 @@ import pytest
 from delayexp import channel as chan
 from delayexp import curves
 from delayexp import exponents as ex
-from delayexp.errors import DomainError
+from delayexp.errors import BadInputError, DomainError
 
 LN2 = math.log(2.0)
 
@@ -78,6 +78,10 @@ class TestSweep:
         for bounds in ({"nonsense"}, {"list:zero"}, {"er"}, {"list:2"}, {"sp", "er"}, set()):
             with pytest.raises(DomainError):
                 curves.sweep(bsc04, 0.1 * cap, 0.5 * cap, 8, bounds)
+        # Bounds that are not a collection of names are malformed input.
+        for bounds in (None, 5, [["sp"]]):
+            with pytest.raises(BadInputError):
+                curves.sweep(bsc04, 0.1 * cap, 0.5 * cap, 8, bounds)
         with pytest.raises(ex.DegenerateChannelError):
             curves.sweep(chan.make_dmc([[0.5, 0.5], [0.5, 0.5]]), 0.01, 0.02, 4, {"sp"})
 
@@ -91,8 +95,7 @@ class TestSweep:
         # instead of aborting, so one bad cell cannot sink a sweep.
         useless = chan.make_dmc([[0.5, 0.5], [0.5, 0.5]])
         cell = curves._evaluate_cell(useless, "sp", 0.1)
-        assert cell.value == 0.0
-        assert any(f.startswith("error:") for f in cell.flags)
+        assert cell == ex.ExponentValue(0.0, flags=("error:DegenerateChannelError",))
 
 
 class TestEmitCsv:
@@ -101,10 +104,14 @@ class TestEmitCsv:
         a = curves.emit_csv(curves.sweep(bsc04, 0.1 * cap, 0.8 * cap, 8, {"sp", "rc"}))
         b = curves.emit_csv(curves.sweep(bsc04, 0.1 * cap, 0.8 * cap, 8, {"sp", "rc"}))
         assert a == b
+        # Tables of two equal channels are equal: cells compare all but their array q.
+        tables = [curves.sweep(chan.make_bsc(0.4), 0.1 * cap, 0.8 * cap, 8, {"sp"})
+                  for _ in range(2)]
+        assert tables[0] == tables[1]
 
     def test_single_row_two_lines(self):
         t = curves.CurveTable("demo", "nats", 0.5, ("sp",), (0.25,),
-                              {"sp": (curves.CurveCell(0.125),)})
+                              {"sp": (ex.ExponentValue(0.125),)})
         text = curves.emit_csv(t)
         assert text == "rate,sp\n0.250000000,0.125000000\n"
 
@@ -142,6 +149,9 @@ class TestEmitCsv:
             curves.emit_csv(empty)
         with pytest.raises(curves.EmptyTableError):
             curves.emit_plot_script(empty, "x.csv")
+        with pytest.raises(curves.EmptyTableError):
+            curves.crossover_rate(curves.CurveTable(
+                "demo", "nats", 0.5, ("sp", "achieved"), (), {"sp": (), "achieved": ()}))
 
 
 class TestPlotScript:
@@ -175,6 +185,6 @@ class TestCrossover:
     def test_none_when_no_crossover(self):
         t = curves.CurveTable(
             "demo", "nats", 1.0, ("sp", "achieved"), (0.1, 0.2),
-            {"sp": (curves.CurveCell(0.5), curves.CurveCell(0.4)),
-             "achieved": (curves.CurveCell(0.3), curves.CurveCell(0.2))})
+            {"sp": (ex.ExponentValue(0.5), ex.ExponentValue(0.4)),
+             "achieved": (ex.ExponentValue(0.3), ex.ExponentValue(0.2))})
         assert curves.crossover_rate(t) is None

@@ -706,8 +706,8 @@ class TestClosedFormsAndSlopes:
                 row = rng.dirichlet(np.ones(k))
                 c = chan.make_dmc([np.roll(row, i) for i in range(k)])
                 q = np.full(k, 1.0 / k)
-                diff = (ex._e0_raw(c.p, h, q) - 2.0 * ex._e0_raw(c.p, 0.0, q)
-                        + ex._e0_raw(c.p, -h, q)) / h ** 2
+                e0 = [ex._e0_from_powers(ex._powers(c.p, rho), rho, q) for rho in (h, 0.0, -h)]
+                diff = (e0[0] - 2.0 * e0[1] + e0[2]) / h ** 2
                 assert ex.capacity_slopes(c).e0_curvature == pytest.approx(diff, abs=1e-5)
 
     def test_flat_curvature_flag(self):

@@ -8,6 +8,9 @@ fails here with that name, not as an unexplained change in a table.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from delayexp import _pcg64
 
@@ -30,6 +33,21 @@ def test_raw_outputs_are_seedsequence_pcg64_raw_stream(length):
         assert np.array_equal(row, want), (
             f"SeedSequence -> PCG64 raw stream layer: numpy's random_raw for entropy "
             f"{words} differs from the batched kernel at offsets {OFFSETS.tolist()}")
+
+
+@given(data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_raw_outputs_match_numpy_on_drawn_entropy_and_offsets(data):
+    length = data.draw(st.integers(1, 8), label="entropy words")
+    batch = data.draw(st.integers(1, 4), label="batch")
+    words = data.draw(arrays(np.uint32, (length, batch)), label="words")
+    offsets = data.draw(arrays(np.int64, array_shapes(min_dims=0, max_dims=2, max_side=3),
+                               elements=st.integers(0, 2**22)), label="offsets")
+    got = _pcg64.raw_outputs(words, _pcg64.jumps(offsets))
+    assert got.shape == (batch, *offsets.shape)
+    for column, row in zip(words.T, got):
+        raw = np.random.PCG64(np.random.SeedSequence(column)).random_raw(int(offsets.max()) + 1)
+        assert np.array_equal(row, raw[offsets])
 
 
 def test_raw_outputs_keep_the_offsets_shape():

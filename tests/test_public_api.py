@@ -16,7 +16,6 @@ PUBLIC_NAMES = [
     "CapacityResult",
     "CapacitySlopes",
     "Channel",
-    "CurveCell",
     "CurveTable",
     "DelayErrorTable",
     "DelayexpError",
