@@ -31,7 +31,6 @@ import math
 import os
 import shlex
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
@@ -258,7 +257,6 @@ def cmd_simulate_bec_queue(args) -> int:
 
 def cmd_simulate_scheme(args) -> int:
     from .sim_anytime import SchemeConfig, fortified_run, synthesized_run
-    from .sim_queue import DelayErrorTable
 
     if args.config is None:
         raise BadInputError(f"scheme {args.scheme!r} requires --config")
@@ -269,10 +267,8 @@ def cmd_simulate_scheme(args) -> int:
         table = fortified_run(cfg, ch, args.horizon, delays, args.seed)
     else:
         table = synthesized_run(cfg, ch, args.horizon, delays, args.seed)
-    # The failure counters: the fields a SchemeRunResult adds to its DelayErrorTable.
-    record = {f.name: getattr(table, f.name) for f in fields(table)[len(fields(DelayErrorTable)):]}
     csv_path, _, manifest_path = _write_artifacts(args, (cfg.seed, args.seed), {
-        "table.csv": table.to_csv(), RECORD_NAME: _record_json(record)})
+        "table.csv": table.to_csv(), RECORD_NAME: _record_json(table.counters)})
     print(f"wrote {csv_path}")
     _print_fit(table)
     print(f"blocks_confirmed {table.blocks_confirmed}")

@@ -29,8 +29,8 @@ class EmptyTableError(DomainError):
 class CurveTable:
     """A rate-indexed table of exponent bounds in one unit.
 
-    ``capacity`` is carried in the same unit as the rates so emitters can
-    place the capacity marker without re-deriving the channel.
+    ``capacity`` is in the rates' unit, for the emitters' capacity marker. Built only in a
+    known unit, with a rate or more, and one ``ExponentValue`` per rate in each bound's column.
     """
 
     channel_descriptor: str
@@ -39,6 +39,15 @@ class CurveTable:
     bounds: tuple[str, ...]
     rates: tuple[float, ...]
     columns: dict[str, tuple[ex.ExponentValue, ...]]
+
+    def __post_init__(self):
+        if self.unit not in ("nats", "bits"):
+            raise DomainError(f"unit must be 'nats' or 'bits', got {self.unit!r}")
+        if not self.rates:
+            raise EmptyTableError("a curve table needs at least one rate")
+        if set(self.columns) != set(self.bounds) or any(len(col) != len(self.rates) or not all(
+                isinstance(c, ex.ExponentValue) for c in col) for col in self.columns.values()):
+            raise BadInputError(f"columns must be {self.bounds}, each one ExponentValue per rate")
 
 
 def _evaluate_cell(ch: Channel, bound: str, rate: float) -> ex.ExponentValue:
@@ -78,8 +87,6 @@ def sweep(ch: Channel, rate_min: float, rate_max: float, points: int,
 
 def convert(table: CurveTable, unit: str) -> CurveTable:
     """Rescale a table between nats and bits (exact factor ln 2)."""
-    if unit not in ("nats", "bits"):
-        raise DomainError(f"unit must be 'nats' or 'bits', got {unit!r}")
     if unit == table.unit:
         return table
     factor = 1.0 / LN2 if unit == "bits" else LN2
@@ -98,8 +105,6 @@ def _printable(cell: ex.ExponentValue) -> bool:
 
 def emit_csv(table: CurveTable) -> str:
     """Render a table as CSV: 9-decimal fixed point, empty fields for sentinels."""
-    if not table.rates:
-        raise EmptyTableError("cannot emit an empty curve table")
     lines = ["rate," + ",".join(table.bounds)]
     for i, rate in enumerate(table.rates):
         fields = [f"{rate:.9f}"]
@@ -112,8 +117,6 @@ def emit_csv(table: CurveTable) -> str:
 
 def emit_plot_script(table: CurveTable, csv_path: str) -> str:
     """A gnuplot script drawing one line per bound plus a capacity marker."""
-    if not table.rates:
-        raise EmptyTableError("cannot emit an empty curve table")
     lines = [
         f"# {table.channel_descriptor}: exponent bounds vs rate, in {table.unit}",
         "set datafile separator ','",
@@ -135,10 +138,8 @@ def crossover_rate(table: CurveTable) -> float | None:
 
     None when the achieved curve is not above sphere packing at the top of
     the grid (no high-rate crossover on this grid). Requires both "sp" and
-    "achieved" columns and at least one row.
+    "achieved" columns.
     """
-    if not table.rates:
-        raise EmptyTableError("cannot find a crossover on an empty curve table")
     for needed in ("sp", "achieved"):
         if needed not in table.bounds:
             raise DomainError(f"crossover needs the {needed!r} column")

@@ -226,7 +226,7 @@ def _ascend_q(p: np.ndarray, rho: float, q0: np.ndarray):
                     gain += val - best
                     best = val
                     q[i], q[j] = t * mass, (1.0 - t) * mass
-        if gain < ASCENT_TOL:
+        if gain < ASCENT_TOL or k == 2:  # two inputs: one pair, searched in full once
             break
     return q, best
 
@@ -472,12 +472,11 @@ def _focusing_surrogate(ch: Channel, rate: float) -> ExponentValue:
 
 
 def _e0_pair(ch: Channel, rho) -> tuple[float, float, float]:
-    """(rho, E0(rho), E0(1)), both E0 maximized over q, for rho in [RHO_MIN, RHO_MAX]."""
+    """(rho, E0(rho), E0(1)), both E0 maximized over q, for rho in [RHO_MIN, RHO_MAX]; raises on
+    zero capacity, above which both are positive (E0 is concave in rho and E0(0) = 0)."""
     rho = _rho(rho, RHO_MIN, RHO_MAX, "[]")
-    e0_one = e0_max(ch, 1.0).value
-    if e0_one < 1e-15:
-        raise DegenerateChannelError("E0(1) is numerically zero")
-    return rho, e0_max(ch, rho).value, e0_one
+    _positive_capacity(ch)
+    return rho, e0_max(ch, rho).value, e0_max(ch, 1.0).value
 
 
 def overhead_fraction(ch: Channel, rho: float) -> float:
@@ -507,24 +506,24 @@ def achieved_exponent_at_rate(ch: Channel, rate: float) -> ExponentValue:
     """Invert the achieved curve: exponent of the repeat strategy at ``rate``.
 
     The parametric rate is strictly decreasing in rho, so a bisection
-    recovers rho from the rate. Rates at or above the curve's rate at
-    RHO_MIN (essentially capacity) report 0 with a flag; rates below the
-    rate at RHO_MAX clamp there with a ``bracket_edge`` flag.
+    recovers rho from the rate. The value is 0 flagged ``rate_above_capacity`` at or above
+    capacity, as for every bound, and ``rate_out_of_range`` from the rate at RHO_MIN up to
+    capacity; rates below the rate at RHO_MAX clamp there with a ``bracket_edge`` flag.
     """
-    rate, _ = _above_capacity(ch, rate)
+    rate, above = _above_capacity(ch, rate)
+    if above is not None:
+        return above
 
     def rate_at(rho):
         return achieved_exponent(ch, rho).rate
 
     if rate >= rate_at(RHO_MIN):
         return ExponentValue(0.0, None, None, (FLAG_RATE_OUT_OF_RANGE,))
-    if rate <= rate_at(RHO_MAX):
-        point = achieved_exponent(ch, RHO_MAX)
-        ev = e0_max(ch, RHO_MAX)
-        return ExponentValue(point.exponent, RHO_MAX, ev.q, (FLAG_BRACKET_EDGE,))
-    rho = _bisect_root(lambda r: rate_at(r) - rate, RHO_MIN, RHO_MAX)
+    edge = rate <= rate_at(RHO_MAX)
+    rho = RHO_MAX if edge else _bisect_root(lambda r: rate_at(r) - rate, RHO_MIN, RHO_MAX)
     point = achieved_exponent(ch, rho)
-    return ExponentValue(point.exponent, rho, e0_max(ch, rho).q)
+    flags = (FLAG_BRACKET_EDGE,) if edge else ()
+    return ExponentValue(point.exponent, rho, e0_max(ch, rho).q, flags)
 
 
 # -- one bound by name -------------------------------------------------------

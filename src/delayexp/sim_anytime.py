@@ -161,10 +161,14 @@ class SchemeRunResult(DelayErrorTable):
 
     def __post_init__(self):
         super().__post_init__()
-        # Counts (int defaults) are integers >= 0, weights numbers >= 0; set on a frozen instance.
-        for f in fields(self)[len(fields(DelayErrorTable)):]:
-            object.__setattr__(self, f.name, _number(getattr(self, f.name), f.name, 0,
-                                                     integer=type(f.default) is int))
+        for name, value in self.counters.items():  # set on a frozen instance
+            integer = type(getattr(SchemeRunResult, name)) is int  # counts; weights are floats
+            object.__setattr__(self, name, _number(value, name, 0, integer=integer))
+
+    @property
+    def counters(self) -> dict:
+        """The failure counters by name: the fields this class adds to a DelayErrorTable."""
+        return {f.name: getattr(self, f.name) for f in fields(self)[len(fields(DelayErrorTable)):]}
 
 
 # -- deterministic random ingredients ---------------------------------------

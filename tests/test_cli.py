@@ -142,11 +142,20 @@ class TestExponentCommand:
         assert out == out2
 
     def test_rate_above_capacity_is_flagged(self, capsys):
-        code, out, err = run(capsys, ["exponent", "--bsc", "0.4", "--bound", "sp",
-                                      "--rate-bits", "0.5"])
-        assert code == 4
-        assert out.splitlines()[0] == "exponent 0.000000000 nats"
-        assert "rate_above_capacity" in err
+        for bound in ("sp", "achieved"):
+            code, out, err = run(capsys, ["exponent", "--bsc", "0.4", "--bound", bound,
+                                          "--rate-bits", "0.5"])
+            assert code == 4
+            assert out.splitlines()[0] == "exponent 0.000000000 nats"
+            assert "rate_above_capacity" in err
+
+    @pytest.mark.parametrize("rho", ["1e-6", "1"])
+    def test_achieved_point_on_zero_capacity_is_domain_error(self, capsys, rho):
+        # Capacity 2.0e-14 nats: refused as every bound refuses it, not printed as rate 0.
+        code, out, err = run(capsys, ["exponent", "--bound", "achieved", "--bsc", "0.4999999",
+                                      "--rho", rho])
+        assert (code, out) == (3, "")
+        assert err.startswith("error: channel capacity") and err.count("\n") == 1
 
     def test_missing_rate_is_input_error(self, capsys):
         code, _, err = run(capsys, ["exponent", "--bsc", "0.4", "--bound", "sp"])
@@ -804,6 +813,7 @@ def _bound_args(bound):
 @settings(max_examples=150, deadline=None)
 @example(bound=["--bound", "list", "--rate-bits=0.1", "--list-size=1000000000000"],
          channel=["--bsc=-0.0"], unit=[])
+@example(bound=["--bound", "achieved", "--rho=1e-6"], channel=["--bsc=0.4999999"], unit=[])
 def test_exponent_fuzz_exits_cleanly(bound, channel, unit):
     _fuzz_main(["exponent", *bound, *channel, *unit], flagged_ok=True)
 

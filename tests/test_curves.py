@@ -144,14 +144,21 @@ class TestEmitCsv:
         assert all(r[1] is None for r in rows)
 
     def test_empty_table_rejected(self):
-        empty = curves.CurveTable("demo", "nats", 0.5, ("sp",), (), {"sp": ()})
+        # Refused when built, so no emitter, crossover or conversion meets one.
         with pytest.raises(curves.EmptyTableError):
-            curves.emit_csv(empty)
-        with pytest.raises(curves.EmptyTableError):
-            curves.emit_plot_script(empty, "x.csv")
-        with pytest.raises(curves.EmptyTableError):
-            curves.crossover_rate(curves.CurveTable(
-                "demo", "nats", 0.5, ("sp", "achieved"), (), {"sp": (), "achieved": ()}))
+            curves.CurveTable("demo", "nats", 0.5, ("sp",), (), {"sp": ()})
+
+    CELL = ex.ExponentValue(0.125)
+
+    @pytest.mark.parametrize("unit, columns, error", [
+        ("nats", {"sp": (CELL, CELL)}, BadInputError),
+        ("nats", {"sp": (CELL, CELL), "achieved": (CELL,)}, BadInputError),
+        ("nats", {"sp": (CELL, CELL), "achieved": (CELL, 0.125)}, BadInputError),
+        ("furlongs", {"sp": (CELL, CELL), "achieved": (CELL, CELL)}, DomainError),
+    ], ids=["missing-column", "short-column", "float-cell", "unknown-unit"])
+    def test_malformed_table_refused_when_built(self, unit, columns, error):
+        with pytest.raises(error):
+            curves.CurveTable("demo", unit, 0.5, ("sp", "achieved"), (0.25, 0.5), columns)
 
 
 class TestPlotScript:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from delayexp import channel as chan
@@ -626,9 +626,19 @@ class TestAchievedCurve:
         assert inv.flags == ()
 
     def test_rate_inversion_out_of_range(self, bsc04):
-        res = ex.achieved_exponent_at_rate(bsc04, CAP_BSC_04)
-        assert res.value == 0.0
-        assert ex.FLAG_RATE_OUT_OF_RANGE in res.flags
+        # The sliver from the curve's rate at RHO_MIN up to capacity, 6.0e-8 nats here.
+        sliver = 0.5 * (ex.achieved_exponent(bsc04, ex.RHO_MIN).rate + chan.capacity(bsc04))
+        for rate in (CAP_BSC_04, sliver):
+            res = ex.achieved_exponent_at_rate(bsc04, rate)
+            assert res.value == 0.0
+            assert ex.FLAG_RATE_OUT_OF_RANGE in res.flags
+
+    def test_rate_inversion_at_and_above_capacity(self, bsc04):
+        # The flagged zero every bound answers there.
+        cap = chan.capacity(bsc04)
+        for rate in (cap, 2.0 * cap):
+            assert ex.achieved_exponent_at_rate(bsc04, rate) == ex.ExponentValue(
+                0.0, flags=(ex.FLAG_RATE_ABOVE_CAPACITY,))
 
     def test_rate_inversion_edge(self, bsc04):
         res = ex.achieved_exponent_at_rate(bsc04, 1e-7)
@@ -641,6 +651,36 @@ class TestAchievedCurve:
             ex.achieved_exponent(useless, 1.0)
         with pytest.raises(DomainError):
             ex.overhead_fraction(bsc04, -1.0)
+
+    @pytest.mark.parametrize("ch", [chan.make_bsc(0.4999999),
+                                    chan.make_dmc([[1.0, 0.0], [1.0 - 1e-12, 1e-12]])],
+                             ids=["bsc0.4999999", "z1e-12"])
+    def test_numerically_zero_capacity_refused(self, ch):
+        # Capacities 2.0e-14 and 3.5e-13 nats, below DEGENERATE_CAPACITY.
+        for call in (lambda: ex.achieved_exponent(ch, ex.RHO_MIN),
+                     lambda: ex.achieved_exponent(ch, 1.0),
+                     lambda: ex.overhead_fraction(ch, ex.RHO_MIN),
+                     lambda: ex.achieved_exponent_at_rate(ch, 1e-15)):
+            with pytest.raises(ex.DegenerateChannelError):
+                call()
+
+    @given(m=st.integers(2, 4), data=st.data(), log_cap=st.floats(-9.0, -6.0))
+    @settings(max_examples=40, deadline=None)
+    def test_near_zero_capacity_gives_positive_exponent(self, m, data, log_cap):
+        # Capacity alone decides degeneracy: just above DEGENERATE_CAPACITY, E0(RHO_MIN)
+        # is still positive. Row 1 moves from row 0 toward another row until C is 10**log_cap.
+        row = st.lists(st.floats(0.05, 1.0), min_size=m, max_size=m).map(
+            lambda w: np.array(w) / sum(w))
+        r0, r1 = data.draw(row), data.draw(row)
+        assume(np.max(np.abs(r1 - r0)) > 1e-3)
+        s = 1.0
+        for _ in range(2):  # C grows as s**2 near s = 0
+            s = min(1.0, s * math.sqrt(10 ** log_cap / chan.capacity(
+                chan.make_dmc([r0, r0 + s * (r1 - r0)]))))
+        ch = chan.make_dmc([r0, r0 + s * (r1 - r0)])
+        assume(ex.DEGENERATE_CAPACITY <= chan.capacity(ch) <= 1e-6)
+        pt = ex.achieved_exponent(ch, ex.RHO_MIN)
+        assert math.isfinite(pt.exponent) and pt.exponent > 0
 
     @pytest.mark.parametrize("rho", [math.nan, math.inf, 1e-300, 1e-15, 0.999 * ex.RHO_MIN,
                                      1.001 * ex.RHO_MAX, 1e308])
