@@ -2,9 +2,9 @@
 
 A sweep evaluates a chosen set of bounds on a uniform rate grid and packs
 the results into a :class:`CurveTable`. Parametric curves are inverted to
-the rate axis point by point so every bound shares one x-axis. Cells never
-abort a sweep: domain failures and numerical sentinels ride along as flags
-and become empty fields (not zeros) in the CSV.
+the rate axis, all rates of a column in one call, so every bound shares one
+x-axis. Cells never abort a sweep: domain failures and numerical sentinels
+ride along as flags and become empty fields (not zeros) in the CSV.
 """
 
 from __future__ import annotations
@@ -50,11 +50,11 @@ class CurveTable:
             raise BadInputError(f"columns must be {self.bounds}, each one ExponentValue per rate")
 
 
-def _evaluate_cell(ch: Channel, bound: str, rate: float) -> ex.ExponentValue:
+def _evaluate_column(ch: Channel, bound: str, rates: list[float]) -> tuple[ex.ExponentValue, ...]:
     try:
-        return ex.bound_at_rate(ch, bound, rate)
+        return ex.bound_at_rate(ch, bound, rates)
     except DelayexpError as exc:
-        return ex.ExponentValue(0.0, flags=(f"error:{type(exc).__name__}",))
+        return (ex.ExponentValue(0.0, flags=(f"error:{type(exc).__name__}",)),) * len(rates)
 
 
 def sweep(ch: Channel, rate_min: float, rate_max: float, points: int,
@@ -81,7 +81,7 @@ def sweep(ch: Channel, rate_min: float, rate_max: float, points: int,
     rate_max = _number(rate_max, f"rate_max (capacity {cap})", 0, cap * (1.0 + 1e-12), "(]")
     rate_min = _number(rate_min, "rate_min", 0, rate_max, "()")
     rates = [float(r) for r in np.linspace(rate_min, rate_max, points)]
-    columns = {b: tuple(_evaluate_cell(ch, b, r) for r in rates) for b in order}
+    columns = {b: _evaluate_column(ch, b, rates) for b in order}
     return CurveTable(ch.describe(), "nats", cap, order, tuple(rates), columns)
 
 

@@ -1,10 +1,10 @@
 """Reliability-exponent bounds for DMCs, in fixed-blocklength and
 fixed-delay (feedback) flavors.
 
-Everything here works in nats and returns plain result objects. Numerical
-edge conditions (rate above capacity, optimizer pinned at a bracket edge,
-structurally unbounded objectives) are reported as flags on the result,
-never as exceptions; exceptions are reserved for domain violations.
+Everything here works in nats and returns plain result objects. Every bound takes a rate
+or a 1-D sequence of rates, answered by a tuple of what each rate alone gets. Numerical
+edge conditions (rate above capacity, optimizer pinned at a bracket edge, structurally
+unbounded objectives) are reported as flags; exceptions are reserved for domain violations.
 
 The exponent functions come in two families:
 
@@ -57,11 +57,12 @@ ORACLE_MAX_GRID = 200
 # Row pairs of the oracle's coarse pass, each a capacity test: 10**6 pairs
 # take seconds, and three outputs at 100 grid steps (26.5M pairs) minutes.
 ORACLE_MAX_PAIRS = 10 ** 6
-# Entries of the e0_max memo, shared by all channels. Sweeps revisit rho
-# values close together in time, so a small LRU keeps nearly all the reuse
-# of an unbounded memo; a dense figure would otherwise hold tens of
-# thousands of entries.
+# Entries of the e0_max memo, shared by all channels. Only the ascent on a
+# non-symmetric channel pays for a miss; its searches revisit nearby rho values
+# close together in time, so a small LRU keeps nearly all the reuse there.
 E0_MAX_CACHE_SIZE = 256
+# Lane x input x output cells per chunk of a rho search's lanes: E0 arrays of 512 KB.
+LANE_CELLS = 1 << 16
 _ORACLE_CHUNK = 1 << 18
 
 FLAG_RATE_ABOVE_CAPACITY = "rate_above_capacity"
@@ -154,12 +155,33 @@ def _golden_max(f, lo: float, hi: float):
     return x, f(x)
 
 
-def _bisect_root(f, lo: float, hi: float) -> float:
-    """Root of a decreasing-through-zero function with a sign change on [lo, hi]."""
-    flo = f(lo)
+def _golden_steps(lo: float, hi: float, f):
+    """``_golden_max`` of ``f(x, v)`` on [lo, hi] as a lane, sent ``v`` at each x yielded."""
+    a, b = float(lo), float(hi)
+    h = b - a
+    c, d = a + _INVPHI2 * h, a + _INVPHI * h
+    fc = f(c, (yield c))
+    fd = f(d, (yield d))
+    while h > GOLDEN_TOL:
+        if fc >= fd:
+            b, h = d, d - a
+            d, fd = c, fc
+            c = a + _INVPHI2 * h
+            fc = f(c, (yield c))
+        else:
+            a, h = c, b - c
+            c, fc = d, fd
+            d = a + _INVPHI * h
+            fd = f(d, (yield d))
+    return 0.5 * (a + b)
+
+
+def _bisect_steps(lo: float, hi: float, f):
+    """The root of ``f(x, v)``, decreasing through zero on [lo, hi], as a lane sent ``v``."""
+    flo = f(lo, (yield lo))
     while hi - lo > BISECT_XTOL:
         mid = 0.5 * (lo + hi)
-        fm = f(mid)
+        fm = f(mid, (yield mid))
         if abs(fm) < BISECT_FTOL:
             return mid
         if (fm > 0) == (flo > 0):
@@ -167,6 +189,23 @@ def _bisect_root(f, lo: float, hi: float) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def _lockstep(ch: Channel, lanes: list) -> list:
+    """What each lane returns. A lane is one rate's search, a generator that yields each rho
+    it needs and is sent ``e0_max(ch, rho).value`` there; each step evaluates E0 once for all
+    lanes still running, so each takes the steps, and stops where, its rate alone would."""
+    out, ks, values = [None] * len(lanes), list(range(len(lanes))), [None] * len(lanes)
+    while ks:
+        running, rhos = [], []
+        for k, value in zip(ks, values):
+            try:
+                rhos.append(lanes[k].send(value))
+                running.append(k)
+            except StopIteration as stop:
+                out[k] = stop.value
+        ks, values = running, _e0_lanes(ch, rhos)
+    return out
 
 
 # -- the Gallager function ---------------------------------------------------
@@ -180,6 +219,17 @@ def _e0_from_powers(pa: np.ndarray, rho: float, q: np.ndarray) -> float:
     """E0(rho, q) from ``pa = _powers(p, rho)``, for any rho > -1 (callers police rho >= 0)."""
     inner = q @ pa
     return -math.log(float(np.sum(np.power(inner, 1.0 + rho))))
+
+
+def _e0_lanes(ch: Channel, rhos: list[float]) -> list[float]:
+    """``e0_max(ch, rho).value`` at each of ``rhos``, bit for bit: on a symmetric channel
+    one numpy pass at the uniform law, then ``math.log`` per lane (``np.log``'s SIMD
+    path can differ in the last bit); on others ``e0_max`` per lane, through its memo."""
+    if not is_symmetric(ch):
+        return [e0_max(ch, rho).value for rho in rhos]
+    r = np.array(rhos)
+    inner = np.full(ch.inputs, 1.0 / ch.inputs) @ np.power(ch.p, (1.0 / (1.0 + r))[:, None, None])
+    return [-math.log(t) for t in np.sum(np.power(inner, (1.0 + r)[:, None]), axis=-1).tolist()]
 
 
 def gallager_e0(ch: Channel, rho: float, q=None) -> float:
@@ -286,25 +336,34 @@ def _at_rho_max(ch: Channel, value: float, param: float, q: np.ndarray) -> Expon
     return ExponentValue(value, param, q, (FLAG_BRACKET_EDGE,))
 
 
-def _parametric_bound(ch: Channel, rate: float, rho_hi: float) -> ExponentValue:
+def _over_rates(ch: Channel, rate, lane):
+    """The answer at ``rate``, or a tuple of them at a 1-D sequence of rates: the flagged zero
+    of ``_above_capacity``, else what ``lane(rate)`` returns, in chunks of ``LANE_CELLS``."""
+    many = isinstance(rate, (list, tuple)) or getattr(rate, "ndim", 0) == 1
+    checked = [_above_capacity(ch, r) for r in (rate if many else (rate,))]
+    below = [r for r, above in checked if above is None]
+    step = max(1, LANE_CELLS // ch.p.size)
+    solved = iter([v for k in range(0, len(below), step)
+                   for v in _lockstep(ch, [lane(r) for r in below[k:k + step]])])
+    cells = tuple(next(solved) if above is None else above for _, above in checked)
+    return cells if many else cells[0]
+
+
+def _parametric_bound(ch: Channel, rate, rho_hi: float):
     """max over rho in [RHO_MIN, min(rho_hi, RHO_MAX)] of max_q E0(rho, q) - rho * rate."""
-    rate, above = _above_capacity(ch, rate)
-    if above is not None:
-        return above
-
-    def objective(rho):
-        return e0_max(ch, rho).value - rho * rate
-
     top = min(rho_hi, RHO_MAX)
-    rho_star, val = _golden_max(objective, RHO_MIN, top)
-    ev = e0_max(ch, rho_star)
-    value = max(val, 0.0)
-    if top == RHO_MAX and RHO_MAX - rho_star < 1e-4:
-        return _at_rho_max(ch, value, rho_star, ev.q)
-    return ExponentValue(value, rho_star, ev.q)
+
+    def lane(rate):
+        rho = yield from _golden_steps(RHO_MIN, top, lambda x, e0: e0 - x * rate)
+        ev = e0_max(ch, rho)
+        value = max(ev.value - rho * rate, 0.0)
+        edge = top == RHO_MAX and RHO_MAX - rho < 1e-4
+        return _at_rho_max(ch, value, rho, ev.q) if edge else ExponentValue(value, rho, ev.q)
+
+    return _over_rates(ch, rate, lane)
 
 
-def sphere_packing(ch: Channel, rate: float) -> ExponentValue:
+def sphere_packing(ch: Channel, rate):
     """Sphere-packing exponent at ``rate`` (nats): the fixed-blocklength converse.
 
     Zero at and above capacity. When the maximizing rho is pinned at the
@@ -315,12 +374,12 @@ def sphere_packing(ch: Channel, rate: float) -> ExponentValue:
     return _parametric_bound(ch, rate, RHO_MAX)
 
 
-def random_coding(ch: Channel, rate: float) -> ExponentValue:
+def random_coding(ch: Channel, rate):
     """Random-coding exponent: same objective as sphere packing, rho capped at 1."""
     return _parametric_bound(ch, rate, 1.0)
 
 
-def list_random_coding(ch: Channel, rate: float, list_size) -> ExponentValue:
+def list_random_coding(ch: Channel, rate, list_size):
     """Random-coding exponent with list decoding; rho is capped at the list size.
 
     The cap meets RHO_MAX at a list size of 64, and from there on this is
@@ -426,7 +485,7 @@ def haroutunian_oracle(ch: Channel, rate: float, grid_steps: int = 100) -> Expon
 
 # -- fixed-delay bounds ------------------------------------------------------
 
-def focusing_bound(ch: Channel, rate: float) -> ExponentValue:
+def focusing_bound(ch: Channel, rate):
     """Rate-focusing converse on the fixed-delay exponent at ``rate`` (nats).
 
     On symmetric channels this is computed parametrically: the value is
@@ -437,24 +496,17 @@ def focusing_bound(ch: Channel, rate: float) -> ExponentValue:
     sphere-packing bound standing in for the change-of-channel converse;
     the result then carries a ``surrogate`` flag.
     """
-    rate, above = _above_capacity(ch, rate)
-    if above is not None:
-        return above
-    if is_symmetric(ch):
-        return _focusing_parametric(ch, rate)
-    return _focusing_surrogate(ch, rate)
+    def lane(rate):
+        if not is_symmetric(ch):
+            return _focusing_surrogate(ch, rate)
+        top = e0_max(ch, RHO_MAX)
+        if top.value - RHO_MAX * rate > 0:
+            return _at_rho_max(ch, top.value, RHO_MAX, top.q)
+        eta = yield from _bisect_steps(RHO_MIN, RHO_MAX, lambda x, e0: e0 - x * rate)
+        ev = e0_max(ch, eta)
+        return ExponentValue(ev.value, eta, ev.q)
 
-
-def _focusing_parametric(ch: Channel, rate: float) -> ExponentValue:
-    def gap(eta):
-        return e0_max(ch, eta).value - eta * rate
-
-    if gap(RHO_MAX) > 0:
-        ev = e0_max(ch, RHO_MAX)
-        return _at_rho_max(ch, ev.value, RHO_MAX, ev.q)
-    eta = _bisect_root(gap, RHO_MIN, RHO_MAX)
-    ev = e0_max(ch, eta)
-    return ExponentValue(ev.value, eta, ev.q)
+    return _over_rates(ch, rate, lane)
 
 
 def _focusing_surrogate(ch: Channel, rate: float) -> ExponentValue:
@@ -502,7 +554,7 @@ def achieved_exponent(ch: Channel, rho: float) -> ParametricPoint:
     return ParametricPoint(rho, exponent / rho, exponent)
 
 
-def achieved_exponent_at_rate(ch: Channel, rate: float) -> ExponentValue:
+def achieved_exponent_at_rate(ch: Channel, rate):
     """Invert the achieved curve: exponent of the repeat strategy at ``rate``.
 
     The parametric rate is strictly decreasing in rho, so a bisection
@@ -510,20 +562,17 @@ def achieved_exponent_at_rate(ch: Channel, rate: float) -> ExponentValue:
     capacity, as for every bound, and ``rate_out_of_range`` from the rate at RHO_MIN up to
     capacity; rates below the rate at RHO_MAX clamp there with a ``bracket_edge`` flag.
     """
-    rate, above = _above_capacity(ch, rate)
-    if above is not None:
-        return above
+    def lane(rate):
+        if rate >= achieved_exponent(ch, RHO_MIN).rate:
+            return ExponentValue(0.0, None, None, (FLAG_RATE_OUT_OF_RANGE,))
+        e0_one = e0_max(ch, 1.0).value
+        edge = rate <= achieved_exponent(ch, RHO_MAX).rate
+        rho = RHO_MAX if edge else (yield from _bisect_steps(
+            RHO_MIN, RHO_MAX, lambda x, e0: 1.0 / (1.0 / e0 + 1.0 / e0_one) / x - rate))
+        flags = (FLAG_BRACKET_EDGE,) if edge else ()
+        return ExponentValue(achieved_exponent(ch, rho).exponent, rho, e0_max(ch, rho).q, flags)
 
-    def rate_at(rho):
-        return achieved_exponent(ch, rho).rate
-
-    if rate >= rate_at(RHO_MIN):
-        return ExponentValue(0.0, None, None, (FLAG_RATE_OUT_OF_RANGE,))
-    edge = rate <= rate_at(RHO_MAX)
-    rho = RHO_MAX if edge else _bisect_root(lambda r: rate_at(r) - rate, RHO_MIN, RHO_MAX)
-    point = achieved_exponent(ch, rho)
-    flags = (FLAG_BRACKET_EDGE,) if edge else ()
-    return ExponentValue(point.exponent, rho, e0_max(ch, rho).q, flags)
+    return _over_rates(ch, rate, lane)
 
 
 # -- one bound by name -------------------------------------------------------
@@ -533,9 +582,9 @@ def achieved_exponent_at_rate(ch: Channel, rate: float) -> ExponentValue:
 BOUNDS_AT_RATE = ("sp", "rc", "list", "focusing", "achieved")
 
 
-def bound_at_rate(ch: Channel, name: str, rate: float, list_size=2) -> ExponentValue:
-    """The bound ``name`` from :data:`BOUNDS_AT_RATE` at ``rate`` (nats);
-    ``list_size`` applies to ``"list"`` only."""
+def bound_at_rate(ch: Channel, name: str, rate, list_size=2):
+    """The bound ``name`` from :data:`BOUNDS_AT_RATE` at ``rate`` (nats), or a tuple of
+    them at a 1-D sequence of rates; ``list_size`` applies to ``"list"`` only."""
     # Calls go through the module-level names, not a table of function
     # objects, so a wrapper that replaces a module attribute sees each one.
     if name == "sp":

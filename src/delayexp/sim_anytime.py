@@ -34,7 +34,7 @@ import numpy as np
 from . import _pcg64
 from .channel import Channel
 from .errors import _SIZE_MAX, BadInputError, DomainError, _json_object, _number, _read_json, _seed
-from .exponents import e0_max
+from .exponents import _positive_capacity, e0_max
 from .sim_queue import (MISS_WEIGHT, WINDOW, DeadlineGrid, DelayErrorTable, HorizonTooShortError,
                         arrival, arrived)
 
@@ -207,6 +207,7 @@ def _blocks(cfg: SchemeConfig, span: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _code_input_dist(ch: Channel) -> np.ndarray:
     # Uniform, exactly, on symmetric channels: e0_max takes its shortcut there.
+    _positive_capacity(ch)  # both schemes build their codes before any draw
     return np.asarray(e0_max(ch, 1.0).q)
 
 

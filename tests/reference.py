@@ -9,8 +9,24 @@ import math
 
 import numpy as np
 
-from delayexp.channel import SYMMETRY_ATOL, OutOfRangeError
-from delayexp.exponents import _e0_from_powers, _powers, _simplex_grid
+from delayexp.channel import SYMMETRY_ATOL, OutOfRangeError, is_symmetric
+from delayexp.exponents import (
+    BISECT_FTOL,
+    BISECT_XTOL,
+    FLAG_BRACKET_EDGE,
+    FLAG_RATE_OUT_OF_RANGE,
+    RHO_MAX,
+    RHO_MIN,
+    ExponentValue,
+    _above_capacity,
+    _at_rho_max,
+    _e0_from_powers,
+    _golden_max,
+    _powers,
+    _simplex_grid,
+    achieved_exponent,
+    e0_max,
+)
 from delayexp.sim_anytime import (
     _SERVE_STRIDE_MAX,
     _SERVE_STRIDE_MIN,
@@ -230,6 +246,60 @@ def exhaustive_window_search(decoder, frozen, window_outputs):
             s = float(decoder.logp[letters, y].sum())
             stack.append((score + s, extended))
     return best_path
+
+
+def bisect_root(f, lo, hi):
+    """Root of a decreasing-through-zero function with a sign change on [lo, hi]."""
+    flo = f(lo)
+    while hi - lo > BISECT_XTOL:
+        mid = 0.5 * (lo + hi)
+        fm = f(mid)
+        if abs(fm) < BISECT_FTOL:
+            return mid
+        if (fm > 0) == (flo > 0):
+            lo, flo = mid, fm
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def bound_at_rate(ch, name, rate, list_size=2):
+    """One bound at one rate, by its own search over rho through ``e0_max``: the
+    per-rate second route to ``exponents.bound_at_rate``, whose searches run a
+    whole rate list in lockstep. Symmetric channels only for ``"focusing"``."""
+    rate, above = _above_capacity(ch, rate)
+    if above is not None:
+        return above
+    if name in ("sp", "rc", "list"):
+        top = min({"sp": RHO_MAX, "rc": 1.0, "list": list_size}[name], RHO_MAX)
+        rho, val = _golden_max(lambda r: e0_max(ch, r).value - r * rate, RHO_MIN, top)
+        ev = e0_max(ch, rho)
+        if top == RHO_MAX and RHO_MAX - rho < 1e-4:
+            return _at_rho_max(ch, max(val, 0.0), rho, ev.q)
+        return ExponentValue(max(val, 0.0), rho, ev.q)
+    if name == "focusing":
+        assert is_symmetric(ch)
+
+        def gap(eta):
+            return e0_max(ch, eta).value - eta * rate
+
+        if gap(RHO_MAX) > 0:
+            ev = e0_max(ch, RHO_MAX)
+            return _at_rho_max(ch, ev.value, RHO_MAX, ev.q)
+        eta = bisect_root(gap, RHO_MIN, RHO_MAX)
+        ev = e0_max(ch, eta)
+        return ExponentValue(ev.value, eta, ev.q)
+    assert name == "achieved"
+
+    def rate_at(rho):
+        return achieved_exponent(ch, rho).rate
+
+    if rate >= rate_at(RHO_MIN):
+        return ExponentValue(0.0, None, None, (FLAG_RATE_OUT_OF_RANGE,))
+    edge = rate <= rate_at(RHO_MAX)
+    rho = RHO_MAX if edge else bisect_root(lambda r: rate_at(r) - rate, RHO_MIN, RHO_MAX)
+    flags = (FLAG_BRACKET_EDGE,) if edge else ()
+    return ExponentValue(achieved_exponent(ch, rho).exponent, rho, e0_max(ch, rho).q, flags)
 
 
 def grid_e0_max(p, rho, steps=32):

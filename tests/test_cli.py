@@ -522,6 +522,22 @@ class TestSimulateCommand:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["seeds"] == [0, 1]
 
+    @pytest.mark.parametrize("scheme, cfg, horizon, delays", [
+        ("fortified", {"n": 1, "c": 2, "l": 0, "rate_bits": 0.5}, "20000", "6,10,14,18"),
+        ("synthesized", {"n": 2, "c": 24, "l": 1, "theta": 12, "rate_bits": 1 / 6,
+                         "redecode_window": 4}, "4800", "24,48,72"),
+    ], ids=["fortified", "synthesized"])
+    def test_zero_capacity_channel_is_refused(self, capsys, tmp_path, scheme, cfg, horizon,
+                                              delays):
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        (tmp_path / "useless.json").write_text(json.dumps({"matrix": [[0.5, 0.5], [0.5, 0.5]]}))
+        out_dir = tmp_path / "out"
+        code, out, err = run(capsys, ["simulate", scheme, "--config", str(tmp_path / "cfg.json"),
+                                      "--matrix", str(tmp_path / "useless.json"), "--horizon",
+                                      horizon, "--delays", delays, "--outdir", str(out_dir)])
+        assert (code, out, err) == (3, "", "error: channel capacity 0.0 is numerically zero\n")
+        assert not out_dir.exists()
+
     def test_missing_config_is_input_error(self, capsys, tmp_path):
         chan = tmp_path / "ident.json"
         chan.write_text(json.dumps(IDENTITY_MATRIX))
@@ -1012,7 +1028,8 @@ def _codebook():
 
 
 # Every public numeric parameter: the kind of value it takes ("number", "integer",
-# "delays", a collection of integers, or "numbers", a collection of numbers) and one call
+# "delays", a collection of integers, "numbers", a collection of numbers, or "rates", a
+# number or a list, tuple or 1-D array of numbers, as every bound takes) and one call
 # with the other arguments small and valid. Horizons, point counts and codeword counts
 # are drawn too short to run, at most 2, or past int64, so no example allocates for a
 # long run.
@@ -1023,13 +1040,13 @@ NUMERIC_PARAMETERS = {
     "e0_max rho": ("number", lambda v: delayexp.e0_max(BSC, v)),
     "achieved_exponent rho": ("number", lambda v: delayexp.achieved_exponent(BSC, v)),
     "overhead_fraction rho": ("number", lambda v: delayexp.overhead_fraction(BSC, v)),
-    "sphere_packing rate": ("number", lambda v: delayexp.sphere_packing(BSC, v)),
-    "random_coding rate": ("number", lambda v: delayexp.random_coding(BSC, v)),
-    "focusing_bound rate": ("number", lambda v: delayexp.focusing_bound(BSC, v)),
-    "achieved_exponent_at_rate rate": ("number",
+    "sphere_packing rate": ("rates", lambda v: delayexp.sphere_packing(BSC, v)),
+    "random_coding rate": ("rates", lambda v: delayexp.random_coding(BSC, v)),
+    "focusing_bound rate": ("rates", lambda v: delayexp.focusing_bound(BSC, v)),
+    "achieved_exponent_at_rate rate": ("rates",
                                        lambda v: delayexp.achieved_exponent_at_rate(BSC, v)),
-    "bound_at_rate rate": ("number", lambda v: bound_at_rate(BSC, "sp", v)),
-    "list_random_coding rate": ("number", lambda v: delayexp.list_random_coding(BSC, v, 2)),
+    "bound_at_rate rate": ("rates", lambda v: bound_at_rate(BSC, "sp", v)),
+    "list_random_coding rate": ("rates", lambda v: delayexp.list_random_coding(BSC, v, 2)),
     "list_random_coding list_size": ("integer",
                                      lambda v: delayexp.list_random_coding(BSC, 0.1, v)),
     "bound_at_rate list_size": ("integer", lambda v: bound_at_rate(BSC, "list", 0.1, v)),
@@ -1093,6 +1110,9 @@ def _malformed(value, kind) -> bool:
     """Whether ``value`` is no value of ``kind``: not a number, a bool, NaN, a non-integer
     where an integer is due, or a collection with such an entry. Such a value must be
     refused."""
+    if kind == "rates":
+        listed = isinstance(value, (list, tuple, np.ndarray))
+        return _malformed(value, "numbers" if listed else "number")
     if kind in ("delays", "numbers"):
         return isinstance(value, str) or not hasattr(value, "__iter__") or any(
             _malformed(d, "integer" if kind == "delays" else "number") for d in value)
@@ -1103,7 +1123,8 @@ def _malformed(value, kind) -> bool:
 
 def _case(name):
     kind = NUMERIC_PARAMETERS[name][0]
-    values = DELAY_VALUES if kind in ("delays", "numbers") else NUMERIC_VALUES
+    values = {"delays": DELAY_VALUES, "numbers": DELAY_VALUES,
+              "rates": NUMERIC_VALUES + DELAY_VALUES}.get(kind, NUMERIC_VALUES)
     return st.tuples(st.just(name), st.sampled_from(values))
 
 

@@ -91,11 +91,11 @@ class TestSweep:
             assert math.isfinite(ex.list_random_coding(bsc04, float(rate), 10 ** 6).value)
 
     def test_cell_errors_become_flags(self):
-        # Per-cell evaluation converts domain failures into error flags
-        # instead of aborting, so one bad cell cannot sink a sweep.
+        # Column evaluation converts domain failures into error flags
+        # instead of aborting, so one bad column cannot sink a sweep.
         useless = chan.make_dmc([[0.5, 0.5], [0.5, 0.5]])
-        cell = curves._evaluate_cell(useless, "sp", 0.1)
-        assert cell == ex.ExponentValue(0.0, flags=("error:DegenerateChannelError",))
+        cells = curves._evaluate_column(useless, "sp", [0.1])
+        assert cells == (ex.ExponentValue(0.0, flags=("error:DegenerateChannelError",)),)
 
 
 class TestEmitCsv:

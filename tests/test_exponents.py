@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from delayexp import channel as chan
 from delayexp import exponents as ex
 from delayexp.errors import DomainError
+import reference
 from reference import grid_e0_max
 
 LN2 = math.log(2.0)
@@ -572,6 +573,69 @@ class TestBoundAtRate:
     def test_unknown_names_are_domain_errors(self, bsc04, name):
         with pytest.raises(DomainError, match="unknown bound"):
             ex.bound_at_rate(bsc04, name, 0.01)
+
+
+# Channels whose rate lists must end, lane by lane, where the per-rate searches of
+# tests/reference.py end: together their lists hit every flag a search can raise.
+LANE_CHANNELS = {"bsc0.1": chan.make_bsc(0.1), "bsc0.4": chan.make_bsc(0.4),
+                 "bec0.4": chan.make_bec(0.4), "typewriter": chan.make_dmc(NOISY_TYPEWRITER),
+                 "bsc0.4999": chan.make_bsc(0.4999)}
+
+
+class TestRateLists:
+    @pytest.mark.parametrize("name", sorted(LANE_CHANNELS))
+    def test_lanes_match_the_per_rate_searches(self, name):
+        c = LANE_CHANNELS[name]
+        cap = chan.capacity(c)
+        # The sliver between the achieved curve's rate at RHO_MIN and capacity.
+        sliver = 0.5 * (ex.achieved_exponent(c, ex.RHO_MIN).rate + cap)
+        rates = [float(r) for r in np.linspace(1e-4 * cap, cap, 33)] + [sliver, 1.5 * cap]
+        seen = {}
+        for bound in ex.BOUNDS_AT_RATE:
+            got = ex.bound_at_rate(c, bound, rates)
+            assert got == tuple(reference.bound_at_rate(c, bound, r) for r in rates), bound
+            seen[bound] = {f for cell in got for f in cell.flags}
+        assert {ex.FLAG_RATE_ABOVE_CAPACITY, ex.FLAG_RATE_OUT_OF_RANGE,
+                ex.FLAG_BRACKET_EDGE} <= seen["achieved"]
+        edge = ex.FLAG_UNBOUNDED if name == "typewriter" else ex.FLAG_BRACKET_EDGE
+        assert edge in seen["focusing"]
+
+    @given(kind=st.sampled_from(["bsc", "bec", "asymmetric"]), data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_rate_list_is_each_rate_alone(self, kind, data):
+        unit = st.floats(0.02, 0.48)
+        if kind == "asymmetric":
+            a, b = data.draw(unit), data.draw(unit)
+            c = chan.make_dmc([[1.0 - a, a], [b, 1.0 - b]])
+            assume(not chan.is_symmetric(c) and chan.capacity(c) > 1e-3)
+        else:
+            c = (chan.make_bsc if kind == "bsc" else chan.make_bec)(data.draw(unit))
+        cap = chan.capacity(c)
+        # Unsorted, with repeats and rates at or above capacity.
+        share = st.one_of(st.sampled_from([0.3, 1.0, 1.3]), st.floats(0.01, 1.2))
+        rates = [x * cap for x in data.draw(st.lists(share, min_size=1, max_size=5))]
+        for name in ex.BOUNDS_AT_RATE:
+            if kind == "asymmetric" and name == "focusing":
+                continue  # the surrogate is a loop over rates; minutes per draw
+            got = ex.bound_at_rate(c, name, rates)
+            assert got == tuple(ex.bound_at_rate(c, name, r) for r in rates), name
+
+    def test_lists_and_arrays_give_tuples(self, bsc04):
+        rates = [0.002, 0.02, 0.001]
+        want = tuple(ex.sphere_packing(bsc04, r) for r in rates)
+        assert ex.sphere_packing(bsc04, rates) == want
+        assert ex.sphere_packing(bsc04, tuple(rates)) == want
+        assert ex.sphere_packing(bsc04, np.array(rates)) == want
+        assert ex.sphere_packing(bsc04, []) == ()
+        with pytest.raises(ex.NonPositiveRateError):
+            ex.sphere_packing(bsc04, [0.01, -0.01])
+
+    def test_chunks_of_lanes_give_the_same_cells(self, bsc04, monkeypatch):
+        rates = [float(r) for r in np.linspace(0.0005, 0.03, 10)]
+        whole = {name: ex.bound_at_rate(bsc04, name, rates) for name in ex.BOUNDS_AT_RATE}
+        monkeypatch.setattr(ex, "LANE_CELLS", 3 * bsc04.p.size)  # chunks of 3, 3, 3 and 1 lanes
+        for name in ex.BOUNDS_AT_RATE:
+            assert ex.bound_at_rate(bsc04, name, rates) == whole[name], name
 
 
 class TestAchievedCurve:
