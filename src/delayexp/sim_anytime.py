@@ -58,7 +58,20 @@ _CODE_SLAB = 256
 _WORD_END = 1 << 32
 # A codebook keeps its last two slabs: the reuse that pays is a window parse reading
 # again the slab the encoder has just read. The largest i.i.d. slab takes 4 MiB.
+# On the benchmark's configs at seed 0, the synthesized run reads 2,933 slabs of
+# 1,249 (block, slab) pairs and draws each pair once (1,259 draws with one slab
+# kept); the fortified runs read 25 to 54 slabs, none twice, as their head
+# letters come from the PCG64 kernel.
 _SLAB_MEMO = 2
+# A multi-bit coset codebook reads a batch's head letters through the PCG64
+# kernel in calls of _HEAD_KERNEL_MIN to _HEAD_KERNEL_MAX blocks. Below the
+# minimum it reads each block's first slab: a call took about 170 us plus 11 us
+# a block, a slab 27-30 us, even at 11 blocks. Above the maximum it splits the
+# batch, which keeps a call's working arrays near 0.7 MB (129 raw outputs a
+# block): 128 blocks took 9.1 us a block in calls of 64 against 10.5 in one
+# call, and 256 blocks 9.2 against 11.0, while calls of 32 took 11.3-12.1 us.
+_HEAD_KERNEL_MIN = 12
+_HEAD_KERNEL_MAX = 64
 _LOG_ZERO = -1e30
 
 
@@ -306,47 +319,91 @@ class BlockCodebook:
         (blocks, candidates, positions) array, each block's first slab read
         through :meth:`_columns`.
 
-        One-bit coset and i.i.d.-letter codebooks derive the whole batch from
-        the raw outputs of the blocks' first-slab generators, which
-        :mod:`._pcg64` computes for every block at once: a one-bit coset
-        dither letter is ``integers(0, 2, int8)``, the top bit of one byte of
-        raw output 0 (Lemire's rule never rejects at range 2), and candidate
-        c's letter j is ``random()`` at raw output 256c + j. A multi-bit coset
-        codebook reads each block's slab through :meth:`_slab`: its dither
-        follows the 256 mask draws, so where it starts in the stream depends
-        on how many of them Lemire's rule rejected.
+        The letters come from the raw outputs of the blocks' first-slab
+        generators, which :mod:`._pcg64` computes for every block at once, read
+        as numpy's Generator reads them:
+
+        * candidate c's i.i.d. letter j is ``random()`` at raw output 256c + j;
+        * a coset code's 256 masks ``integers(1, 2^p, int64)`` take one uint32
+          draw u each, the halves of raw outputs 0-127, low half first (the one
+          mask of a one-bit payload takes none). A mask is
+          ``1 + (u * (2^p - 1) >> 32)``, unless Lemire's rule rejects u, when
+          ``u * (2^p - 1) mod 2^32 < 2^32 mod (2^p - 1)``, and draws again
+          (Lemire 2019, "Fast random integer generation in an interval");
+        * the dither ``integers(0, 2, int8)`` is the top bit of each byte of the
+          next raw output, low byte first (range 2 never rejects).
+
+        A multi-bit coset block whose masks had a draw rejected reads its first
+        slab through :meth:`_slab` instead, since its dither lies further on.
+        So does every block of a multi-bit coset batch of fewer than
+        ``_HEAD_KERNEL_MIN`` blocks, where one kernel call costs more than a
+        slab per block; a larger batch goes to the kernel in calls of at most
+        ``_HEAD_KERNEL_MAX`` blocks.
         """
         first = _number(first, "block id", 0, _WORD_END, integer=True)
         # A count below 2^32 whose last block id is below 2^32 too.
         count = _number(count, "block count", 0, min(_WORD_END - 1, _WORD_END - first), "[]",
                         integer=True)
+        if self.coset and self.n_candidates > 2 and count < _HEAD_KERNEL_MIN:
+            width = _SERVE_STRIDE_MIN
+            return self._slab_head_letters(first, range(count),
+                                           np.empty((count, width), dtype=np.int64),
+                                           np.empty((count, width), dtype=np.int8))
+        return self._kernel_head_letters(first, count)
+
+    def _kernel_head_letters(self, first: int, count: int) -> np.ndarray:
+        """:meth:`head_letters` from the kernel's raw outputs, at any batch size."""
         width = _SERVE_STRIDE_MIN
-        if self.coset and self.n_candidates > 2:
-            g = np.empty((count, width), dtype=np.int64)
-            s = np.empty((count, width), dtype=np.int8)
-            for i in range(count):
-                slab_g, slab_s = self._slab(first + i, 0)
-                g[i] = slab_g[:width]
-                s[i] = slab_s[:width]
-            return self._coset_letters(g, s)
+        if not self.coset:
+            u = (self._head_raw(first, count) >> 11) * 2.0 ** -53  # Generator.random's double
+            return np.searchsorted(self._qcdf, u, side="right").astype(np.int8)
+        # The dither bits are the top bits of the last raw output's bytes.
+        dither_shifts = 8 * np.arange(width, dtype=np.uint64) + 7
+        if self.n_candidates == 2:
+            s = (self._head_raw(first, count) >> dither_shifts & 1).astype(np.int8)
+            return self._coset_letters(np.ones(width, dtype=np.int64), s)
+        span = self.n_candidates - 1
+        g = np.empty((count, width), dtype=np.int64)
+        s = np.empty((count, width), dtype=np.int8)
+        rejected = []
+        for lo in range(0, count, _HEAD_KERNEL_MAX):
+            raw = self._head_raw(first + lo, min(_HEAD_KERNEL_MAX, count - lo))
+            s[lo:lo + len(raw)] = raw[:, -1:] >> dither_shifts & 1
+            # Each raw output before the dither's is two draws, low half first.
+            draws = raw[:, :-1, None] >> np.array([0, 32], dtype=np.uint64) & 0xFFFFFFFF
+            scaled = draws.reshape(len(raw), -1) * span
+            g[lo:lo + len(raw)] = (scaled[:, :width] >> 32) + 1
+            rejected += (lo + np.flatnonzero(
+                (scaled & 0xFFFFFFFF < (1 << 32) % span).any(axis=1))).tolist()
+        return self._slab_head_letters(first, rejected, g, s)
+
+    def _slab_head_letters(self, first: int, blocks, g: np.ndarray,
+                           s: np.ndarray) -> np.ndarray:
+        """Coset letters of head masks ``g`` and dithers ``s``, one row per block
+        from ``first``, after the rows ``blocks`` are read from their blocks'
+        first slabs."""
+        for i in blocks:
+            slab_g, slab_s = self._slab(first + i, 0)
+            g[i] = slab_g[:_SERVE_STRIDE_MIN]
+            s[i] = slab_s[:_SERVE_STRIDE_MIN]
+        return self._coset_letters(g, s)
+
+    def _head_raw(self, first: int, count: int) -> np.ndarray:
+        """The raw outputs at :attr:`_head_jumps` of the first-slab generators of
+        blocks ``first`` to ``first + count - 1``, one row per block."""
         head = np.array(self._entropy_head, dtype=np.uint32)[:, None]
         words = np.concatenate([np.repeat(head, count, axis=1),
                                 np.arange(first, first + count, dtype=np.uint32)[None],
                                 np.zeros((1, count), dtype=np.uint32)])  # slab index 0
-        raw = _pcg64.raw_outputs(words, self._head_jumps)
-        if self.coset:
-            # integers(0, 2, int8) reads raw output 0 a byte at a time, low
-            # byte first, and keeps each byte's top bit.
-            s = (raw >> 8 * np.arange(width, dtype=np.uint64) + 7 & 1).astype(np.int8)
-            return self._coset_letters(np.ones(width, dtype=np.int64), s)
-        u = (raw >> 11) * 2.0 ** -53  # Generator.random's double from a raw output
-        return np.searchsorted(self._qcdf, u, side="right").astype(np.int8)
+        return _pcg64.raw_outputs(words, self._head_jumps)
 
     @functools.cached_property
     def _head_jumps(self):
-        """The LCG jumps to the raw outputs that :meth:`head_letters` reads."""
+        """The LCG jumps to the raw outputs that the head letters read: a coset
+        code's mask draws and the dither after them, or each candidate's first
+        uniforms."""
         if self.coset:
-            return _pcg64.jumps(np.zeros(1, dtype=np.int64))
+            return _pcg64.jumps(np.arange(_CODE_SLAB // 2 + 1 if self.n_candidates > 2 else 1))
         return _pcg64.jumps(_CODE_SLAB * np.arange(self.n_candidates)[:, None]
                             + np.arange(_SERVE_STRIDE_MIN))
 

@@ -73,3 +73,51 @@ def test_generator_draws_read_raw_outputs_as_the_head_letters_assume():
     uniforms = np.random.default_rng(np.random.SeedSequence(words)).random(16)
     assert np.array_equal(uniforms, (raw >> 11) * 2.0 ** -53), (
         "Generator.random layer: random() is no longer (raw >> 11) * 2^-53")
+
+
+def _mask_draws(raw: np.ndarray, bits: int) -> np.ndarray:
+    """``u * (2^bits - 1)`` for the uint32 halves u of ``raw``, low half first."""
+    halves = raw[:, None] >> np.array([0, 32], dtype=np.uint64) & np.uint64(0xFFFFFFFF)
+    return halves.ravel() * np.uint64(2**bits - 1)
+
+
+@pytest.mark.parametrize("bits", range(2, 15))
+def test_mask_draws_read_raw_outputs_as_the_head_letters_assume(bits):
+    # BlockCodebook.head_letters reads a multi-bit coset code's 256 masks
+    # integers(1, 2^bits, int64) from raw outputs 0-127 and its dither from
+    # raw output 128, on streams where Lemire's rule rejected no draw.
+    span = 2**bits - 1
+    for block in range(1000):
+        words = np.array([3, 0xC3, block, 0], dtype=np.uint32)
+        raw = np.random.PCG64(np.random.SeedSequence(words)).random_raw(129)
+        scaled = _mask_draws(raw[:128], bits)
+        if not (scaled % 2**32 < 2**32 % span).any():
+            break
+    else:
+        pytest.fail(f"every one of 1000 streams rejected a draw at {bits} bits")
+    rng = np.random.default_rng(np.random.SeedSequence(words))
+    masks = rng.integers(1, 2**bits, size=256, dtype=np.int64)
+    assert np.array_equal(masks, 1 + (scaled >> np.uint64(32)).astype(np.int64)), (
+        f"Generator.integers layer: integers(1, 2^{bits}, int64) is no longer Lemire's "
+        f"multiply-shift 1 + (u * {span} >> 32) of uint32 halves u, low half first")
+    bits8 = rng.integers(0, 2, size=8, dtype=np.int8)
+    want = raw[128] >> (8 * np.arange(8, dtype=np.uint64) + np.uint64(7)) & 1
+    assert np.array_equal(bits8, want.astype(np.int8)), (
+        "Generator.integers / PCG64 next_uint32 layer: after 256 mask draws the next "
+        "integers(0, 2, int8) no longer starts at raw output 128")
+
+
+def test_lemire_rejection_skips_the_draw_the_head_letters_refuse():
+    # The predicate head_letters uses: a draw u is rejected and drawn again
+    # when u * (2^bits - 1) mod 2^32 < 2^32 mod (2^bits - 1). Block 57289 of
+    # seed 0 at 11 bits rejects its draw 24, and no other of its first 257.
+    words = np.array([0, 0xC3, 57289, 0], dtype=np.uint32)
+    raw = np.random.PCG64(np.random.SeedSequence(words)).random_raw(129)
+    scaled = _mask_draws(raw, 11)[:257]
+    assert np.flatnonzero(scaled % 2**32 < 2**32 % (2**11 - 1)).tolist() == [24]
+    masks = np.random.default_rng(np.random.SeedSequence(words)).integers(
+        1, 2**11, size=256, dtype=np.int64)
+    kept = np.delete(scaled, 24)
+    assert np.array_equal(masks, 1 + (kept >> np.uint64(32)).astype(np.int64)), (
+        "Generator.integers layer: Lemire's rule no longer rejects exactly the draws "
+        "with u * (2^p - 1) mod 2^32 < 2^32 mod (2^p - 1), or no longer skips them")

@@ -67,10 +67,11 @@ SERVICE_CHANNELS = {"bec0.4": make_bec(0.4), "bec0.9": make_bec(0.9), "bsc0.05":
 BEC_ERASURE = 2
 # Codebooks whose head letters are checked against their slabs: one-bit coset
 # (the binary channels at one payload bit; the Z channel's code law is
-# uniform too), multi-bit coset (the same above one bit) and i.i.d. letters
-# (the typewriter, at every payload).
+# uniform too), multi-bit coset (the same from 2 to 7 bits, whose full batches
+# of 256 to 8 blocks fall on both sides of the kernel's least batch) and
+# i.i.d. letters (the typewriter, at every payload).
 HEAD_CODEBOOKS = [(channel, payload) for channel in ("bec0.4", "bsc0.05", "z")
-                  for payload in range(1, 5)] + \
+                  for payload in range(1, 8)] + \
                  [("typewriter", payload) for payload in range(1, PAYLOAD_BITS_MAX + 1)]
 
 # The repeat-until-confirm reduction of the fortified scheme on a BEC.
@@ -378,6 +379,22 @@ class TestBlockCodebook:
                          for i in range(count)])
         assert head.dtype == want.dtype
         assert np.array_equal(head, want)
+
+    def test_kernel_route_reads_a_rejected_blocks_slab(self):
+        # At payload 11 and seed 0, Lemire's rule rejects mask draw 24 of block
+        # 57289 (pinned in tests/test_pcg64.py), so its dither bits are not the
+        # ones of raw output 128. The kernel route, called here whatever batch
+        # size the dispatch rule gives it at this payload, reads that block's
+        # slab instead.
+        ch, block = SERVICE_CHANNELS["bsc0.05"], 57289
+        cb = BlockCodebook(ch, 11, 0)
+        raw = np.random.PCG64(np.random.SeedSequence((0, _CODE_STREAM, block, 0))).random_raw(129)
+        naive = raw[128] >> 8 * np.arange(_SERVE_STRIDE_MIN, dtype=np.uint64) + 7 & 1
+        assert not np.array_equal(naive.astype(np.int8), cb._slab(block, 0)[1][:_SERVE_STRIDE_MIN])
+        head = cb._kernel_head_letters(57280, 20)
+        fresh = BlockCodebook(ch, 11, 0)
+        assert np.array_equal(head, np.stack([fresh._columns(b, 0, 0, _SERVE_STRIDE_MIN)
+                                              for b in range(57280, 57300)]))
 
     # Block ids, positions and counts: small, near 2^32 and far outside
     # [0, 2^32); counts inside it stay small, so no example allocates much.
