@@ -98,7 +98,12 @@ class CapacityResult:
 
 
 def make_dmc(matrix, label: str = "") -> Channel:
-    """Validate a transition matrix, renormalize its rows exactly, and wrap it as a Channel."""
+    """Validate a transition matrix, renormalize its rows exactly, and wrap it as a Channel
+    labelled ``label``. The label heads the figure's plot script, so it must be a string
+    without control characters (C0, DEL or C1): a line break would start a script line."""
+    if not isinstance(label, str) or any(ord(c) < 32 or 127 <= ord(c) < 160 for c in label):
+        raise BadInputError(f"channel label must be a string without control characters, "
+                            f"got {label!r}")
     return Channel(_probability_rows(matrix), label)
 
 
@@ -151,14 +156,11 @@ def load_channel(path) -> Channel:
     """Read a channel from a JSON file holding ``{"matrix": [[...], ...]}``."""
     what = f"channel file {path}"
     payload = _json_object(_read_json(path, what), what, ("matrix", "label"), ("matrix",))
-    label = payload.get("label", "")
-    if not isinstance(label, str):
-        raise BadInputError("channel label must be a string")
     matrix = payload["matrix"]
     if not (isinstance(matrix, list) and all(isinstance(row, list) for row in matrix)
             and all(type(x) in (int, float) for row in matrix for x in row)):
         raise BadInputError(f"{what}: 'matrix' must be a list of lists of numbers")
-    return make_dmc(matrix, label=label)
+    return make_dmc(matrix, label=payload.get("label", ""))
 
 
 def mutual_information(r, ch: Channel) -> float:

@@ -22,6 +22,7 @@ The exponent functions come in two families:
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -156,32 +157,32 @@ def _golden_max(f, lo: float, hi: float):
 
 
 def _golden_steps(lo: float, hi: float, f):
-    """``_golden_max`` of ``f(x, v)`` on [lo, hi] as a lane, sent ``v`` at each x yielded."""
+    """``_golden_max`` of ``f(x, e0)`` on [lo, hi] as a lane, sent (E0, q) at each x yielded."""
     a, b = float(lo), float(hi)
     h = b - a
     c, d = a + _INVPHI2 * h, a + _INVPHI * h
-    fc = f(c, (yield c))
-    fd = f(d, (yield d))
+    fc = f(c, (yield c)[0])
+    fd = f(d, (yield d)[0])
     while h > GOLDEN_TOL:
         if fc >= fd:
             b, h = d, d - a
             d, fd = c, fc
             c = a + _INVPHI2 * h
-            fc = f(c, (yield c))
+            fc = f(c, (yield c)[0])
         else:
             a, h = c, b - c
             c, fc = d, fd
             d = a + _INVPHI * h
-            fd = f(d, (yield d))
+            fd = f(d, (yield d)[0])
     return 0.5 * (a + b)
 
 
 def _bisect_steps(lo: float, hi: float, f):
-    """The root of ``f(x, v)``, decreasing through zero on [lo, hi], as a lane sent ``v``."""
-    flo = f(lo, (yield lo))
+    """The root of ``f(x, e0)``, decreasing through zero on [lo, hi], as a lane sent (E0, q)."""
+    flo = f(lo, (yield lo)[0])
     while hi - lo > BISECT_XTOL:
         mid = 0.5 * (lo + hi)
-        fm = f(mid, (yield mid))
+        fm = f(mid, (yield mid)[0])
         if abs(fm) < BISECT_FTOL:
             return mid
         if (fm > 0) == (flo > 0):
@@ -192,19 +193,24 @@ def _bisect_steps(lo: float, hi: float, f):
 
 
 def _lockstep(ch: Channel, lanes: list) -> list:
-    """What each lane returns. A lane is one rate's search, a generator that yields each rho
-    it needs and is sent ``e0_max(ch, rho).value`` there; each step evaluates E0 once for all
-    lanes still running, so each takes the steps, and stops where, its rate alone would."""
-    out, ks, values = [None] * len(lanes), list(range(len(lanes))), [None] * len(lanes)
+    """What each lane returns. A lane is one rate's search, a generator that yields each rho it
+    needs, edge points and answer included, and is sent ``e0_max(ch, rho)``'s (value, q) there,
+    so it stops where its rate alone would. Each step evaluates E0 once for all running lanes: on
+    a symmetric channel in one ``_e0_uniform`` pass, else by ``e0_max`` as each lane reads it."""
+    out, ks, sent = [None] * len(lanes), list(range(len(lanes))), [None] * len(lanes)
     while ks:
         running, rhos = [], []
-        for k, value in zip(ks, values):
+        for k, pair in zip(ks, sent):
             try:
-                rhos.append(lanes[k].send(value))
+                rhos.append(lanes[k].send(pair))
                 running.append(k)
             except StopIteration as stop:
                 out[k] = stop.value
-        ks, values = running, _e0_lanes(ch, rhos)
+        ks = running
+        if is_symmetric(ch):
+            sent = zip(_e0_uniform(ch, rhos), itertools.repeat(e0_max(ch, 1.0).q))
+        else:
+            sent = ((ev.value, ev.q) for ev in map(e0_max, itertools.repeat(ch), rhos))
     return out
 
 
@@ -221,12 +227,11 @@ def _e0_from_powers(pa: np.ndarray, rho: float, q: np.ndarray) -> float:
     return -math.log(float(np.sum(np.power(inner, 1.0 + rho))))
 
 
-def _e0_lanes(ch: Channel, rhos: list[float]) -> list[float]:
-    """``e0_max(ch, rho).value`` at each of ``rhos``, bit for bit: on a symmetric channel
-    one numpy pass at the uniform law, then ``math.log`` per lane (``np.log``'s SIMD
-    path can differ in the last bit); on others ``e0_max`` per lane, through its memo."""
-    if not is_symmetric(ch):
-        return [e0_max(ch, rho).value for rho in rhos]
+def _e0_uniform(ch: Channel, rhos: list[float]) -> list[float]:
+    """E0 at the uniform law at each of ``rhos``, as ``e0_max`` gives it on a symmetric channel:
+    one numpy pass, then ``math.log`` per value (``np.log``'s SIMD path can differ in the last
+    bit). Except at rho = 1 in a pass of several: numpy's power takes its square root
+    for the exponent 1/2 only while that exponent is one scalar, so the last bit can differ."""
     r = np.array(rhos)
     inner = np.full(ch.inputs, 1.0 / ch.inputs) @ np.power(ch.p, (1.0 / (1.0 + r))[:, None, None])
     return [-math.log(t) for t in np.sum(np.power(inner, (1.0 + r)[:, None]), axis=-1).tolist()]
@@ -284,10 +289,10 @@ def _ascend_q(p: np.ndarray, rho: float, q0: np.ndarray):
 def e0_max(ch: Channel, rho: float) -> ExponentValue:
     """max_q E0(rho, q) with the achieving input distribution.
 
-    Symmetric channels take the uniform shortcut; otherwise pairwise
-    coordinate ascent runs from the uniform start. Results are memoised by
-    (channel, rho) in an LRU of ``E0_MAX_CACHE_SIZE`` entries, so the
-    returned ``q`` is read-only.
+    Symmetric channels take the uniform law and the rho-searches' E0 pass,
+    ``_e0_uniform``; others a pairwise coordinate ascent from the uniform
+    start. Results are memoised by (channel, rho) in an LRU of
+    ``E0_MAX_CACHE_SIZE`` entries, so the returned ``q`` is read-only.
     """
     return _e0_max(ch, _rho(rho))
 
@@ -296,12 +301,11 @@ def e0_max(ch: Channel, rho: float) -> ExponentValue:
 def _e0_max(ch: Channel, rho: float) -> ExponentValue:
     # Channel compares by identity, so each channel object has its own keys;
     # the memo keeps a channel alive until its last entry is evicted.
-    p = ch.p
     q = np.full(ch.inputs, 1.0 / ch.inputs)
     if is_symmetric(ch):
-        val = _e0_from_powers(_powers(p, rho), rho, q)
+        val, = _e0_uniform(ch, [rho])
     else:
-        q, val = _ascend_q(p, rho, q)
+        q, val = _ascend_q(ch.p, rho, q)
     q.flags.writeable = False
     return ExponentValue(val, None, q)
 
@@ -355,10 +359,10 @@ def _parametric_bound(ch: Channel, rate, rho_hi: float):
 
     def lane(rate):
         rho = yield from _golden_steps(RHO_MIN, top, lambda x, e0: e0 - x * rate)
-        ev = e0_max(ch, rho)
-        value = max(ev.value - rho * rate, 0.0)
+        e0, q = yield rho
+        value = max(e0 - rho * rate, 0.0)
         edge = top == RHO_MAX and RHO_MAX - rho < 1e-4
-        return _at_rho_max(ch, value, rho, ev.q) if edge else ExponentValue(value, rho, ev.q)
+        return _at_rho_max(ch, value, rho, q) if edge else ExponentValue(value, rho, q)
 
     return _over_rates(ch, rate, lane)
 
@@ -499,12 +503,12 @@ def focusing_bound(ch: Channel, rate):
     def lane(rate):
         if not is_symmetric(ch):
             return _focusing_surrogate(ch, rate)
-        top = e0_max(ch, RHO_MAX)
-        if top.value - RHO_MAX * rate > 0:
-            return _at_rho_max(ch, top.value, RHO_MAX, top.q)
+        top, q = yield RHO_MAX
+        if top - RHO_MAX * rate > 0:
+            return _at_rho_max(ch, top, RHO_MAX, q)
         eta = yield from _bisect_steps(RHO_MIN, RHO_MAX, lambda x, e0: e0 - x * rate)
-        ev = e0_max(ch, eta)
-        return ExponentValue(ev.value, eta, ev.q)
+        e0, q = yield eta
+        return ExponentValue(e0, eta, q)
 
     return _over_rates(ch, rate, lane)
 
@@ -550,8 +554,13 @@ def achieved_exponent(ch: Channel, rho: float) -> ParametricPoint:
     ``rho`` in [RHO_MIN, RHO_MAX].
     """
     rho, e0_rho, e0_one = _e0_pair(ch, rho)
-    exponent = 1.0 / (1.0 / e0_rho + 1.0 / e0_one)
+    exponent = _harmonic(e0_rho, e0_one)
     return ParametricPoint(rho, exponent / rho, exponent)
+
+
+def _harmonic(e0_rho: float, e0_one: float) -> float:
+    """The achieved exponent 1 / (1/E0(rho) + 1/E0(1)) from its two E0 values."""
+    return 1.0 / (1.0 / e0_rho + 1.0 / e0_one)
 
 
 def achieved_exponent_at_rate(ch: Channel, rate):
@@ -562,15 +571,21 @@ def achieved_exponent_at_rate(ch: Channel, rate):
     capacity, as for every bound, and ``rate_out_of_range`` from the rate at RHO_MIN up to
     capacity; rates below the rate at RHO_MAX clamp there with a ``bracket_edge`` flag.
     """
+    # Read once, by the first lane that needs it, not as a lane step: see _e0_uniform at rho = 1.
+    first_e0_one = functools.cache(lambda: e0_max(ch, 1.0).value)
+
     def lane(rate):
-        if rate >= achieved_exponent(ch, RHO_MIN).rate:
+        e0, _ = yield RHO_MIN
+        e0_one = first_e0_one()
+        if rate >= _harmonic(e0, e0_one) / RHO_MIN:
             return ExponentValue(0.0, None, None, (FLAG_RATE_OUT_OF_RANGE,))
-        e0_one = e0_max(ch, 1.0).value
-        edge = rate <= achieved_exponent(ch, RHO_MAX).rate
-        rho = RHO_MAX if edge else (yield from _bisect_steps(
-            RHO_MIN, RHO_MAX, lambda x, e0: 1.0 / (1.0 / e0 + 1.0 / e0_one) / x - rate))
-        flags = (FLAG_BRACKET_EDGE,) if edge else ()
-        return ExponentValue(achieved_exponent(ch, rho).exponent, rho, e0_max(ch, rho).q, flags)
+        e0, q = yield RHO_MAX
+        if rate <= _harmonic(e0, e0_one) / RHO_MAX:
+            return ExponentValue(_harmonic(e0, e0_one), RHO_MAX, q, (FLAG_BRACKET_EDGE,))
+        rho = yield from _bisect_steps(
+            RHO_MIN, RHO_MAX, lambda x, e0: _harmonic(e0, e0_one) / x - rate)
+        e0, q = yield rho
+        return ExponentValue(_harmonic(e0, e0_one), rho, q)
 
     return _over_rates(ch, rate, lane)
 

@@ -97,6 +97,21 @@ class TestConstruction:
         with pytest.raises(BadInputError):
             ch.load_channel("nul\0byte.json")
 
+    @pytest.mark.parametrize("label", ["BSC\nprint \"injected line\"", "a\rb", "tab\there",
+                                       "nul\0", "del\x7f", "next line\x85", 7, None])
+    def test_label_with_a_control_character_is_refused(self, tmp_path, label):
+        # The label heads the figure's gnuplot script, where a line break starts a command.
+        with pytest.raises(BadInputError, match="channel label must be a string without"):
+            ch.make_dmc([[0.9, 0.1], [0.1, 0.9]], label)
+        path = tmp_path / "chan.json"
+        path.write_text(json.dumps({"matrix": [[0.9, 0.1], [0.1, 0.9]], "label": label}))
+        with pytest.raises(BadInputError, match="channel label must be a string without"):
+            ch.load_channel(path)
+
+    def test_printable_labels_are_kept(self):
+        for label in ("", "BSC(0.1) `ls` #", "Kanal Ü — 0,1 \u00a0"):
+            assert ch.make_dmc([[0.9, 0.1], [0.1, 0.9]], label).label == label
+
     def test_load_channel_refuses_unknown_keys(self, tmp_path):
         # As a scheme config does: a misspelt key is an error, not ignored.
         path = tmp_path / "typo.json"

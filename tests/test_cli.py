@@ -431,6 +431,17 @@ class TestFigureCommand:
             "0.003491326,0.917084567,1.100070108,0.207691224\n"
             "0.348783511,0.000000233,0.000932211,0.000201065\n")
 
+    def test_label_cannot_write_lines_into_the_plot_script(self, capsys, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({**Z_MATRIX, "label": "BSC\nprint \"injected line\""}))
+        out_dir = tmp_path / "fig"
+        code, out, err = run(capsys, ["figure", "--matrix", str(path), "--points", "2",
+                                      "--outdir", str(out_dir)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: channel label must be a string without control characters")
+        assert len(err.splitlines()) == 1
+        assert not out_dir.exists()
+
     def test_zero_capacity_channel_is_named_in_the_error(self, capsys, tmp_path):
         out_dir = tmp_path / "fig"
         code, out, err = run(capsys, ["figure", "--bsc", "0.5", "--outdir", str(out_dir)])

@@ -195,3 +195,15 @@ class TestCrossover:
             {"sp": (ex.ExponentValue(0.5), ex.ExponentValue(0.4)),
              "achieved": (ex.ExponentValue(0.3), ex.ExponentValue(0.2))})
         assert curves.crossover_rate(t) is None
+
+
+def test_symmetric_sweep_makes_as_many_e0_max_misses_at_16_points_as_at_512():
+    # Every lane reads E0 from the lockstep pass and the one shared uniform law, so the
+    # e0_max memo misses of a sweep do not grow with its points.
+    misses = []
+    for points in (16, 512):
+        c = chan.make_bsc(0.1)  # a new channel object has no memo entries
+        before = ex._e0_max.cache_info().misses
+        curves.sweep(c, 1e-3, chan.capacity(c), points, ex.BOUNDS_AT_RATE)
+        misses.append(ex._e0_max.cache_info().misses - before)
+    assert misses[0] == misses[1]

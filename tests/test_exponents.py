@@ -43,7 +43,8 @@ PSI_BSC04_RHO2 = 0.5719385546514613
 # Exact values on the Z channel [[1, 0], [0.3, 0.7]], compared with ==.
 # The searches over rho and the rate split are flat near their optima, so a
 # last-bit change in E0 moves the printed params; any rewrite of the
-# asymmetric path must keep these bit for bit.
+# asymmetric path must keep these bit for bit (two move between numpy's
+# kernel sets: see KERNEL_SENSITIVE_PINS).
 Z_E0_MAX = {
     0.5: (0.14745161476795615, [0.5372076562220536, 0.4627923437779464]),
     1.0: (0.25636264787323504, [0.5, 0.5]),
@@ -55,6 +56,15 @@ Z_AT_03_BIT = {  # (value, param) at 0.3 bit
     "achieved_exponent_at_rate": (0.08156212682070253, 0.3922309196251891),
     "focusing_bound": (0.39954281060208374, 0.6128753483661027),
 }
+# The recorded pins below that move between numpy's kernel sets: with its AVX-512 kernels
+# off (NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"), np.power rounds differently
+# in the last bit, and these values moved by up to 2.8e-15 relative and their params by up
+# to 2.5e-8. Their tests are exact against tests/reference.py on the running kernels and
+# hold these pins within the bounds below; every other pin is exact.
+KERNEL_SENSITIVE_PINS = {"sphere_packing", "random_coding",
+                         ("bsc0.1", 8), ("z", 2), ("z", 8), ("z", 63)}
+KERNEL_VALUE_REL = 1e-14
+KERNEL_PARAM_ABS = 1e-7
 # E0 evaluations in one e0_max miss on a two-input asymmetric channel: the
 # start plus at most two golden-section sweeps of 51, so 103.
 E0_MISS_BUDGET = 110
@@ -122,6 +132,24 @@ def zch():
 @pytest.fixture(scope="module")
 def useless():
     return chan.make_dmc([[0.5, 0.5], [0.5, 0.5]])
+
+
+def assert_same_cells(got, want):
+    """Equal cells, each with an equal input law: ``ExponentValue ==`` leaves ``q`` out."""
+    assert tuple(got) == tuple(want)
+    for a, b in zip(got, want):
+        assert (a.q is None and b.q is None) or np.array_equal(a.q, b.q), (a, b)
+
+
+def assert_pin(res, pins, key):
+    """``res`` at the recorded (value, param) ``pins[key]``: exact, except that a key in
+    ``KERNEL_SENSITIVE_PINS`` is held within the spread between numpy's kernel sets."""
+    value, param = pins[key]
+    if key not in KERNEL_SENSITIVE_PINS:
+        assert (res.value, res.param) == (value, param)
+    else:
+        assert res.value == pytest.approx(value, rel=KERNEL_VALUE_REL, abs=0)
+        assert res.param == pytest.approx(param, rel=0, abs=KERNEL_PARAM_ABS)
 
 
 def e0_calls_in_one_miss(c, rho):
@@ -260,11 +288,13 @@ class TestAsymmetricExact:
         assert res.value == value
         assert res.q.tolist() == q
 
-    @pytest.mark.parametrize("name", ["sphere_packing", "random_coding",
-                                      "achieved_exponent_at_rate"])
-    def test_bounds_bits(self, zch, name):
+    @pytest.mark.parametrize("name, short", [("sphere_packing", "sp"), ("random_coding", "rc"),
+                                             ("achieved_exponent_at_rate", "achieved")],
+                             ids=["sphere_packing", "random_coding", "achieved_exponent_at_rate"])
+    def test_bounds_bits(self, zch, name, short):
         res = getattr(ex, name)(zch, 0.3 * LN2)
-        assert (res.value, res.param) == Z_AT_03_BIT[name]
+        assert_same_cells([res], [reference.bound_at_rate(zch, short, 0.3 * LN2)])
+        assert_pin(res, Z_AT_03_BIT, name)
 
     def test_focusing_bits_within_ascent_budget(self, monkeypatch):
         calls = []
@@ -403,8 +433,11 @@ class TestListRandomCoding:
     @pytest.mark.parametrize("name, list_size", sorted(LIST_AT_03C))
     def test_below_64_exact(self, name, list_size):
         c = NAMED_CHANNELS[name]
-        res = ex.list_random_coding(c, 0.3 * chan.capacity(c), list_size)
-        assert (res.value, res.param, res.flags) == (*LIST_AT_03C[name, list_size], ())
+        rate = 0.3 * chan.capacity(c)
+        res = ex.list_random_coding(c, rate, list_size)
+        assert_same_cells([res], [reference.bound_at_rate(c, "list", rate, list_size)])
+        assert res.flags == ()
+        assert_pin(res, LIST_AT_03C, (name, list_size))
 
     @pytest.mark.parametrize("list_size", [64, 1000, 10 ** 12, 10 ** 400],
                              ids=["64", "1000", "1e12", "1e400"])
@@ -583,22 +616,48 @@ LANE_CHANNELS = {"bsc0.1": chan.make_bsc(0.1), "bsc0.4": chan.make_bsc(0.4),
 
 
 class TestRateLists:
-    @pytest.mark.parametrize("name", sorted(LANE_CHANNELS))
+    @pytest.mark.parametrize("name", [*sorted(LANE_CHANNELS), "z"])
     def test_lanes_match_the_per_rate_searches(self, name):
-        c = LANE_CHANNELS[name]
+        c = {**LANE_CHANNELS, "z": NAMED_CHANNELS["z"]}[name]
         cap = chan.capacity(c)
         # The sliver between the achieved curve's rate at RHO_MIN and capacity.
         sliver = 0.5 * (ex.achieved_exponent(c, ex.RHO_MIN).rate + cap)
         rates = [float(r) for r in np.linspace(1e-4 * cap, cap, 33)] + [sliver, 1.5 * cap]
         seen = {}
-        for bound in ex.BOUNDS_AT_RATE:
+        # The per-rate focusing search is for symmetric channels; Z gets the surrogate.
+        for bound in ex.BOUNDS_AT_RATE if name != "z" else ("sp", "rc", "list", "achieved"):
             got = ex.bound_at_rate(c, bound, rates)
-            assert got == tuple(reference.bound_at_rate(c, bound, r) for r in rates), bound
+            assert_same_cells(got, [reference.bound_at_rate(c, bound, r) for r in rates])
             seen[bound] = {f for cell in got for f in cell.flags}
+        if name == "z":
+            return
         assert {ex.FLAG_RATE_ABOVE_CAPACITY, ex.FLAG_RATE_OUT_OF_RANGE,
                 ex.FLAG_BRACKET_EDGE} <= seen["achieved"]
         edge = ex.FLAG_UNBOUNDED if name == "typewriter" else ex.FLAG_BRACKET_EDGE
         assert edge in seen["focusing"]
+
+    @pytest.mark.parametrize("name", sorted(LANE_CHANNELS))
+    def test_symmetric_e0_max_is_gallager_e0(self, name):
+        # On a symmetric channel e0_max takes the lanes' E0 pass at one rho; it must equal the
+        # Gallager function at the uniform law bit for bit, through the bracket and at its ends.
+        c = LANE_CHANNELS[name]
+        rhos = [*np.geomspace(ex.RHO_MIN, ex.RHO_MAX, 500), *np.linspace(ex.RHO_MIN, 4.0, 500),
+                ex.RHO_MIN, 1.0, ex.RHO_MAX]
+        assert [ex.e0_max(c, rho).value for rho in rhos] == [ex.gallager_e0(c, rho) for rho in rhos]
+
+    def test_achieved_reads_e0_one_only_for_a_rate_below_capacity(self):
+        # On a non-symmetric channel E0(1) is an ascent: a call that refuses its rates, or
+        # answers them all with the above-capacity zero, must not pay for it.
+        c = chan.make_dmc([[1.0, 0.0], [0.3, 0.7]])  # a new channel object has no memo entries
+        cap = chan.capacity(c)
+        before = ex._e0_max.cache_info().misses
+        with pytest.raises(ex.NonPositiveRateError):
+            ex.achieved_exponent_at_rate(c, [float("nan"), 0.0])
+        assert ex.achieved_exponent_at_rate(c, [cap, 2.0 * cap]) == (
+            ex.ExponentValue(0.0, None, None, (ex.FLAG_RATE_ABOVE_CAPACITY,)),) * 2
+        assert ex._e0_max.cache_info().misses == before
+        assert ex.achieved_exponent_at_rate(c, [0.5 * cap] * 3)[0].flags == ()
+        assert ex._e0_max.cache_info().misses > before
 
     @given(kind=st.sampled_from(["bsc", "bec", "asymmetric"]), data=st.data())
     @settings(max_examples=25, deadline=None)
