@@ -222,9 +222,9 @@ def _powers(p: np.ndarray, rho: float) -> np.ndarray:
 
 
 def _e0_from_powers(pa: np.ndarray, rho: float, q: np.ndarray) -> float:
-    """E0(rho, q) from ``pa = _powers(p, rho)``, for any rho > -1 (callers police rho >= 0)."""
-    inner = q @ pa
-    return -math.log(float(np.sum(np.power(inner, 1.0 + rho))))
+    """E0(rho, q) from ``pa = _powers(p, rho)``, for any rho > -1 (callers police rho >= 0).
+    The ascent's hot call: ``q.dot`` and ``np.add.reduce`` are ``@`` and ``np.sum`` unwrapped."""
+    return -math.log(np.add.reduce(np.power(q.dot(pa), 1.0 + rho)))
 
 
 def _e0_uniform(ch: Channel, rhos: list[float]) -> list[float]:
@@ -270,11 +270,11 @@ def _ascend_q(p: np.ndarray, rho: float, q0: np.ndarray):
                 mass = q[i] + q[j]
                 if mass <= 0:
                     continue
+                trial = q.copy()  # q holds still while its pair (i, j) is searched
 
-                def split(t, _i=i, _j=j, _m=mass):
-                    trial = q.copy()
-                    trial[_i], trial[_j] = t * _m, (1.0 - t) * _m
-                    return _e0_from_powers(pa, rho, trial)
+                def split(t, _i=i, _j=j, _m=mass, _trial=trial):
+                    _trial[_i], _trial[_j] = t * _m, (1.0 - t) * _m
+                    return _e0_from_powers(pa, rho, _trial)
 
                 t, val = _golden_max(split, 0.0, 1.0)
                 if val > best:

@@ -11,6 +11,8 @@ import numpy as np
 
 from delayexp.channel import SYMMETRY_ATOL, OutOfRangeError, is_symmetric
 from delayexp.exponents import (
+    ASCENT_SWEEPS_MAX,
+    ASCENT_TOL,
     BISECT_FTOL,
     BISECT_XTOL,
     FLAG_BRACKET_EDGE,
@@ -310,6 +312,39 @@ def grid_e0_max(p, rho, steps=32):
     """
     pa = _powers(p, rho)
     return max(_e0_from_powers(pa, rho, q) for q in _simplex_grid(p.shape[0], steps))
+
+
+def ascend_q(p, rho, q0):
+    """``exponents._ascend_q`` with E0 written out: a fresh trial law and ``np.sum`` at every
+    evaluation, where the package keeps one trial law per input pair and reduces directly."""
+    pa = _powers(p, rho)
+
+    def e0(q):
+        return -math.log(float(np.sum(np.power(q @ pa, 1.0 + rho))))
+
+    q = np.array(q0, dtype=float)
+    best = e0(q)
+    for _ in range(ASCENT_SWEEPS_MAX):
+        gain = 0.0
+        for i in range(len(q)):
+            for j in range(i + 1, len(q)):
+                mass = q[i] + q[j]
+                if mass <= 0:
+                    continue
+
+                def split(t, _i=i, _j=j, _m=mass):
+                    trial = q.copy()
+                    trial[_i], trial[_j] = t * _m, (1.0 - t) * _m
+                    return e0(trial)
+
+                t, val = _golden_max(split, 0.0, 1.0)
+                if val > best:
+                    gain += val - best
+                    best = val
+                    q[i], q[j] = t * mass, (1.0 - t) * mass
+        if gain < ASCENT_TOL or len(q) == 2:
+            break
+    return q, best
 
 
 def service_times(delta, horizon, seed):

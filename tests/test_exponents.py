@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from delayexp import channel as chan
@@ -68,6 +68,11 @@ KERNEL_PARAM_ABS = 1e-7
 # E0 evaluations in one e0_max miss on a two-input asymmetric channel: the
 # start plus at most two golden-section sweeps of 51, so 103.
 E0_MISS_BUDGET = 110
+# On Z a miss makes exactly the start plus one golden search of 51; a count that
+# falls below this means evaluations no longer go through _e0_from_powers.
+Z_E0_MISS_CALLS = 52
+# A four-input, three-output channel with no symmetry, for the ascent over six pairs.
+MATRIX_4X3 = [[.7, .2, .1], [.1, .6, .3], [.2, .2, .6], [.05, .05, .9]]
 # _ascend_q runs in one focusing_bound(Z, 0.3 bit) on a fresh channel: 1,355
 # with the e0_max memo and the first-finite probe, 5,124 without them.
 Z_FOCUSING_ASCENT_BUDGET = 1_500
@@ -260,6 +265,10 @@ class TestE0Max:
         assert e0_calls_in_one_miss(z, rho) <= E0_MISS_BUDGET
         assert ex.e0_max(z, rho).value >= grid_e0_max(z.p, rho)
 
+    @pytest.mark.parametrize("rho", [ex.RHO_MIN, 0.05, 1.0, 4.0, ex.RHO_MAX])
+    def test_z_channel_miss_count_is_exact(self, rho):
+        assert e0_calls_in_one_miss(make_z(), rho) == Z_E0_MISS_CALLS
+
     @given(st.integers(min_value=0, max_value=2**32 - 1),
            st.integers(min_value=2, max_value=5),
            st.floats(min_value=0.01, max_value=16.0))
@@ -278,6 +287,37 @@ class TestE0Max:
         # beaten it by up to 1.8e-11 nats on three inputs.
         c = chan.make_dmc(np.random.default_rng(seed).dirichlet(np.ones(outputs), size=3))
         assert ex.e0_max(c, rho).value >= grid_e0_max(c.p, rho) - 5e-11
+
+
+def assert_same_ascent(p, rho):
+    q0 = np.full(p.shape[0], 1.0 / p.shape[0])
+    q, value = ex._ascend_q(p, rho, q0)
+    q_ref, value_ref = reference.ascend_q(p, rho, q0)
+    assert value == value_ref
+    assert np.array_equal(q, q_ref), (q, q_ref)
+
+
+class TestAscentSecondRoute:
+    # The ascent against its per-evaluation form in tests/reference.py: the same
+    # value and law to the last bit, on every kernel set.
+    @pytest.mark.parametrize("c", [make_z(), chan.make_dmc(MATRIX_4X3)], ids=["z", "4x3"])
+    @given(st.floats(min_value=ex.RHO_MIN, max_value=ex.RHO_MAX))
+    @example(ex.RHO_MIN)
+    @example(1.0)
+    @example(ex.RHO_MAX)
+    @settings(max_examples=15, deadline=None)
+    def test_named_channels(self, c, rho):
+        assert_same_ascent(c.p, rho)
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1),
+           st.integers(min_value=2, max_value=5),
+           st.integers(min_value=2, max_value=5),
+           st.sampled_from([ex.RHO_MIN, 1.0, ex.RHO_MAX])
+           | st.floats(min_value=ex.RHO_MIN, max_value=ex.RHO_MAX))
+    @settings(max_examples=30, deadline=None)
+    def test_drawn_channels(self, seed, inputs, outputs, rho):
+        rows = np.random.default_rng(seed).dirichlet(np.ones(outputs), size=inputs)
+        assert_same_ascent(chan.make_dmc(rows).p, rho)
 
 
 class TestAsymmetricExact:
