@@ -13,7 +13,8 @@ Three subcommands:
   write a run record of their failure counters.
 
 Exit codes: 0 success, 2 malformed input, 3 domain violation or a request
-too large for memory, 4 when the printed result carries a numerical flag,
+too large for memory, 4 when the printed result carries a flag (a numerical
+edge condition, or a synthesized run's overloaded flow link),
 141 when the reader closed stdout before the output was written.
 Rates are accepted in bits (``--rate-bits``); ``--unit`` rescales
 displayed rates and exponents by exactly ln 2 and leaves dimensionless
@@ -256,7 +257,7 @@ def cmd_simulate_bec_queue(args) -> int:
 
 
 def cmd_simulate_scheme(args) -> int:
-    from .sim_anytime import SchemeConfig, fortified_run, synthesized_run
+    from .sim_anytime import SchemeConfig, _overloaded_flow_link, fortified_run, synthesized_run
 
     if args.config is None:
         raise BadInputError(f"scheme {args.scheme!r} requires --config")
@@ -273,6 +274,11 @@ def cmd_simulate_scheme(args) -> int:
     _print_fit(table)
     print(f"blocks_confirmed {table.blocks_confirmed}")
     print(f"wrote {manifest_path}")
+    if args.scheme == "synthesized" and _overloaded_flow_link(cfg, ch):
+        print(f"flag overloaded_flow_link: a flow symbol needs ln(1 + list size {cfg.list_size})"
+              f" nats, more than its theta = {cfg.theta} flow uses carry at capacity",
+              file=sys.stderr)
+        return EXIT_FLAGGED
     return EXIT_OK
 
 

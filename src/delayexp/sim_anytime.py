@@ -32,7 +32,7 @@ from hashlib import blake2b
 import numpy as np
 
 from . import _pcg64
-from .channel import Channel
+from .channel import Channel, capacity
 from .errors import _SIZE_MAX, BadInputError, DomainError, _json_object, _number, _read_json, _seed
 from .exponents import _positive_capacity, e0_max
 from .sim_queue import (MISS_WEIGHT, WINDOW, DeadlineGrid, DelayErrorTable, HorizonTooShortError,
@@ -91,12 +91,13 @@ class SchemeConfig:
 
     ``n`` is the block length in chunks' worth of data uses, ``c`` the
     chunk length in channel uses, ``l`` the list parameter (list size
-    2^l, at most the 2^payload_bits candidates), ``theta`` the per-chunk
-    flow-control uses (0 for the fortified scheme, whose flow link is a
-    noiseless side link; the synthesized scheme needs at least 1),
-    ``rate_bits`` the arrival rate in bits per channel use, ``seed`` the
-    code/message seed, and ``redecode_window`` how many trailing chunks of
-    flow history are re-decoded each chunk.
+    2^list_bits with list_bits = min(l, payload_bits), at most the
+    2^payload_bits candidates; a flow symbol confirms one entry of the
+    list), ``theta`` the per-chunk flow-control uses (0 for the fortified
+    scheme, whose flow link is a noiseless side link; the synthesized
+    scheme needs at least 1), ``rate_bits`` the arrival rate in bits per
+    channel use, ``seed`` the code/message seed, and ``redecode_window``
+    how many trailing chunks of flow history are re-decoded each chunk.
     """
 
     n: int
@@ -134,8 +135,12 @@ class SchemeConfig:
         return round(self.n * self.c * self.rate_bits)
 
     @property
+    def list_bits(self) -> int:
+        return min(self.l, self.payload_bits)
+
+    @property
     def list_size(self) -> int:
-        return 1 << min(self.l, self.payload_bits)
+        return 1 << self.list_bits
 
     @property
     def data_uses_per_chunk(self) -> int:
@@ -182,6 +187,12 @@ class SchemeRunResult(DelayErrorTable):
     def counters(self) -> dict:
         """The failure counters by name: the fields this class adds to a DelayErrorTable."""
         return {f.name: getattr(self, f.name) for f in fields(self)[len(fields(DelayErrorTable)):]}
+
+
+def _overloaded_flow_link(cfg: SchemeConfig, ch: Channel) -> bool:
+    """Whether a chunk's flow symbol, DENY or one confirm per list entry, needs more
+    than its ``theta`` flow uses carry: ln(1 + list size) > theta * C nats."""
+    return math.log(1 + cfg.list_size) > cfg.theta * capacity(ch)
 
 
 # -- deterministic random ingredients ---------------------------------------
@@ -344,15 +355,6 @@ class BlockCodebook:
         # A count below 2^32 whose last block id is below 2^32 too.
         count = _number(count, "block count", 0, min(_WORD_END - 1, _WORD_END - first), "[]",
                         integer=True)
-        if self.coset and self.n_candidates > 2 and count < _HEAD_KERNEL_MIN:
-            width = _SERVE_STRIDE_MIN
-            return self._slab_head_letters(first, range(count),
-                                           np.empty((count, width), dtype=np.int64),
-                                           np.empty((count, width), dtype=np.int8))
-        return self._kernel_head_letters(first, count)
-
-    def _kernel_head_letters(self, first: int, count: int) -> np.ndarray:
-        """:meth:`head_letters` from the kernel's raw outputs, at any batch size."""
         width = _SERVE_STRIDE_MIN
         if not self.coset:
             u = (self._head_raw(first, count) >> 11) * 2.0 ** -53  # Generator.random's double
@@ -365,8 +367,10 @@ class BlockCodebook:
         span = self.n_candidates - 1
         g = np.empty((count, width), dtype=np.int64)
         s = np.empty((count, width), dtype=np.int8)
-        rejected = []
-        for lo in range(0, count, _HEAD_KERNEL_MAX):
+        # A batch below the minimum reads every block's slab, as a rejected block does.
+        kernel = count if count >= _HEAD_KERNEL_MIN else 0
+        rejected = list(range(kernel, count))
+        for lo in range(0, kernel, _HEAD_KERNEL_MAX):
             raw = self._head_raw(first + lo, min(_HEAD_KERNEL_MAX, count - lo))
             s[lo:lo + len(raw)] = raw[:, -1:] >> dither_shifts & 1
             # Each raw output before the dither's is two draws, low half first.
@@ -375,17 +379,8 @@ class BlockCodebook:
             g[lo:lo + len(raw)] = (scaled[:, :width] >> 32) + 1
             rejected += (lo + np.flatnonzero(
                 (scaled & 0xFFFFFFFF < (1 << 32) % span).any(axis=1))).tolist()
-        return self._slab_head_letters(first, rejected, g, s)
-
-    def _slab_head_letters(self, first: int, blocks, g: np.ndarray,
-                           s: np.ndarray) -> np.ndarray:
-        """Coset letters of head masks ``g`` and dithers ``s``, one row per block
-        from ``first``, after the rows ``blocks`` are read from their blocks'
-        first slabs."""
-        for i in blocks:
-            slab_g, slab_s = self._slab(first + i, 0)
-            g[i] = slab_g[:_SERVE_STRIDE_MIN]
-            s[i] = slab_s[:_SERVE_STRIDE_MIN]
+        for i in rejected:
+            g[i], s[i] = (part[:width] for part in self._slab(first + i, 0))
         return self._coset_letters(g, s)
 
     def _head_raw(self, first: int, count: int) -> np.ndarray:
@@ -527,8 +522,8 @@ class FlowDecoder:
     """
 
     def __init__(self, code: FlowCode, ch: Channel, l: int):
-        # The window holds memory * (l + 1) hypothesis bits.
-        l = _number(l, f"l at a window of {code.memory} chunks", 0,
+        # The window holds memory * (l + 1) hypothesis bits; the list holds 2^l entries.
+        l = _number(l, f"list bits at a window of {code.memory} chunks", 0,
                     FLOW_HYPOTHESIS_BITS_MAX // code.memory - 1, "[]", integer=True,
                     error=WindowTooLargeError)
         self.code = code
@@ -613,10 +608,9 @@ class _ParseState:
             # parse; ignore it and remember that the estimate disagreed.
             self.spurious += 1
             return None
-        order = _ranked(self.scores, list_len)
         self.active = False
         self.next_block += 1
-        return int(order[min(symbol - 1, len(order) - 1)])
+        return int(_ranked(self.scores, list_len)[symbol - 1])
 
 
 # -- the fortified scheme ----------------------------------------------------
@@ -822,7 +816,7 @@ def synthesized_run(cfg: SchemeConfig, ch: Channel, horizon: int, delays,
     # It also means no frozen message enters the newest chunk's context, so
     # the decoder hashes one fixed tree of window paths.
     flow_code = FlowCode(ch, cfg.theta, cfg.seed, cfg.redecode_window)
-    flow_dec = FlowDecoder(flow_code, ch, cfg.l)
+    flow_dec = FlowDecoder(flow_code, ch, cfg.list_bits)
     values, ready = _blocks(cfg, span)
     noise = _NoiseSource(ch, span, seed)
 

@@ -650,6 +650,25 @@ class TestSimulateCommand:
         assert code == 2
         assert "delays" in err
 
+    def test_overloaded_flow_link_is_flagged_after_a_complete_run(self, capsys, tmp_path):
+        # One flow use per chunk on BSC(0.05) carries C = 0.495 nats, less than
+        # the ln 3 nats of DENY or a confirm from a list of two: the run writes
+        # every artifact, then flags the config with exit 4.
+        cfg = tmp_path / "syn.json"
+        cfg.write_text(json.dumps({"n": 2, "c": 5, "l": 1, "theta": 1, "rate_bits": 0.3}))
+        out_dir = tmp_path / "out"
+        code, out, err = run(capsys, ["simulate", "synthesized", "--config", str(cfg),
+                                      "--bsc", "0.05", "--horizon", "4000", "--delays", "5,10,20",
+                                      "--outdir", str(out_dir)])
+        assert code == 4
+        assert len(err.splitlines()) == 1
+        assert err.startswith("flag overloaded_flow_link: ")
+        assert out.splitlines()[-1] == f"wrote {out_dir / 'manifest.json'}"
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        names = ARTIFACT_SETS["synthesized"]
+        assert manifest["artifacts"] == [str(out_dir / name) for name in names]
+        assert sorted(p.name for p in out_dir.iterdir()) == sorted(names)
+
     def test_synthesized_runs_and_is_deterministic(self, capsys, tmp_path):
         cfg = tmp_path / "syn.json"
         cfg.write_text(json.dumps({"n": 1, "c": 8, "l": 0, "theta": 4,

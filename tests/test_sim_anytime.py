@@ -19,6 +19,7 @@ from delayexp.errors import BadInputError, DomainError
 from delayexp.sim_anytime import (
     _CODE_SLAB,
     _CODE_STREAM,
+    _HEAD_KERNEL_MIN,
     _SERVE_BATCH_CELLS,
     _SERVE_STRIDE_MIN,
     DENY,
@@ -383,18 +384,21 @@ class TestBlockCodebook:
     def test_kernel_route_reads_a_rejected_blocks_slab(self):
         # At payload 11 and seed 0, Lemire's rule rejects mask draw 24 of block
         # 57289 (pinned in tests/test_pcg64.py), so its dither bits are not the
-        # ones of raw output 128. The kernel route, called here whatever batch
-        # size the dispatch rule gives it at this payload, reads that block's
-        # slab instead.
+        # ones of raw output 128. A batch of 20 blocks takes the kernel, which
+        # reads that block's slab instead; a batch below _HEAD_KERNEL_MIN reads
+        # every block's slab. Both hold the block's own letters.
         ch, block = SERVICE_CHANNELS["bsc0.05"], 57289
-        cb = BlockCodebook(ch, 11, 0)
         raw = np.random.PCG64(np.random.SeedSequence((0, _CODE_STREAM, block, 0))).random_raw(129)
         naive = raw[128] >> 8 * np.arange(_SERVE_STRIDE_MIN, dtype=np.uint64) + 7 & 1
-        assert not np.array_equal(naive.astype(np.int8), cb._slab(block, 0)[1][:_SERVE_STRIDE_MIN])
-        head = cb._kernel_head_letters(57280, 20)
-        fresh = BlockCodebook(ch, 11, 0)
-        assert np.array_equal(head, np.stack([fresh._columns(b, 0, 0, _SERVE_STRIDE_MIN)
-                                              for b in range(57280, 57300)]))
+        for first, count in ((57280, 20), (57285, _HEAD_KERNEL_MIN - 1)):
+            assert first <= block < first + count
+            cb = BlockCodebook(ch, 11, 0)
+            assert not np.array_equal(naive.astype(np.int8),
+                                      cb._slab(block, 0)[1][:_SERVE_STRIDE_MIN])
+            head = cb.head_letters(first, count)
+            fresh = BlockCodebook(ch, 11, 0)
+            assert np.array_equal(head, np.stack([fresh._columns(b, 0, 0, _SERVE_STRIDE_MIN)
+                                                  for b in range(first, first + count)]))
 
     # Block ids, positions and counts: small, near 2^32 and far outside
     # [0, 2^32); counts inside it stay small, so no example allocates much.
@@ -1201,6 +1205,31 @@ class TestSynthesizedScheme:
         synthesized_run(self.CFG, make_bsc(0.05), 6_000, (24, 48), 0)
         assert drawn == len(set(reads)) < len(reads)
         assert held == 2
+
+    def test_flow_decoder_settles_only_symbols_the_encoder_can_send(self, monkeypatch):
+        # A one-bit payload under l = 2: the list holds both candidates, so the
+        # encoder sends DENY, confirm(0) or confirm(1), and the decoder searches
+        # those three symbols only. The link is not overloaded, ln 3 < 3 C.
+        cfg = SchemeConfig(n=3, c=4, l=2, theta=3, rate_bits=1 / 12, redecode_window=3)
+        assert (cfg.payload_bits, cfg.list_size) == (1, 2)
+        decoders, frozen = [], []
+        step = FlowDecoder.step
+
+        def recording_step(self, outputs):
+            decoders.append(self)
+            newly, best = step(self, outputs)
+            frozen.extend(newly)
+            return newly, best
+
+        monkeypatch.setattr(FlowDecoder, "step", recording_step)
+        table = synthesized_run(cfg, make_bsc(0.05), 24_000, (12, 24, 48), 0)
+        assert len(set(map(id, decoders))) == 1
+        assert decoders[0].symbols == range(1 + cfg.list_size)
+        assert len(frozen) == 5_997
+        assert max(frozen) <= cfg.list_size
+        assert (table.punctuation_chunk_errors, table.data_block_errors,
+                table.spurious_confirms) == (657, 506, 223)
+        assert not sim_anytime._overloaded_flow_link(cfg, make_bsc(0.05))
 
     def test_requires_flow_uses(self):
         with pytest.raises(DomainError):
