@@ -31,12 +31,12 @@ from hashlib import blake2b
 
 import numpy as np
 
-from . import _pcg64
+from . import _pcg64, sim_queue
 from .channel import Channel, capacity
 from .errors import _SIZE_MAX, BadInputError, DomainError, _json_object, _number, _read_json, _seed
 from .exponents import _positive_capacity, e0_max
-from .sim_queue import (MISS_WEIGHT, WINDOW, DeadlineGrid, DelayErrorTable, HorizonTooShortError,
-                        arrival, arrived)
+from .sim_queue import (MISS_WEIGHT, DeadlineGrid, DelayErrorTable, HorizonTooShortError, arrival,
+                        arrived)
 
 IDLE_LETTER = 0
 PAYLOAD_BITS_MAX = 14
@@ -198,16 +198,36 @@ def _overloaded_flow_link(cfg: SchemeConfig, ch: Channel) -> bool:
 # -- deterministic random ingredients ---------------------------------------
 
 class _NoiseSource:
-    """Per-use channel noise: one uniform per channel use, indexed by time."""
+    """Per-use channel noise: one uniform per channel use, indexed by time.
+
+    The uniforms are drawn ``sim_queue.WINDOW`` uses at a time from one
+    generator, which gives the same draws as one call over the horizon. The
+    source holds the uses from its release mark to the last one drawn: its
+    caller releases the uses it will not read again, and a read before the
+    mark or past the horizon is an internal error.
+    """
 
     def __init__(self, ch: Channel, horizon: int, seed: int):
-        rng = np.random.default_rng(np.random.SeedSequence((_seed(seed), _NOISE_STREAM)))
-        self.u = rng.random(horizon)
+        self._rng = np.random.default_rng(np.random.SeedSequence((_seed(seed), _NOISE_STREAM)))
+        self.horizon = horizon
         self.cdf = _cdf(ch.p)
+        self._u = np.empty(0)  # the uniforms of uses _first, _first + 1, ...
+        self._first = 1
+        self._mark = 1  # the first use not released
+
+    def release(self, use: int) -> None:
+        """Release the uses before ``use``: no later read reaches them."""
+        self._mark = max(self._mark, use)
+
+    def uniforms(self, uses: np.ndarray) -> np.ndarray:
+        """The uniform of each use (1-based) of the nonempty int array ``uses``."""
+        self._draw(int(uses.min()), int(uses.max()))
+        return self._u[uses - self._first]
 
     def emit_batch(self, letters: np.ndarray, t0: int) -> np.ndarray:
         """Outputs for a run of consecutive uses starting at 1-based t0."""
-        return self.emit(letters, self.u[t0 - 1:t0 - 1 + len(letters)])
+        self._draw(t0, t0 + len(letters) - 1)
+        return self.emit(letters, self._u[t0 - self._first:t0 - self._first + len(letters)])
 
     def emit(self, letters: np.ndarray, u: np.ndarray) -> np.ndarray:
         """The output of each input letter under the uniform of the same index."""
@@ -215,18 +235,33 @@ class _NoiseSource:
         # so every output is a valid letter.
         return (self.cdf[letters] <= u[..., None]).sum(axis=-1)
 
+    def _draw(self, lo: int, hi: int) -> None:
+        """Hold uses lo to hi: draw the windows up to the one holding hi, and
+        drop the released uses when drawing."""
+        if not (self._mark <= lo and hi <= self.horizon):
+            raise RuntimeError(f"internal error: noise read of uses {lo} to {hi} outside "
+                               f"the unreleased uses {self._mark} to {self.horizon}")
+        end = self._first + len(self._u)  # the first use not drawn
+        if hi >= end:
+            window = sim_queue.WINDOW
+            last = min(-(-hi // window) * window, self.horizon)
+            drawn = self._rng.random(last - end + 1)[max(self._mark - end, 0):]
+            self._u = np.concatenate((self._u[self._mark - self._first:], drawn))
+            self._first = self._mark
 
-def _block_values(cfg: SchemeConfig, count: int) -> np.ndarray:
+
+def _blocks(cfg: SchemeConfig, span: int, size: int):
+    """Yield (first block, values, ready uses) for consecutive runs of ``size``
+    blocks of a run of ``span`` uses: each block's value and ready use (its last
+    bit's arrival), plus one block for the last, partial block's bits, ready
+    after the run. The values come from one generator, which gives the same
+    draws as one call over every block."""
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, _BITS_STREAM)))
-    return rng.integers(0, 1 << cfg.payload_bits, size=max(count, 1), dtype=np.int64)
-
-
-def _blocks(cfg: SchemeConfig, span: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each block's value and ready use (its last bit's arrival) in a run of ``span``
-    uses, plus one block for the last, partial block's bits, ready after the run."""
     n_blocks = arrived(span, cfg.rate_bits) // cfg.payload_bits + 1
-    ready = arrival(cfg.payload_bits * np.arange(1, n_blocks + 1), cfg.rate_bits)
-    return _block_values(cfg, n_blocks), ready
+    for first in range(0, n_blocks, size):
+        ids = np.arange(first + 1, min(first + size, n_blocks) + 1)
+        yield (first, rng.integers(0, 1 << cfg.payload_bits, size=len(ids), dtype=np.int64),
+               arrival(cfg.payload_bits * ids, cfg.rate_bits))
 
 
 def _code_input_dist(ch: Channel) -> np.ndarray:
@@ -637,7 +672,7 @@ def _first_strides(logp: np.ndarray, noise: _NoiseSource, head: np.ndarray,
     """
     rows = np.arange(len(starts))
     uses = starts[:, None] + np.arange(_SERVE_STRIDE_MIN)
-    outputs = noise.emit(head[rows, values], noise.u[np.minimum(uses, horizon) - 1])
+    outputs = noise.emit(head[rows, values], noise.uniforms(np.minimum(uses, horizon)))
     cum = logp[head.transpose(1, 0, 2), outputs].cumsum(axis=2)  # (candidates, blocks, uses)
     ok = _confirmable(cum, cum[values, rows], list_len) & (uses <= horizon)
     offset = ok.argmax(axis=1)
@@ -705,15 +740,13 @@ def _serve_block(codebook: BlockCodebook, noise: _NoiseSource, block: int, value
     return None
 
 
-def _serve_blocks(cfg: SchemeConfig, codebook: BlockCodebook, values: np.ndarray,
-                  ready, noise: _NoiseSource, horizon: int) -> np.ndarray:
-    """The delivery use of each block under the ideal flow link, ``+inf`` if
-    the horizon ends first.
-
-    Block k is sent from use ``ready[k]`` (its last bit's arrival, or 1 when
-    blocks are always backlogged) or after block k - 1 is confirmed, and is
-    served as :func:`_serve_block` serves it; the deliveries equal those of
-    serving the blocks one at a time.
+def _serve_window(codebook: BlockCodebook, first: int, values: np.ndarray, ready: np.ndarray,
+                  noise: _NoiseSource, horizon: int, t_free: int,
+                  list_len: int) -> tuple[np.ndarray, int]:
+    """The delivery use of each block of a window that starts at block ``first``
+    (``+inf`` if the horizon ends first) and the use at which the link is free
+    after them, past the horizon once it has ended. The window releases the
+    noise of the uses before the link is free, which none of its blocks reads.
 
     Blocks go in batches of at most ``_SERVE_BATCH_CELLS`` (block, candidate)
     pairs. A batch reads its head letters in one call and serves every
@@ -723,14 +756,15 @@ def _serve_blocks(cfg: SchemeConfig, codebook: BlockCodebook, values: np.ndarray
     stride takes its guessed delivery, and any other block is served by
     :func:`_serve_block` from its exact start.
     """
-    list_len = cfg.list_size
     deliveries = np.full(len(ready), np.inf)
+    if t_free > horizon:
+        return deliveries, t_free
+    noise.release(t_free)
     batch = max(_SERVE_BATCH_CELLS // codebook.n_candidates, 1)
-    t_free = 1
-    for first in range(0, len(ready), batch):
-        block_ready = np.asarray(ready[first:first + batch], dtype=np.int64)
-        block_values = np.asarray(values[first:first + len(block_ready)], dtype=np.int64)
-        head = codebook.head_letters(first, len(block_ready))
+    for lo in range(0, len(ready), batch):
+        block_ready = np.asarray(ready[lo:lo + batch], dtype=np.int64)
+        block_values = np.asarray(values[lo:lo + len(block_ready)], dtype=np.int64)
+        head = codebook.head_letters(first + lo, len(block_ready))
         starts, offsets = _speculate(codebook.logp, noise, head, block_values, block_ready,
                                      t_free, horizon, list_len)
         for i, (t_ready, guessed, offset) in enumerate(
@@ -739,15 +773,34 @@ def _serve_blocks(cfg: SchemeConfig, codebook: BlockCodebook, values: np.ndarray
             if t == guessed and offset >= 0:
                 delivered = t + offset
             elif t > horizon:
-                return deliveries
+                return deliveries, t
             else:
-                delivered = _serve_block(codebook, noise, first + i, int(block_values[i]),
+                delivered = _serve_block(codebook, noise, first + lo + i, int(block_values[i]),
                                          head[i], t, horizon, list_len)
                 if delivered is None:  # the horizon ended with the block in flight
-                    return deliveries
-            deliveries[first + i] = delivered
+                    return deliveries, horizon + 1
+            deliveries[lo + i] = delivered
             t_free = delivered + 1
-    return deliveries
+    return deliveries, t_free
+
+
+def _serve_blocks(cfg: SchemeConfig, codebook: BlockCodebook, blocks, noise: _NoiseSource,
+                  horizon: int):
+    """Yield (first block, deliveries) for each window (first block, values,
+    ready uses) of ``blocks``: the delivery use of each block under the ideal
+    flow link, ``+inf`` if the horizon ends first.
+
+    Block k is sent from use ``ready[k]`` (its last bit's arrival, or 1 when
+    blocks are always backlogged) or after block k - 1 is confirmed, and is
+    served as :func:`_serve_block` serves it; the deliveries equal those of
+    serving the blocks one at a time. The use at which the link is free
+    carries from window to window (:func:`_serve_window`).
+    """
+    t_free = 1
+    for first, values, ready in blocks:
+        deliveries, t_free = _serve_window(codebook, first, values, ready, noise, horizon, t_free,
+                                           cfg.list_size)
+        yield first, deliveries
 
 
 def fortified_run(cfg: SchemeConfig, ch: Channel, horizon: int, delays,
@@ -757,7 +810,9 @@ def fortified_run(cfg: SchemeConfig, ch: Channel, horizon: int, delays,
     Control messages are never corrupted, so confirmed blocks are always
     correct and the only error events are deadlines missed while a block
     is still in flight (weight 1/2 each, as in the queue simulator). The
-    run keeps per-block state only; its bits are judged ``WINDOW`` at a time.
+    run draws, serves and judges one window of blocks at a time, about
+    ``sim_queue.WINDOW`` bits in whole serve batches, and drops it before
+    the next, so its memory does not grow with the horizon.
     """
     if cfg.theta != 0:
         raise DomainError("fortified mode requires theta == 0")
@@ -766,17 +821,18 @@ def fortified_run(cfg: SchemeConfig, ch: Channel, horizon: int, delays,
     payload = cfg.payload_bits
     # The codebook caps the payload before any per-block array is sized.
     codebook = BlockCodebook(ch, payload, cfg.seed)
-    # The block schedule and the noise draws are freed once the blocks are
-    # served: only the deliveries stay for the judge.
-    deliveries = _serve_blocks(cfg, codebook, *_blocks(cfg, horizon),
-                               _NoiseSource(ch, horizon, seed), horizon)
-
-    step = max(WINDOW // payload, 1)
-    counts = sum(grid.misses(b * payload, np.repeat(deliveries[b:b + step], payload))
-                 for b in range(0, len(deliveries), step))
+    # Windows of whole serve batches: a window ending in a partial batch would
+    # cost one more head-letter kernel call.
+    batch = max(_SERVE_BATCH_CELLS // codebook.n_candidates, 1)
+    size = max(sim_queue.WINDOW // payload // batch, 1) * batch
+    counts = np.zeros(len(grid.delays), dtype=np.int64)
+    confirmed = 0
+    for first, deliveries in _serve_blocks(cfg, codebook, _blocks(cfg, horizon, size),
+                                           _NoiseSource(ch, horizon, seed), horizon):
+        counts += grid.misses(first * payload, np.repeat(deliveries, payload))
+        confirmed += int(np.count_nonzero(np.isfinite(deliveries)))
     weights = MISS_WEIGHT * counts
-    return grid.table(weights, SchemeRunResult,
-                      blocks_confirmed=int(np.count_nonzero(np.isfinite(deliveries))),
+    return grid.table(weights, SchemeRunResult, blocks_confirmed=confirmed,
                       missed_bit_weight=float(weights.sum()))
 
 
@@ -817,7 +873,7 @@ def synthesized_run(cfg: SchemeConfig, ch: Channel, horizon: int, delays,
     # the decoder hashes one fixed tree of window paths.
     flow_code = FlowCode(ch, cfg.theta, cfg.seed, cfg.redecode_window)
     flow_dec = FlowDecoder(flow_code, ch, cfg.list_bits)
-    values, ready = _blocks(cfg, span)
+    _, values, ready = next(_blocks(cfg, span, _SIZE_MAX))  # one window of every block
     noise = _NoiseSource(ch, span, seed)
 
     encoder = _ParseState()  # truth-side block timeline; its confirms decode to ``values``
@@ -900,6 +956,7 @@ def synthesized_run(cfg: SchemeConfig, ch: Channel, horizon: int, delays,
             parses.append(state)
         estimate = window_best
         judge(base + cfg.c, decoded)
+        noise.release(base + cfg.c + 1)
 
     totals = [wrong_weight[d] + miss_weight[d] for d in grid.delays]
     return grid.table(totals, SchemeRunResult,

@@ -10,7 +10,8 @@ form ln((1-delta)/delta) of ``exponents.bec_feedback_exponent``.
 The simulation serves the run in windows of ``WINDOW`` uses drawn in turn
 from one random stream, so its memory is set by the window and the live
 backlog, not by the horizon; the result is the same as serving the whole
-run at once.
+run at once. The two scheme simulators of ``sim_anytime`` draw their noise
+and serve their blocks in the same windows.
 
 Every simulator is judged by ``DeadlineGrid``, the one deadline rule: the
 arrival clock, the bits that count as trials and the per-delay misses.
@@ -35,9 +36,10 @@ QUEUE_STREAM = 0x51
 # estimator counts it wrong with exactly this weight.
 MISS_WEIGHT = 0.5
 
-# Uses drawn and served per step of the queue simulation. It bounds the
-# simulation's working memory (a few MiB) whatever the horizon.
-WINDOW = 1 << 16
+# Uses drawn and served per step of every simulator: the queue's uses, the
+# schemes' noise draws, and about this many bits of fortified blocks. It
+# bounds a run's working memory (a few MiB) whatever the horizon.
+WINDOW = 1 << 14
 
 # Slack in the arrival clock, so that a whole number of bits at a rate given
 # as a float arrives at the use exact arithmetic would give.

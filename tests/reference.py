@@ -30,6 +30,8 @@ from delayexp.exponents import (
     e0_max,
 )
 from delayexp.sim_anytime import (
+    _BITS_STREAM,
+    _NOISE_STREAM,
     _SERVE_STRIDE_MAX,
     _SERVE_STRIDE_MIN,
     DENY,
@@ -37,7 +39,6 @@ from delayexp.sim_anytime import (
     FlowCode,
     FlowDecoder,
     _confirmable,
-    _blocks,
     _ParseState,
 )
 from delayexp.sim_queue import (
@@ -46,8 +47,38 @@ from delayexp.sim_queue import (
     DeadlineGrid,
     DelayErrorTable,
     _error_columns,
+    arrival,
     arrived,
 )
+
+
+def block_values(cfg, count):
+    """The values of the first ``count`` blocks from one draw of the config's
+    message stream: the whole-run form of the values ``sim_anytime._blocks``
+    draws a window at a time."""
+    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, _BITS_STREAM)))
+    return rng.integers(0, 1 << cfg.payload_bits, size=count, dtype=np.int64)
+
+
+def block_schedule(cfg, span):
+    """Every block's value and ready use in a run of ``span`` uses, plus one block
+    for the last, partial block's bits, ready after the run: the whole-run form
+    of ``sim_anytime._blocks``."""
+    n_blocks = arrived(span, cfg.rate_bits) // cfg.payload_bits + 1
+    ready = arrival(cfg.payload_bits * np.arange(1, n_blocks + 1), cfg.rate_bits)
+    return block_values(cfg, n_blocks), ready
+
+
+def noise_uniforms(horizon, seed):
+    """Every use's uniform from one draw of the run's noise stream: the whole-run
+    form of the uniforms ``sim_anytime._NoiseSource`` draws a window at a time."""
+    rng = np.random.default_rng(np.random.SeedSequence((int(seed), _NOISE_STREAM)))
+    return rng.random(horizon)
+
+
+def channel_output(cdf, x, u):
+    """The output of input letter x under uniform u, by inverse CDF."""
+    return int(np.searchsorted(cdf[x], u, side="right"))
 
 
 def list_index(scores, truth):
@@ -108,13 +139,14 @@ class FortifiedEncoder:
         return DENY
 
 
-def backlogged_deliveries(cfg, codebook, block_values, noise, horizon):
+def backlogged_deliveries(cfg, codebook, block_values, cdf, u, horizon):
     """Delivery uses of blocks that are all ready at use 1, confirmed per use.
 
     Each use sends the next letter of the block in flight, samples its
-    output by inverse CDF and tests the confirm condition; the use after a
-    confirmation starts the next block. ``sim_anytime._serve_blocks`` with
-    every ready use 1 must deliver at the same uses.
+    output by inverse CDF under its uniform in ``u`` (one per use of the
+    run) and tests the confirm condition; the use after a confirmation
+    starts the next block. ``sim_anytime._serve_blocks`` with every ready
+    use 1 must deliver at the same uses.
     """
     list_len = cfg.list_size
     deliveries = []
@@ -123,7 +155,7 @@ def backlogged_deliveries(cfg, codebook, block_values, noise, horizon):
     for t in range(1, horizon + 1):
         letters = codebook.candidates_range(block, pos, 1)[:, 0]
         truth = int(block_values[block])
-        y = int(np.searchsorted(noise.cdf[letters[truth]], noise.u[t - 1], side="right"))
+        y = channel_output(cdf, letters[truth], u[t - 1])
         scores += codebook.logp[letters, y]
         pos += 1
         if _confirmable(scores, scores[truth], list_len):
@@ -133,7 +165,7 @@ def backlogged_deliveries(cfg, codebook, block_values, noise, horizon):
     return deliveries
 
 
-def strided_deliveries(cfg, codebook, values, ready, noise, horizon):
+def strided_deliveries(cfg, codebook, values, ready, cdf, u, horizon):
     """The delivery use of each block under the ideal flow link, ``+inf`` if
     the horizon ends first, served one block at a time.
 
@@ -143,8 +175,10 @@ def strided_deliveries(cfg, codebook, values, ready, noise, horizon):
     every use, as a per-use encoder does, but add the log-likelihoods in
     another order: float rounding can break a score tie that is exact in
     real arithmetic the other way (not on the erasure channel, whose ties
-    are exact in floats too). ``sim_anytime._serve_blocks`` serves the same
-    blocks in speculative batches and must return the same array.
+    are exact in floats too). Each use's output is sampled by inverse CDF
+    under its uniform in ``u`` (one per use of the run).
+    ``sim_anytime._serve_blocks`` serves the same blocks in speculative
+    batches and windows and must deliver at the same uses.
     """
     list_len = cfg.list_size
     logp = codebook.logp
@@ -163,7 +197,8 @@ def strided_deliveries(cfg, codebook, values, ready, noise, horizon):
             take = min(stride, horizon - t + 1)
             stride = min(stride * 4, _SERVE_STRIDE_MAX)
             letters = codebook.candidates_range(block, pos, take)
-            cum = logp[letters, noise.emit_batch(letters[value], t)].cumsum(axis=1)
+            outputs = [channel_output(cdf, x, u[t - 1 + j]) for j, x in enumerate(letters[value])]
+            cum = logp[letters, outputs].cumsum(axis=1)
             if scores is not None:
                 cum += scores
             ok = _confirmable(cum, cum[value], list_len)
@@ -188,7 +223,7 @@ def parse_history(cfg, codebook, symbols, data_outputs):
     order; feeding a corrected estimate re-derives the block boundaries,
     which is exactly the decoder's recovery path after a punctuation error.
     """
-    _, ready = _blocks(cfg, len(symbols) * cfg.c)
+    _, ready = block_schedule(cfg, len(symbols) * cfg.c)
     state = _ParseState()
     decoded = []
     for k, symbol in enumerate(symbols):

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from dataclasses import asdict
 from unittest import mock
 
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from delayexp import sim_anytime
+from delayexp import sim_anytime, sim_queue
 from delayexp.channel import make_bec, make_bsc, make_dmc
 from delayexp.cli import HORIZON_MAX
 from delayexp.errors import BadInputError, DomainError
@@ -31,7 +32,6 @@ from delayexp.sim_anytime import (
     SchemeConfig,
     SchemeRunResult,
     WindowTooLargeError,
-    _block_values,
     _blocks,
     _cdf,
     _code_input_dist,
@@ -48,9 +48,13 @@ from delayexp.sim_queue import HorizonTooShortError, arrival, arrived, fit_expon
 from reference import (
     FortifiedEncoder,
     backlogged_deliveries,
+    block_schedule,
+    block_values,
+    channel_output,
     exhaustive_window_search,
     flow_decode,
     list_index,
+    noise_uniforms,
     parse_history,
     strided_deliveries,
 )
@@ -84,6 +88,29 @@ def _ready_uses(cfg, horizon):
     arrival of its last bit, taken here from every bit's arrival."""
     p = cfg.payload_bits
     return arrival(np.arange(1, arrived(horizon, cfg.rate_bits) + 1), cfg.rate_bits)[p - 1::p]
+
+
+def _serve(cfg, codebook, values, ready, noise, horizon, size=97):
+    """Every block's delivery use from the streamed service, the blocks handed
+    over in windows of ``size``; each window's deliveries come back in order."""
+    firsts = range(0, len(ready), size)
+    served = list(_serve_blocks(cfg, codebook, ((b, values[b:b + size], ready[b:b + size])
+                                                for b in firsts), noise, horizon))
+    assert [first for first, _ in served] == list(firsts)
+    return np.concatenate([deliveries for _, deliveries in served])
+
+
+class _Uniforms:
+    """A stand-in for a noise source's generator: ``random`` hands out the
+    given uniforms in turn."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+        self.drawn = 0
+
+    def random(self, count):
+        self.drawn += count
+        return self.u[self.drawn - count:self.drawn]
 
 
 def _delivered(deliveries):
@@ -192,18 +219,23 @@ class TestArrivalClock:
 
     @given(st.sampled_from([(1, 2, 0.5), (2, 7, 3 / 14), (2, 24, 1 / 6), (3, 4, 0.25),
                             (2, 5, 0.3), (1, 1, 1.0)]),
-           st.integers(0, 3), st.integers(1, 3_000))
+           st.integers(0, 3), st.integers(1, 3_000), st.integers(1, 400))
     @settings(max_examples=60, deadline=None)
-    def test_block_schedule_is_the_arrival_of_each_last_bit(self, shape, seed, span):
+    def test_block_schedule_is_the_arrival_of_each_last_bit(self, shape, seed, span, size):
         # Both block schemes read one schedule: every full block is ready at
         # its last bit's arrival, and one more block, ready after the run,
-        # holds the bits of the last, partial one.
+        # holds the bits of the last, partial one. Its windows of ``size``
+        # blocks join up into the one whole-run schedule.
         n, c, rate = shape
         cfg = SchemeConfig(n=n, c=c, l=0, rate_bits=rate, seed=seed)
-        values, ready = _blocks(cfg, span)
+        windows = list(_blocks(cfg, span, size))
+        assert [first for first, _, _ in windows] == list(range(0, len(windows) * size, size))
+        values, ready = (np.concatenate(parts) for parts in zip(*(w[1:] for w in windows)))
         np.testing.assert_array_equal(ready[:-1], _ready_uses(cfg, span))
         assert ready[-1] > span
-        np.testing.assert_array_equal(values, _block_values(cfg, len(ready)))
+        np.testing.assert_array_equal(values, block_values(cfg, len(ready)))
+        for whole, joined in zip(block_schedule(cfg, span), (values, ready)):
+            np.testing.assert_array_equal(whole, joined)
 
 
 class TestFlowSymbols:
@@ -704,7 +736,7 @@ def _noiseless_truth_side(cfg, chunks):
     """True flow symbols, data rows and confirmed values of a run over the
     identity channel; a block opens once the arrival count covers it."""
     cb = BlockCodebook(IDENTITY, cfg.payload_bits, cfg.seed)
-    values = _block_values(cfg, chunks)
+    values = block_values(cfg, chunks)
     state = _ParseState()
     messages, rows, confirmed = [], [], []
     for k in range(chunks):
@@ -774,7 +806,7 @@ class TestFortifiedScheme:
 
     def test_idle_until_first_block_arrives(self):
         cb = BlockCodebook(make_bsc(0.05), 3, 11)
-        enc = FortifiedEncoder(self.BSC_CFG, cb, _block_values(self.BSC_CFG, 4))
+        enc = FortifiedEncoder(self.BSC_CFG, cb, block_values(self.BSC_CFG, 4))
         # Three bits at rate 3/14 have all arrived only at use 14.
         for t in range(1, 14):
             assert enc.next_input(t) == 0
@@ -786,13 +818,15 @@ class TestFortifiedScheme:
         # use at or after both the block's arrival and the queue freeing.
         cb = BlockCodebook(make_bec(0.4), 1, 0)
         noise = _NoiseSource(make_bec(0.4), 12, 0)
-        noise.u[:] = 0.0
-        noise.u[[0, 1, 3, 6, 7, 8]] = 0.99  # erase uses 1, 2, 4, 7, 8, 9
+        u = np.zeros(12)
+        u[[0, 1, 3, 6, 7, 8]] = 0.99  # erase uses 1, 2, 4, 7, 8, 9
+        noise._rng = _Uniforms(u)
         ready = _ready_uses(BEC_CFG, 12)
         assert ready.tolist() == [2, 4, 6, 8, 10, 12]
-        # A seventh block, ready after the horizon, is never delivered.
-        deliveries = _serve_blocks(BEC_CFG, cb, _block_values(BEC_CFG, 8),
-                                   np.append(ready, 14), noise, 12)
+        # A seventh block, ready after the horizon, is never delivered; the
+        # blocks go in windows of two.
+        deliveries = _serve(BEC_CFG, cb, block_values(BEC_CFG, 8), np.append(ready, 14), noise,
+                            12, size=2)
         assert deliveries.tolist() == [3, 5, 6, 10, 11, 12, math.inf]
 
     @pytest.mark.parametrize("ch,cfg", [
@@ -802,18 +836,19 @@ class TestFortifiedScheme:
     def test_block_service_matches_per_use_encoder(self, ch, cfg):
         horizon = 20_000
         cb = BlockCodebook(ch, cfg.payload_bits, cfg.seed)
-        values = _block_values(cfg, int(horizon * cfg.rate_bits) // cfg.payload_bits + 2)
-        noise = _NoiseSource(ch, horizon, 3)
+        values = block_values(cfg, int(horizon * cfg.rate_bits) // cfg.payload_bits + 2)
+        cdf, u = _cdf(ch.p), noise_uniforms(horizon, 3)
         enc = FortifiedEncoder(cfg, cb, values)
         for t in range(1, horizon + 1):
             x = enc.next_input(t)
-            # Sampled here by inverse CDF, independently of emit_batch.
-            enc.observe(t, int(np.searchsorted(noise.cdf[x], noise.u[t - 1], side="right")))
+            # Sampled here by inverse CDF from one whole-run draw, independently
+            # of the noise source's windows and emit_batch.
+            enc.observe(t, channel_output(cdf, x, u[t - 1]))
             # Queue accounting: arrived bits minus confirmed payloads.
             assert enc.queue_bits(t) == (arrived(t, cfg.rate_bits)
                                          - cfg.payload_bits * len(enc.delivery_uses))
-        strided = _serve_blocks(cfg, cb, values, _ready_uses(cfg, horizon),
-                                _NoiseSource(ch, horizon, 3), horizon)
+        strided = _serve(cfg, cb, values, _ready_uses(cfg, horizon),
+                         _NoiseSource(ch, horizon, 3), horizon)
         assert _delivered(strided) == enc.delivery_uses
         assert len(enc.delivery_uses) > 1000
 
@@ -829,11 +864,11 @@ class TestFortifiedScheme:
         ch = make_bec(0.4)
         horizon = 20_000
         cb = BlockCodebook(ch, cfg.payload_bits, cfg.seed)
-        values = _block_values(cfg, horizon + 1)
-        noise = _NoiseSource(ch, horizon, 3)
-        served = _serve_blocks(cfg, cb, values, np.ones(len(values), dtype=np.int64),
-                               noise, horizon)
-        expected = backlogged_deliveries(cfg, cb, values, noise, horizon)
+        values = block_values(cfg, horizon + 1)
+        served = _serve(cfg, cb, values, np.ones(len(values), dtype=np.int64),
+                        _NoiseSource(ch, horizon, 3), horizon)
+        expected = backlogged_deliveries(cfg, cb, values, _cdf(ch.p), noise_uniforms(horizon, 3),
+                                         horizon)
         assert _delivered(served) == expected
         assert len(expected) > 2000
 
@@ -843,26 +878,28 @@ class TestFortifiedScheme:
            code_seed=st.integers(0, 2**40), noise_seed=st.integers(0, 2**32 - 1),
            backlogged=st.booleans(), horizon=st.integers(1, 2_500),
            span=st.integers(1, 3_000),
-           cells=st.sampled_from([1, 24, sim_anytime._SERVE_BATCH_CELLS]))
+           cells=st.sampled_from([1, 24, sim_anytime._SERVE_BATCH_CELLS]),
+           size=st.integers(1, 600))
     def test_batched_service_matches_strided_reference(self, channel, payload, l, extra_n, c,
                                                        code_seed, noise_seed, backlogged,
-                                                       horizon, span, cells):
+                                                       horizon, span, cells, size):
         # Ready uses come from the arrival clock at the config's rate, or are
-        # all 1; a batch holds one block, a few blocks or the default number.
+        # all 1; a batch holds one block, a few blocks or the default number,
+        # and a window of blocks any number of batches or part of one.
         ch = SERVICE_CHANNELS[channel]
         n = l + extra_n
         cfg = SchemeConfig(n=n, c=c, l=l, rate_bits=payload / (n * c), seed=code_seed)
         if backlogged:
-            values = _block_values(cfg, horizon + 1)
+            values = block_values(cfg, horizon + 1)
             ready = np.ones(len(values), dtype=np.int64)
         else:
-            values, ready = _blocks(cfg, span)
-        noise = _NoiseSource(ch, horizon, noise_seed)
+            values, ready = block_schedule(cfg, span)
         expected = strided_deliveries(cfg, BlockCodebook(ch, payload, code_seed), values,
-                                      ready, noise, horizon)
+                                      ready, _cdf(ch.p), noise_uniforms(horizon, noise_seed),
+                                      horizon)
         with mock.patch.object(sim_anytime, "_SERVE_BATCH_CELLS", cells):
-            served = _serve_blocks(cfg, BlockCodebook(ch, payload, code_seed), values, ready,
-                                   noise, horizon)
+            served = _serve(cfg, BlockCodebook(ch, payload, code_seed), values, ready,
+                            _NoiseSource(ch, horizon, noise_seed), horizon, size)
         assert served.dtype == expected.dtype
         assert np.array_equal(served, expected)
 
@@ -974,13 +1011,12 @@ class TestFortifiedScheme:
         # count. A bit misses delay d when it is delivered more than d uses
         # after its arrival, the first use whose count reaches it.
         cfg, ch, delays = self.BSC_CFG, make_bsc(0.05), (0, 1, 3)
-        monkeypatch.setattr(sim_anytime, "WINDOW", window)
+        monkeypatch.setattr(sim_queue, "WINDOW", window)
         table = fortified_run(cfg, ch, horizon, delays, 4)
         p = cfg.payload_bits
         n_bits = arrived(horizon, cfg.rate_bits)
-        blocks = _serve_blocks(cfg, BlockCodebook(ch, p, cfg.seed),
-                               _block_values(cfg, n_bits // p + 1), _ready_uses(cfg, horizon),
-                               _NoiseSource(ch, horizon, 4), horizon)
+        blocks = _serve(cfg, BlockCodebook(ch, p, cfg.seed), block_values(cfg, n_bits // p + 1),
+                        _ready_uses(cfg, horizon), _NoiseSource(ch, horizon, 4), horizon)
         delivered = np.full(n_bits, np.inf)
         delivered[:len(blocks) * p] = np.repeat(blocks, p)
         arrivals = np.array([next(t for t in range(1, horizon + 1)
@@ -1251,3 +1287,140 @@ class TestSynthesizedScheme:
         cfg = SchemeConfig(n=10, c=1000, l=0, theta=1, rate_bits=1e-4, redecode_window=1)
         with pytest.raises(HorizonTooShortError):
             synthesized_run(cfg, make_bsc(0.1), 2_000, (5,), 0)
+
+
+class TestNoiseSource:
+    @given(window=st.integers(1, 300), horizon=st.integers(1, 2_000),
+           seed=st.integers(0, 2**32 - 1),
+           steps=st.lists(st.tuples(st.integers(0, 40), st.integers(1, 90), st.booleans()),
+                          max_size=40))
+    @settings(max_examples=60, deadline=None)
+    def test_windowed_reads_equal_one_draw(self, window, horizon, seed, steps):
+        # Reads move forward by gaps and lengths, releasing what lies behind
+        # them or not; every read sees the uniforms of one whole-run draw.
+        u = noise_uniforms(horizon, seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sim_queue, "WINDOW", window)
+            noise = _NoiseSource(make_bsc(0.1), horizon, seed)
+            t = reach = 1
+            for gap, length, release in steps:
+                t = min(t + gap, horizon)
+                if release:
+                    noise.release(t)
+                uses = np.arange(t, min(t + length, horizon + 1))
+                np.testing.assert_array_equal(noise.uniforms(uses), u[uses - 1])
+                letters = uses % 2
+                np.testing.assert_array_equal(noise.emit_batch(letters, t),
+                                              noise.emit(letters, u[uses - 1]))
+                # Whole windows, none past the one holding the furthest use read.
+                reach = max(reach, int(uses[-1]))
+                assert noise._first + len(noise._u) - 1 == min(-(-reach // window) * window,
+                                                               horizon)
+
+    def test_refuses_a_read_before_the_release_mark(self, monkeypatch):
+        # With windows of 4 uses the source has dropped uses 1-7 by the time
+        # it draws use 12; reading use 7 then would wrap to another use's uniform.
+        monkeypatch.setattr(sim_queue, "WINDOW", 4)
+        noise = _NoiseSource(make_bsc(0.1), 100, 0)
+        noise.emit_batch(np.zeros(10, dtype=np.int64), 1)
+        noise.release(8)
+        noise.uniforms(np.array([12, 8]))
+        with pytest.raises(RuntimeError, match="internal error: noise read of uses 7 to 9"):
+            noise.emit_batch(np.zeros(3, dtype=np.int64), 7)
+        with pytest.raises(RuntimeError, match="internal error"):
+            noise.uniforms(np.array([9, 7]))
+
+    def test_refuses_a_read_past_the_horizon(self):
+        noise = _NoiseSource(make_bsc(0.1), 100, 0)
+        noise.emit_batch(np.zeros(4, dtype=np.int64), 97)  # uses 97 to 100
+        with pytest.raises(RuntimeError, match="internal error: noise read of uses 98 to 101"):
+            noise.emit_batch(np.zeros(4, dtype=np.int64), 98)
+        with pytest.raises(RuntimeError, match="internal error"):
+            noise.uniforms(np.array([101]))
+
+
+def _one_window(run, *args):
+    """``run(*args)`` with one window holding the whole run: one noise draw, and
+    every block of a fortified run served before any is judged."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim_queue, "WINDOW", 1 << 62)
+        return run(*args)
+
+
+class TestStreamedRuns:
+    # The fortified configs of the benchmark, plus one-bit blocks at 1/2 bit
+    # on BEC(0.6), whose capacity is 0.4 bit: the backlog grows, so its
+    # blocks run across window edges and its runs end with a block in flight
+    # (at 1,001 uses, the 402nd block of 501, sent from use 1,000).
+    FORTIFIED = {**TestFortifiedScheme.PINNED_CONFIGS,
+                 "bec-over": (make_bec(0.6), dict(n=1, c=2, l=0, rate_bits=0.5), (1, 2, 3, 4))}
+    SYNTHESIZED = {
+        "bsc-l0-w4": (make_bsc(0.05), dict(n=1, c=8, l=0, theta=4, rate_bits=0.125,
+                                           redecode_window=4, seed=3), (16, 24)),
+        **{name: (ch, fields_, delays) for name, (ch, fields_, _, delays)
+           in TestSynthesizedScheme.FLOW_ERROR_RUNS.items() if name in ("bsc-l0-w2", "bec-l2-w3")},
+    }
+
+    @given(name=st.sampled_from(sorted(FORTIFIED)), window=st.integers(1, 3_000),
+           horizon=st.integers(200, 6_000), code_seed=st.integers(0, 3),
+           seed=st.integers(0, 2**32 - 1))
+    @example(name="bec-over", window=64, horizon=1_001, code_seed=0, seed=0)
+    @settings(max_examples=40, deadline=None)
+    def test_fortified_any_window_matches_one_window(self, name, window, horizon, code_seed,
+                                                     seed):
+        ch, fields_, delays = self.FORTIFIED[name]
+        args = (SchemeConfig(seed=code_seed, **fields_), ch, horizon, delays, seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sim_queue, "WINDOW", window)
+            streamed = fortified_run(*args)
+        assert streamed == _one_window(fortified_run, *args)
+
+    @given(name=st.sampled_from(sorted(SYNTHESIZED)), window=st.integers(1, 3_000),
+           horizon=st.integers(400, 3_000), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_synthesized_any_window_matches_one_window(self, name, window, horizon, seed):
+        # A run ends at a chunk boundary, often with a block in flight, and
+        # windows of any length cut chunks and blocks anywhere.
+        ch, fields_, delays = self.SYNTHESIZED[name]
+        args = (SchemeConfig(**fields_), ch, horizon, delays, seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sim_queue, "WINDOW", window)
+            streamed = synthesized_run(*args)
+        assert streamed == _one_window(synthesized_run, *args)
+
+    @staticmethod
+    def _traced_peak(run, horizon):
+        tracemalloc.start()
+        try:
+            run(horizon)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_fortified_peak_memory_does_not_grow_with_horizon(self):
+        # tracemalloc sees numpy's buffers: the peak is one window of blocks
+        # and their noise, a few MiB whatever the horizon. A first, untraced
+        # run pays the process's one-off costs.
+        def run(horizon):
+            fortified_run(TestFortifiedScheme.BSC_CFG, make_bsc(0.05), horizon, (6, 10, 14, 18), 0)
+
+        run(20_000)
+        small, large = self._traced_peak(run, 200_000), self._traced_peak(run, 800_000)
+        assert large < 4 * 2 ** 20
+        assert large <= small + 2 ** 18
+
+    def test_synthesized_peak_memory_grows_only_with_blocks(self):
+        # The noise is drawn a window at a time: 3x10^5 more uses would hold
+        # 2.4 MB of uniforms. What still grows is per block, not per use: the
+        # block schedule (two int64 a block) and the decoded history (one
+        # list entry a block), here 1,500 more blocks.
+        cfg = SchemeConfig(n=1, c=200, l=0, theta=8, rate_bits=0.02, redecode_window=1)
+
+        def run(horizon):
+            synthesized_run(cfg, make_bsc(0.05), horizon, (200, 400), 0)
+
+        run(10_000)
+        small, large = self._traced_peak(run, 100_000), self._traced_peak(run, 400_000)
+        extra_blocks = 300_000 * cfg.rate_bits / cfg.payload_bits
+        assert large < 2 * 2 ** 20
+        assert large <= small + 2 ** 18 + 48 * extra_blocks
